@@ -26,7 +26,7 @@ from .errors import (
     NoConsistentGroupError,
     OmegaRankDeficientError,
 )
-from .galois import Field
+from .galois import Field, primes_from
 from .params import (
     capacity_upper_bound,
     check_field,
@@ -104,10 +104,7 @@ def cmd_find_field(args) -> int:
         print(report.summary())
     elif args.scheme == "concat":
         # only needs n distinct nonzero points: first prime >= n+1
-        from .galois import is_prime
-        p = max(args.start or 0, code.n + 1)
-        while not is_prime(p):
-            p += 1
+        p = next(primes_from(max(args.start or 0, code.n + 1)))
         fld, rejected = Field(p), ()
         print(f"GF({p}): {code.n} distinct nonzero evaluation points available")
     else:

@@ -9,7 +9,7 @@ pure functions of their inputs.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -46,6 +46,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def primes_from(n: int) -> Iterator[int]:
+    """Successive primes >= n, without end."""
+    while True:
+        if is_prime(n):
+            yield n
+        n += 1
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -129,11 +137,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, g={self.g})"
-
-
-def field_new(p: int) -> Field:
-    """Build GF(p); rejects non-primes and p < 3."""
-    return Field(p)
 
 
 class Mat:
@@ -249,13 +252,6 @@ class Mat:
             for j in range(self.cols)
         )
 
-    def right_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column vector: self @ vec."""
-        if len(vec) != self.cols:
-            raise DimensionMismatchError(f"{self.shape} vs vector of {len(vec)}")
-        p = self.field.p
-        return tuple(sum(a * v for a, v in zip(row, vec)) % p for row in self.data)
-
     def inv(self) -> "Mat":
         """Gauss-Jordan inverse with first-nonzero pivoting (positional tie-break)."""
         if self.rows != self.cols:
@@ -279,23 +275,33 @@ class Mat:
         return Mat(self.field, [row[n:] for row in aug], cols=n)
 
     def rank(self) -> int:
+        """Rank by forward elimination.
+
+        Rows are never scaled and nothing above a pivot is eliminated.  Each
+        row is packed into one integer, `width` bits per entry with the
+        current column in the lowest bits, so a row update is one big-integer
+        multiply-add over the columns right of the pivot.  Only the pivot row
+        is reduced mod p: every update adds less than p*p to an entry and an
+        entry is updated at most `rows` times, so no entry outgrows its bits.
+        """
         p = self.field.p
-        m = [list(row) for row in self.data]
+        width = (p * p * (self.rows + 1)).bit_length()
+        mask = (1 << width) - 1
+        rows = [sum(v << (width * k) for k, v in enumerate(row)) for row in self.data]
         rank = 0
         for col in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if m[r][col] != 0), None)
+            piv = next((i for i, x in enumerate(rows) if (x & mask) % p), None)
             if piv is None:
+                rows = [x >> width for x in rows]
                 continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv_piv = pow(m[rank][col], -1, p)
-            m[rank] = [v * inv_piv % p for v in m[rank]]
-            prow = m[rank]
-            for r in range(self.rows):
-                if r != rank and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [(v - f * w) % p for v, w in zip(m[r], prow)]
+            prow = rows.pop(piv)
+            neg_inv = p - pow(prow & mask, -1, p)
+            tail = 0
+            for k in range(1, self.cols - col):
+                tail |= ((prow >> (width * k)) & mask) % p << (width * (k - 1))
+            rows = [(x >> width) + (x & mask) * neg_inv % p * tail for x in rows]
             rank += 1
-            if rank == self.rows:
+            if not rows:
                 break
         return rank
 
@@ -325,23 +331,5 @@ class Mat:
         return tuple(aug[r][n] for r in range(n))
 
 
-# Functional aliases matching the operation-style surface.
-
 def vandermonde(field: Field, points: Sequence[int], cols: int) -> Mat:
     return Mat.vandermonde(field, points, cols)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    return a @ b
-
-
-def mat_inv(a: Mat) -> Mat:
-    return a.inv()
-
-
-def rank(a: Mat) -> int:
-    return a.rank()
-
-
-def solve_right(y: Sequence[int], a: Mat) -> tuple[int, ...]:
-    return a.solve_right(y)

@@ -13,27 +13,30 @@ alpha matrix Theta_H = [Phi_{h_1} @ Omega_{z_d} | ... ], wrapped in
 test-group decoding against up to b lying helpers.
 
 Theta_H is provably invertible only over impractically large alphabets, so
-a configuration is instead certified empirically: verify_theta_all checks
-every (d, H) pair, and find_field searches successive primes p >= n+1 until
-certification passes.  Omega is a deterministic function of (params, field),
-so every party derives it independently.
+a configuration is instead certified empirically, by rank alone (no
+inverse is kept).  verify_theta_all checks every (d, H) pair and lists
+every singular one.  find_field searches successive primes p >= n+1: it
+refuses a prime whose Omega truncations lose rank before building any
+Theta, and otherwise stops at the first singular Theta.  Omega is a
+deterministic function of (params, field), so every party derives it
+independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare, coeff_segment
 from .errors import (
     BaerCodeError,
-    FieldTooSmallError,
     NoConsistentGroupError,
     OmegaRankDeficientError,
     SingularMatrixError,
 )
-from .galois import Field, Mat, is_prime
+from .galois import Field, Mat, primes_from
 from .params import Derived, check_field
 from .reconstruct import MALFORMED
 
@@ -242,6 +245,22 @@ class ThetaReport:
         return f"GF({self.p}): NOT certified ({'; '.join(parts)})"
 
 
+def _theta_count(code: Derived) -> int:
+    return sum(comb(code.n, d - 2 * code.b) for d in code.d_set)
+
+
+def _singular_thetas(code: Derived, cfg: OmegaConfig):
+    """Yield each (d, H) whose Theta_H is singular, in sweep order.
+
+    Only the rank of each Theta is computed, so a sweep stores no inverse
+    and leaves cfg's Theta cache to the decoders.
+    """
+    for d in code.d_set:
+        for subset in combinations(range(1, code.n + 1), d - 2 * code.b):
+            if theta(subset, d, cfg).rank() < code.alpha:
+                yield d, subset
+
+
 def verify_theta_all(code: Derived, fld: Field, cfg: OmegaConfig | None = None) -> ThetaReport:
     """Check every Theta_H over all (d in D, H subset of nodes, |H| = d-2b).
 
@@ -254,17 +273,9 @@ def verify_theta_all(code: Derived, fld: Field, cfg: OmegaConfig | None = None) 
     omega_bad = tuple(
         d for d in code.d_set if not omega_rank_ok(cfg.omega, code.z_of(d))
     )
-    singular: list[tuple[int, tuple[int, ...]]] = []
-    checked = 0
-    for d in code.d_set:
-        span = d - 2 * code.b
-        for subset in combinations(range(1, code.n + 1), span):
-            checked += 1
-            if cfg.theta_inv(subset, d) is None:
-                singular.append((d, subset))
     return ThetaReport(
-        p=fld.p, checked=checked,
-        omega_deficient=omega_bad, singular=tuple(singular),
+        p=fld.p, checked=_theta_count(code),
+        omega_deficient=omega_bad, singular=tuple(_singular_thetas(code, cfg)),
     )
 
 
@@ -277,26 +288,23 @@ class FieldSearch:
 
 
 def find_field(code: Derived, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:
-    """Try successive primes p >= n+1 and return the first certified one."""
-    p = max(start or 0, code.n + 1)
+    """Try successive primes p >= n+1 and return the first certified one.
+
+    A prime is refused as soon as an Omega truncation loses rank or the
+    first singular Theta turns up, so only the certified prime is swept in
+    full.
+    """
     rejected: list[int] = []
-    for _ in range(max_candidates):
-        while not is_prime(p):
-            p += 1
+    for p in islice(primes_from(max(start or 0, code.n + 1)), max_candidates):
         fld = Field(p)
-        try:
-            check_field(code, fld)
-            cfg = omega_build(code, fld, check=False)
-            report = verify_theta_all(code, fld, cfg)
-        except FieldTooSmallError:
-            report = None
-        if report is not None and report.ok:
+        cfg = omega_build(code, fld, check=False)
+        if cfg.rank_ok and next(_singular_thetas(code, cfg), None) is None:
+            report = ThetaReport(p=p, checked=_theta_count(code),
+                                 omega_deficient=(), singular=())
             return FieldSearch(field=fld, cfg=cfg, report=report, rejected=tuple(rejected))
         rejected.append(p)
-        p += 1
-    raise BaerCodeError(
-        f"no certified prime found after {max_candidates} candidates (last tried {p})"
-    )
+    last = f" (last tried {rejected[-1]})" if rejected else ""
+    raise BaerCodeError(f"no certified prime found after {max_candidates} candidates{last}")
 
 
 # -- repair wire records ----------------------------------------------------

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare
@@ -35,8 +36,8 @@ from .errors import (
     SingularReducedSystemError,
     UnresolvedEntriesError,
 )
-from .galois import Field, Mat
-from .params import ScheduleII
+from .galois import Field, Mat, primes_from
+from .params import ScheduleII, schedule_scheme2
 from .reconstruct import MALFORMED
 
 REPAIR2_MAGIC = "BAERR2"
@@ -425,53 +426,57 @@ class SystemReport:
         return f"GF({self.p}): {len(self.singular)} singular repair systems"
 
 
+def _system_count(code, plans: Sequence[ScheduleII]) -> int:
+    return sum(
+        comb(code.n, plan.d - 2 * code.b) * sum(it.n_groups for it in plan.iterations)
+        for plan in plans
+    )
+
+
+def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
+    """Yield each (d, subset, j, group) whose system is singular, in sweep order.
+
+    Every solvable system's inverse stays in the _group_matrix_inv cache, so
+    repairs over a certified field start warm.
+    """
+    for plan in plans:
+        for subset in combinations(range(1, code.n + 1), plan.d - 2 * code.b):
+            for j, it in enumerate(plan.iterations, 1):
+                for gi in range(it.n_groups):
+                    try:
+                        _group_matrix_inv(plan, fld, j, gi, subset)
+                    except SingularReducedSystemError:
+                        yield plan.d, subset, j, gi
+
+
 def verify_systems_all(code, fld: Field, schedule=None) -> SystemReport:
     """Check every per-group system over all (d in D, helper subset, iteration).
 
     `schedule` is the plan factory (defaults to params.schedule_scheme2);
     raises DivisibilityViolationError if some d has no valid plan.
     """
-    from .params import schedule_scheme2 as _schedule
-
-    mk = schedule or _schedule
-    singular = []
-    checked = 0
-    for d in code.d_set:
-        plan = mk(code, d)
-        span = d - 2 * code.b
-        for subset in combinations(range(1, code.n + 1), span):
-            for j, it in enumerate(plan.iterations, 1):
-                for gi in range(it.n_groups):
-                    checked += 1
-                    try:
-                        _group_matrix_inv(plan, fld, j, gi, subset)
-                    except SingularReducedSystemError:
-                        singular.append((d, subset, j, gi))
-    return SystemReport(p=fld.p, checked=checked, singular=tuple(singular))
+    mk = schedule or schedule_scheme2
+    plans = [mk(code, d) for d in code.d_set]
+    return SystemReport(p=fld.p, checked=_system_count(code, plans),
+                        singular=tuple(_singular_systems(code, fld, plans)))
 
 
 def find_field_scheme2(code, start: int | None = None, max_candidates: int = 2000):
-    """First prime p >= n+1 whose per-group systems all solve (see SystemReport)."""
-    from .galois import is_prime
-    from .params import check_field
-    from .errors import FieldTooSmallError
+    """First prime p >= n+1 whose per-group systems all solve (see SystemReport).
 
-    p = max(start or 0, code.n + 1)
+    A prime is refused at its first singular system, so only the returned
+    prime is swept in full.
+    """
+    plans = [schedule_scheme2(code, d) for d in code.d_set]
     rejected = []
-    for _ in range(max_candidates):
-        while not is_prime(p):
-            p += 1
+    for p in islice(primes_from(max(start or 0, code.n + 1)), max_candidates):
         fld = Field(p)
-        try:
-            check_field(code, fld)
-            report = verify_systems_all(code, fld)
-        except FieldTooSmallError:
-            report = None
-        if report is not None and report.ok:
+        if next(_singular_systems(code, fld, plans), None) is None:
+            report = SystemReport(p=p, checked=_system_count(code, plans), singular=())
             return fld, report, tuple(rejected)
         rejected.append(p)
-        p += 1
-    raise BaerCodeError(f"no solvable prime found after {max_candidates} candidates")
+    last = f" (last tried {rejected[-1]})" if rejected else ""
+    raise BaerCodeError(f"no solvable prime found after {max_candidates} candidates{last}")
 
 
 # -- repair wire records ----------------------------------------------------

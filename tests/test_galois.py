@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baercode.errors import (
     DimensionMismatchError,
@@ -10,7 +11,7 @@ from baercode.errors import (
     ZeroPointError,
     ZeroToNegativePowerError,
 )
-from baercode.galois import Field, Mat, field_new, mat_inv, mat_mul, rank, solve_right, vandermonde
+from baercode.galois import Field, Mat, vandermonde
 
 
 def brute_force_order(x, p):
@@ -24,7 +25,7 @@ def brute_force_order(x, p):
 def test_generator_is_smallest_full_order():
     # independently: smallest c in 2..p-1 with multiplicative order p-1
     for p in (7, 13, 101):
-        fld = field_new(p)
+        fld = Field(p)
         expected = next(c for c in range(2, p) if brute_force_order(c, p) == p - 1)
         assert fld.g == expected
         assert brute_force_order(fld.g, p) == p - 1
@@ -88,7 +89,7 @@ def test_vandermonde_full_column_rank_randomized():
             rows = rng.randrange(1, min(p - 1, 8) + 1)
             cols = rng.randrange(1, rows + 1)
             points = rng.sample(range(1, p), rows)
-            assert rank(vandermonde(fld, points, cols)) == cols
+            assert vandermonde(fld, points, cols).rank() == cols
 
 
 def test_rank_of_wide_vandermonde_matches_minor_oracle():
@@ -101,17 +102,17 @@ def test_rank_of_wide_vandermonde_matches_minor_oracle():
         for j in range(i + 1, 3)
     ]
     assert any(minors)
-    assert rank(m) == 2
+    assert m.rank() == 2
 
 
 def test_identity_and_vandermonde_inverse():
     f7 = Field(7)
     eye = Mat.identity(f7, 2)
-    assert mat_inv(eye) == eye
+    assert eye.inv() == eye
     v = vandermonde(f7, [3, 2], 2)
-    vi = mat_inv(v)
-    assert mat_mul(v, vi) == eye
-    assert mat_mul(vi, v) == eye
+    vi = v.inv()
+    assert v @ vi == eye
+    assert vi @ v == eye
 
 
 def test_inverse_and_solve_randomized():
@@ -129,7 +130,7 @@ def test_inverse_and_solve_randomized():
             assert a @ ai == eye
             assert ai @ a == eye
             y = [rng.randrange(p) for _ in range(n)]
-            x = solve_right(y, a)
+            x = a.solve_right(y)
             assert a.left_mul(x) == tuple(y)
 
 
@@ -165,3 +166,81 @@ def test_empty_width_matrices_multiply():
     a = Mat(f7, [[], []], cols=0)
     b = Mat.zeros(f7, 0, 2)
     assert (a @ b).tolist() == [[0, 0], [0, 0]]
+
+
+# -- rank properties -----------------------------------------------------------
+
+RANK_PRIMES = (3, 7, 13, 101)
+
+
+@st.composite
+def rect_matrices(draw):
+    p = draw(st.sampled_from(RANK_PRIMES))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(0, p - 1)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return Mat(Field(p), data, cols=cols)
+
+
+def full_column_rank(draw, fld, rows, r):
+    """rows x r matrix holding the identity's rows at r random positions."""
+    grid = [[draw(st.integers(0, fld.p - 1)) for _ in range(r)] for _ in range(rows)]
+    positions = draw(st.permutations(range(rows)))[:r]
+    for k, pos in enumerate(positions):
+        grid[pos] = [1 if j == k else 0 for j in range(r)]
+    return Mat(fld, grid, cols=r)
+
+
+def reference_rank(a):
+    """Textbook elimination on lists of residues, the oracle for Mat.rank."""
+    p = a.field.p
+    m = a.tolist()
+    rank = 0
+    for col in range(a.cols):
+        piv = next((r for r in range(rank, a.rows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(rank + 1, a.rows):
+            f = m[r][col] * inv % p
+            m[r] = [(v - f * w) % p for v, w in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@given(rect_matrices())
+@settings(deadline=None)
+def test_rank_matches_list_elimination(a):
+    assert a.rank() == reference_rank(a)
+
+
+@given(rect_matrices())
+@settings(deadline=None)
+def test_rank_equals_rank_of_transpose(a):
+    assert a.rank() == a.transpose().rank() <= min(a.shape)
+
+
+@given(rect_matrices())
+@settings(deadline=None)
+def test_square_full_rank_iff_invertible(a):
+    n = min(a.shape)
+    sq = Mat(a.field, [row[:n] for row in a.data[:n]], cols=n)
+    try:
+        sq.inv()
+    except SingularMatrixError:
+        assert sq.rank() < n
+    else:
+        assert sq.rank() == n
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_rank_of_product_is_inner_dimension(data):
+    fld = Field(data.draw(st.sampled_from(RANK_PRIMES)))
+    rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    r = data.draw(st.integers(1, min(rows, cols)))
+    left = full_column_rank(data.draw, fld, rows, r)               # rows x r
+    right = full_column_rank(data.draw, fld, cols, r).transpose()  # r x cols
+    assert (left @ right).rank() == r

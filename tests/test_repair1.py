@@ -13,6 +13,7 @@ from baercode.galois import Field
 from baercode.params import CodeParams, validate
 from baercode.repair1 import (
     estimate,
+    find_field,
     format_repair_record,
     helper_repair_symbols,
     omega_build,
@@ -227,6 +228,32 @@ def test_find_field_rejects_small_primes(ex3_code, ex3_search):
     assert 7 in ex3_search.rejected
     assert ex3_search.report.ok
     assert ex3_search.field.p >= ex3_code.n + 1
+
+
+def mid_code():
+    """n=10, k=4, D={6,7}, b=1, alpha=20: the first cluster whose search stops early."""
+    return validate(CodeParams(n=10, k=4, d_set=(6, 7), b=1, alpha=20))
+
+
+def test_find_field_pins_mid_search():
+    search = find_field(mid_code())
+    assert search.field.p == 23
+    assert search.rejected == (11, 13, 17, 19)
+    assert search.report.ok and search.report.checked == 462
+    assert search.cfg._theta_inv == {}          # certification keeps no inverse
+
+
+def test_verify_theta_lists_every_singular_matrix():
+    report = verify_theta_all(mid_code(), Field(19))
+    assert report.checked == 462 and report.omega_deficient == ()
+    assert len(report.singular) == 56
+    assert report.singular[0] == (7, (1, 2, 3, 4, 10))
+    assert report.summary() == "GF(19): NOT certified (56 singular Theta matrices)"
+
+
+def test_find_field_names_last_prime_tried(ex3_code):
+    with pytest.raises(BaerCodeError, match=r"after 1 candidates \(last tried 7\)$"):
+        find_field(ex3_code, max_candidates=1)
 
 
 def test_repair_record_round_trip():

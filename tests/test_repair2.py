@@ -312,6 +312,29 @@ def test_find_field_rejects_small_primes(a12_code, a12_field2):
     assert report.ok
 
 
+def s2_code():
+    """n=10, k=4, D={7,8}, b=1, alpha=60: scheme-2 cluster certified over GF(19)."""
+    return validate(CodeParams(n=10, k=4, d_set=(7, 8), b=1, alpha=60))
+
+
+def test_find_field_pins_s2_search():
+    fld, report, rejected = find_field_scheme2(s2_code())
+    assert fld.p == 19 and rejected == (11, 13, 17)
+    assert report.ok and report.checked == 5124
+
+
+def test_verify_systems_lists_every_singular_system():
+    report = verify_systems_all(s2_code(), Field(17))
+    assert report.checked == 5124
+    assert len(report.singular) == 69
+    assert report.singular[0] == (8, (1, 2, 3, 4, 5, 9), 3, 0)
+
+
+def test_find_field_names_last_prime_tried(a12_code):
+    with pytest.raises(BaerCodeError, match=r"after 1 candidates \(last tried 7\)$"):
+        find_field_scheme2(a12_code, max_candidates=1)
+
+
 # -- deeper schedules --------------------------------------------------------
 
 def three_iteration_code():
