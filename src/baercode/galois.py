@@ -232,7 +232,8 @@ class Mat:
         if self.cols != other.rows:
             raise DimensionMismatchError(f"{self.shape} @ {other.shape}")
         p = self.field.p
-        bt = [other.col(j) for j in range(other.cols)]
+        # Columns of other; zip yields none when other has no rows.
+        bt = list(zip(*other.data)) or [()] * other.cols
         out = [
             [sum(a * b for a, b in zip(arow, bcol)) % p for bcol in bt]
             for arow in self.data

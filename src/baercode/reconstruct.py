@@ -1,10 +1,14 @@
 """Data reconstruction from k accessed nodes with test-group decoding.
 
-Each of the z component blocks is recovered separately from kappa = k-2b
-honest segments.  With adversaries, the collector examines test-groups
-(subsets of the k accessed nodes of size k-b) and accepts the first group
-whose estimates, one per size-(k-2b) subset, all agree: with at most b
-corrupted nodes, agreement certifies the genuine message.
+An estimate recovers the z component blocks from kappa = k-2b shares by
+product-matrix decoding.  Every block is evaluated at the same kappa node
+points, so all z blocks of a subset are decoded side by side: one inverse
+of the kappa x kappa Vandermonde Phi and three matrix products per subset.
+With adversaries, the collector examines test-groups (subsets of the k
+accessed nodes of size k-b) and accepts the first group whose estimates,
+one per size-(k-2b) subset, all agree: with at most b corrupted nodes,
+agreement certifies the genuine message.  A share whose length is not
+alpha spoils every estimate it takes part in, like any other lie.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ from itertools import combinations
 from typing import Sequence
 
 from .encoder import DataMatrix, NodeShare, extract_message
-from .errors import NoConsistentGroupError, StructureViolationError
+from .errors import (
+    DimensionMismatchError,
+    NoConsistentGroupError,
+    StructureViolationError,
+)
 from .galois import Field, Mat
 from .params import Derived
 
@@ -43,60 +51,84 @@ def pm_reconstruct_component(
     lam: int,
     kappa: int,
 ) -> Mat:
-    """Recover one lam x lam block from kappa pairs (e, y) with y = [1,e,..,e^(lam-1)] @ M_i.
+    """Recover z lam x lam blocks side by side from kappa pairs (e, y).
 
-    Split each coefficient row into its first kappa and last lam-kappa
-    coordinates, Psi = [Phi | Delta].  Then Y = [Phi@N + Delta@L^T | Phi@L],
-    so L = Phi^-1 @ Y_right and N = Phi^-1 @ (Y_left - Delta@L^T).  Phi is a
-    kappa x kappa Vandermonde on distinct nonzero points, hence invertible.
+    y = [x(1) | ... | x(z)] holds z segments of length lam, each with its
+    prefix power stripped, so x(i) = [1,e,..,e^(lam-1)] @ M_i; the result is
+    the lam x (z*lam) matrix [M_1 | ... | M_z].  Split each coefficient row
+    into its first kappa and last lam-kappa coordinates, Psi = [Phi | Delta].
+    Then x(i) = [Phi@N_i + Delta@L_i^T | Phi@L_i], so L_i = Phi^-1 @ Y_right(i)
+    and N_i = Phi^-1 @ (Y_left(i) - Delta@L_i^T).  Every block shares Phi, a
+    kappa x kappa Vandermonde on distinct nonzero points, hence invertible:
+    it is inverted once and each step is one product over all z blocks.
     """
     if len(segments) != kappa:
         raise StructureViolationError(f"need {kappa} segments, got {len(segments)}")
-    points = [e for e, _ in segments]
-    psi = Mat.vandermonde(field, points, lam)
-    y = Mat(field, [list(seg) for _, seg in segments], cols=lam)
-    phi = Mat(field, [row[:kappa] for row in psi.data], cols=kappa)
-    delta = Mat(field, [row[kappa:] for row in psi.data], cols=lam - kappa)
-    y_left = Mat(field, [row[:kappa] for row in y.data], cols=kappa)
-    y_right = Mat(field, [row[kappa:] for row in y.data], cols=lam - kappa)
-    phi_inv = phi.inv()
-    ell = phi_inv @ y_right                          # kappa x (lam-kappa)
-    n_hat = phi_inv @ Mat(
+    y = Mat(field, [seg for _, seg in segments])
+    if y.cols % lam:
+        raise DimensionMismatchError(f"segments of {y.cols} symbols, not a multiple of lam={lam}")
+    p = field.p
+    z, m = y.cols // lam, lam - kappa
+    offs = range(0, z * lam, lam)
+    psi = Mat.vandermonde(field, [e for e, _ in segments], lam)
+    phi_inv = Mat(field, [row[:kappa] for row in psi.data], cols=kappa).inv()
+    delta = Mat(field, [row[kappa:] for row in psi.data], cols=m)
+    y_left = [[v for o in offs for v in row[o : o + kappa]] for row in y.data]
+    y_right = [[v for o in offs for v in row[o + kappa : o + lam]] for row in y.data]
+    ell = (phi_inv @ Mat(field, y_right, cols=z * m)).data          # kappa x z(lam-kappa)
+    # [L_1^T | ... | L_z^T]: row r holds column r of every L_i.
+    ell_t = [[ell[c][i * m + r] for i in range(z) for c in range(kappa)] for r in range(m)]
+    d_lt = (delta @ Mat(field, ell_t, cols=z * kappa)).data
+    n_hat = (phi_inv @ Mat(
         field,
+        [[(a - c) % p for a, c in zip(lrow, drow)] for lrow, drow in zip(y_left, d_lt)],
+        cols=z * kappa,
+    )).data                                                          # kappa x z*kappa
+    # Assemble each [[N_i, L_i], [L_i^T, 0]]; N_i is embedded exactly as
+    # solved, so a corrupted, asymmetric solution stays visible to the
+    # structure check.
+    zeros = [0] * m
+    grid = [
         [
-            [(a - c) % field.p for a, c in zip(lrow, rrow)]
-            for lrow, rrow in zip(y_left.data, (delta @ ell.transpose()).data)
-        ],
-        cols=kappa,
-    )
-    # Assemble [[N, L], [L^T, 0]]; N is embedded exactly as solved, so a
-    # corrupted, asymmetric solution stays visible to the structure check.
-    grid = [[0] * lam for _ in range(lam)]
-    for r in range(kappa):
-        grid[r][:kappa] = n_hat.data[r]
-        grid[r][kappa:] = ell.data[r]
-    for r in range(kappa, lam):
-        for c in range(kappa):
-            grid[r][c] = ell.data[c][r - kappa]
-    return Mat(field, grid, cols=lam)
+            v
+            for i in range(z)
+            for v in (*nrow[i * kappa : (i + 1) * kappa], *lrow[i * m : (i + 1) * m])
+        ]
+        for nrow, lrow in zip(n_hat, ell)
+    ] + [
+        [v for i in range(z) for v in (*trow[i * kappa : (i + 1) * kappa], *zeros)]
+        for trow in ell_t
+    ]
+    return Mat(field, grid, cols=z * lam)
 
 
 def _estimate_blocks(
     shares: Sequence[NodeShare], code: Derived, field: Field
 ) -> tuple[Mat, ...]:
-    """Per-component reconstruction from kappa shares (no structure check)."""
-    p = field.p
-    blocks = []
-    for i in range(1, code.z + 1):
-        segs = []
-        for sh in shares:
-            # x(i) = e^((i-1)*lam) * [1,e,..,e^(lam-1)] @ M_i; strip the prefix power.
-            scale = pow(field.point(sh.index), -(i - 1) * code.lam, p)
-            segs.append(
-                (field.point(sh.index), [v * scale % p for v in sh.segment(i, code.lam)])
+    """Reconstruction of all z blocks from kappa shares (no structure check).
+
+    A share whose length is not alpha raises StructureViolationError.
+    """
+    p, lam = field.p, code.lam
+    segs = []
+    for sh in shares:
+        if len(sh.x) != code.alpha:
+            raise StructureViolationError(
+                f"node {sh.index} share has {len(sh.x)} symbols, expected alpha={code.alpha}"
             )
-        blocks.append(pm_reconstruct_component(segs, field, code.lam, code.kappa))
-    return tuple(blocks)
+        # x(i) = e^((i-1)*lam) * [1,e,..,e^(lam-1)] @ M_i; strip the prefix power.
+        e = field.point(sh.index)
+        step = pow(e, -lam, p)
+        row, scale = [], 1
+        for off in range(0, code.alpha, lam):
+            row.extend(v * scale % p for v in sh.x[off : off + lam])
+            scale = scale * step % p
+        segs.append((e, row))
+    full = pm_reconstruct_component(segs, field, lam, code.kappa).data
+    return tuple(
+        Mat(field, [row[off : off + lam] for row in full], cols=lam)
+        for off in range(0, code.alpha, lam)
+    )
 
 
 def reconstruct_estimate(

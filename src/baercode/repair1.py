@@ -51,7 +51,8 @@ def default_exponents(code: Derived) -> tuple[int, ...]:
 
 @dataclass
 class OmegaConfig:
-    """Omega matrix plus its per-d truncations and cached Theta inverses."""
+    """Omega matrix plus its per-d truncations, cached Theta inverses and
+    cached Theta column blocks."""
 
     code: Derived
     field: Field
@@ -60,6 +61,7 @@ class OmegaConfig:
     omega: Mat                         # z x z
     rank_ok: bool                      # every Omega_{z_d} has full column rank
     _theta_inv: dict = dc_field(default_factory=dict, repr=False)
+    _theta_cols: dict = dc_field(default_factory=dict, repr=False)
 
     def omega_cols(self, d: int) -> Mat:
         z_d = self.code.z_of(d)
@@ -74,6 +76,24 @@ class OmegaConfig:
             except SingularMatrixError:
                 self._theta_inv[key] = None
         return self._theta_inv[key]
+
+    def theta_cols(self, h: int, d: int) -> list[list[int]]:
+        """Rows of helper h's alpha x z_d column block Phi_h @ Omega_{z_d}.
+
+        Every Theta_H with h in H holds this block, so it is built once per
+        (h, d) and shared by all of them.
+        """
+        key = (h, d)
+        if key not in self._theta_cols:
+            code, p = self.code, self.field.p
+            z_d = code.z_of(d)
+            rows = []
+            for i in range(1, code.z + 1):
+                orow = self.omega.data[i - 1][:z_d]
+                for v in coeff_segment(self.field, h, i, code.lam):
+                    rows.append([v * w % p for w in orow])
+            self._theta_cols[key] = rows
+        return self._theta_cols[key]
 
 
 def omega_build(code: Derived, fld: Field, exponents: Sequence[int] | None = None,
@@ -148,20 +168,12 @@ def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) ->
 
 def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
     """alpha x alpha matrix [Phi_{h_1} @ Omega_{z_d} | ... | Phi_{h_{d-2b}} @ Omega_{z_d}]."""
-    code, fld = cfg.code, cfg.field
-    p = fld.p
-    z_d = code.z_of(d)
-    alpha = code.alpha
-    grid = [[0] * alpha for _ in range(alpha)]
-    for t, h in enumerate(helpers):
-        for i in range(1, code.z + 1):
-            seg = coeff_segment(fld, h, i, code.lam)
-            orow = cfg.omega.data[i - 1]
-            for r, v in enumerate(seg):
-                grow = grid[(i - 1) * code.lam + r]
-                for j in range(z_d):
-                    grow[t * z_d + j] = v * orow[j] % p
-    return Mat(fld, grid, cols=alpha)
+    blocks = [cfg.theta_cols(h, d) for h in helpers]
+    return Mat(
+        cfg.field,
+        [[v for part in parts for v in part] for parts in zip(*blocks)],
+        cols=cfg.code.alpha,
+    )
 
 
 def estimate(rho: Sequence[int], theta_mat: Mat) -> tuple[int, ...]:

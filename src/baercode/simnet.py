@@ -11,7 +11,10 @@ are ordered events:
 
 Every repair is metered and compared against the minimum total bandwidth
 gamma_mbr(d) = alpha*d/(d-2b); every post-repair share is compared to the
-encoder's ground truth, so error propagation is impossible to miss.
+encoder's ground truth, so error propagation is impossible to miss.  An
+event outside the model (a repair or reconstruction with no consistent
+test-group) is logged as a failed row and the scenario goes on; a node
+whose repair failed stays failed.
 Wall-clock time is reported per event but never asserted.
 """
 
@@ -27,6 +30,7 @@ from . import concat, repair1, repair2
 from .encoder import NodeShare, build_data_matrix, encode_all, encode_node
 from .errors import (
     BaerCodeError,
+    NoConsistentGroupError,
     NodeAlreadyFailedError,
     NotEnoughHelpersError,
     RepairOfLiveNodeError,
@@ -155,44 +159,50 @@ class Cluster:
             return sorted(rng.sample(candidates, d))
         return candidates[:d]   # lowest-index (and exclude:) policy
 
-    def _repair(self, f: int, d: int, helpers: list[int]) -> tuple[NodeShare, int]:
-        """Run the scheme-appropriate repair; returns (share, symbols moved)."""
+    def _repair(self, f: int, d: int, helpers: list[int]) -> tuple[NodeShare | None, int]:
+        """Run the scheme-appropriate repair; returns (share, symbols moved).
+
+        The share is None when no test-group is consistent (more than b liars).
+        """
         code, fld, policy = self.code, self.field, self.policy
         stored = {
             h: policy.effective_share(self.shares[h], code, fld) for h in helpers
         }
         moved = 0
-        if self.scheme == "1":
-            cfg = self.omega_cfg
-            syms = {}
-            for h in helpers:
-                vec = repair1.helper_repair_symbols(stored[h], f, d, cfg)
-                vec = adv.corrupt_repair_symbols(
-                    policy, h, vec, fld,
-                    recompute=lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg),
-                    code=code,
-                )
-                syms[h] = vec
-                moved += len(vec)
-            x = repair1.testgroup_repair(syms, f, d, cfg)
-        elif self.scheme == "2":
-            plan = schedule_scheme2(code, d)
-            streams = {}
-            for h in helpers:
-                st = repair2.helper_stream(stored[h], plan, f, fld)
-                st = adv.corrupt_repair_symbols(
-                    policy, h, st, fld,
-                    recompute=lambda sh: repair2.helper_stream(sh, plan, f, fld),
-                    code=code,
-                )
-                streams[h] = st
-                moved += sum(len(r) for r in st)
-            x = repair2.testgroup_repair2(streams, f, plan, fld)
-        else:
-            # concat: per-component scalars; the assignment fixes who sends what.
-            x_share = concat.repair_b0(stored, f, helpers, code, fld)
-            moved = code.alpha
-            x = x_share.x
+        try:
+            if self.scheme == "1":
+                cfg = self.omega_cfg
+                syms = {}
+                for h in helpers:
+                    vec = repair1.helper_repair_symbols(stored[h], f, d, cfg)
+                    vec = adv.corrupt_repair_symbols(
+                        policy, h, vec, fld,
+                        recompute=lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg),
+                        code=code,
+                    )
+                    syms[h] = vec
+                    moved += len(vec)
+                x = repair1.testgroup_repair(syms, f, d, cfg)
+            elif self.scheme == "2":
+                plan = schedule_scheme2(code, d)
+                streams = {}
+                for h in helpers:
+                    st = repair2.helper_stream(stored[h], plan, f, fld)
+                    st = adv.corrupt_repair_symbols(
+                        policy, h, st, fld,
+                        recompute=lambda sh: repair2.helper_stream(sh, plan, f, fld),
+                        code=code,
+                    )
+                    streams[h] = st
+                    moved += sum(len(r) for r in st)
+                x = repair2.testgroup_repair2(streams, f, plan, fld)
+            else:
+                # concat: per-component scalars; the assignment fixes who sends what.
+                x_share = concat.repair_b0(stored, f, helpers, code, fld)
+                moved = code.alpha
+                x = x_share.x
+        except NoConsistentGroupError:
+            return None, moved     # outside the model; the symbols still moved
         return NodeShare(index=f, e=fld.point(f), x=tuple(x)), moved
 
     # -- event engine -------------------------------------------------
@@ -223,8 +233,11 @@ class Cluster:
             helpers = self._choose_helpers(f, d, event.helper_policy, rng)
             repaired, symbols = self._repair(f, d, helpers)
             gamma_expect = code.gamma_of(d)
-            success = repaired.x == self.ground_truth(f).x and symbols == gamma_expect
-            self.shares[f] = repaired
+            if repaired is None:
+                success = False             # node f stays failed
+            else:
+                success = repaired.x == self.ground_truth(f).x and symbols == gamma_expect
+                self.shares[f] = repaired
             event = Event(kind="repair", node=f, d=d,
                           helper_policy=",".join(str(h) for h in helpers))
 
@@ -238,9 +251,11 @@ class Cluster:
                 if sh is None:
                     raise BaerCodeError(f"node {n} is failed or unknown")
                 shares.append(adv.corrupt_access(self.policy, n, sh, code, self.field))
-            got = testgroup_reconstruct(shares, code, self.field)
             symbols = code.k * code.alpha
-            success = got == self.message
+            try:
+                success = testgroup_reconstruct(shares, code, self.field) == self.message
+            except NoConsistentGroupError:
+                success = False
 
         elif event.kind == "corrupt":
             self.policy = adv.AdversaryPolicy(

@@ -180,6 +180,20 @@ def test_simulate_report(capsys, workspace):
     assert report_file.read_text() == out
 
 
+def test_simulate_out_of_model_prints_report_and_exits_3(capsys, workspace):
+    tmp, params, msg = workspace
+    scen = tmp / "scen.txt"
+    scen.write_text("corrupt random nodes=1,2 seed=0\nreconstruct 1,2,3\n"
+                    "corrupt honest\nreconstruct 1,2,3\n")
+    assert run("simulate", "--params", params, "--scheme", "1",
+               "--scenario", scen, "--message", msg) == 3
+    out = capsys.readouterr().out
+    rows = out.splitlines()[2:6]
+    assert [r.split()[1] for r in rows] == ["corrupt", "reconstruct", "corrupt", "reconstruct"]
+    assert [r.split()[-2] for r in rows] == ["ok", "FAIL", "ok", "ok"]
+    assert "totals: events=4" in out and "failures=1" in out
+
+
 def test_scheme2_cli_round_trip(capsys, tmp_path, a12_code, a12_field2):
     p = a12_field2.p
     params = tmp_path / "s2.params"

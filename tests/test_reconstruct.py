@@ -2,10 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baercode.encoder import NodeShare, build_data_matrix, encode_all
-from baercode.errors import NoConsistentGroupError, StructureViolationError
-from baercode.galois import Field
+from baercode.errors import (
+    DimensionMismatchError,
+    NoConsistentGroupError,
+    StructureViolationError,
+)
+from baercode.galois import Field, Mat
+from baercode.params import CodeParams, validate
 from baercode.reconstruct import (
     MALFORMED,
     pm_reconstruct_component,
@@ -130,3 +136,102 @@ def test_access_set_validation(ex3_code):
         tg_reconstruct(shares[:2], ex3_code, F17)
     with pytest.raises(StructureViolationError):
         tg_reconstruct([shares[0], shares[0], shares[1]], ex3_code, F17)
+
+
+# -- malformed share lengths ------------------------------------------------
+
+MID = validate(CodeParams(n=10, k=4, d_set=(6, 7), b=1, alpha=20))
+F23 = Field(23)
+
+
+def mid_access(seed):
+    rng = random.Random(seed)
+    msg = tuple(rng.randrange(23) for _ in range(MID.f_mbr))
+    shares = encode_all(build_data_matrix(msg, MID, F23), MID, F23)
+    return msg, rng.sample(shares, MID.k)
+
+
+def resize(share, length):
+    x = (share.x + share.x)[:length]
+    return NodeShare(index=share.index, e=share.e, x=x)
+
+
+@pytest.mark.parametrize("length", [19, 21, 0, 40])
+def test_wrong_length_share_on_first_node_is_absorbed(length):
+    for seed in range(4):
+        msg, access = mid_access(seed)
+        access.sort(key=lambda s: s.index)
+        access[0] = resize(access[0], length)
+        assert tg_reconstruct(access, MID, F23) == msg
+
+
+def test_wrong_length_share_fails_its_estimates():
+    msg, access = mid_access(5)
+    with pytest.raises(StructureViolationError):
+        reconstruct_estimate([resize(access[0], 19), access[1]], MID, F23)
+    with pytest.raises(StructureViolationError):
+        reconstruct_estimate([resize(access[0], 21), access[1]], MID, F23)
+
+
+def test_two_malformed_shares_exceed_b():
+    msg, access = mid_access(6)
+    access[0] = resize(access[0], 19)
+    access[2] = resize(access[2], 21)
+    with pytest.raises(NoConsistentGroupError):
+        tg_reconstruct(access, MID, F23)
+
+
+def test_component_rejects_partial_blocks():
+    with pytest.raises(DimensionMismatchError):
+        pm_reconstruct_component([(3, (1, 2, 3))], F17, lam=2, kappa=1)
+
+
+# -- all z blocks at once against the per-block algorithm -------------------
+
+def reference_component(segments, field, lam, kappa):
+    """One lam x lam block the textbook way, with its own Phi inverse: the
+    oracle for the side-by-side kernel."""
+    psi = Mat.vandermonde(field, [e for e, _ in segments], lam)
+    y = Mat(field, [list(seg) for _, seg in segments], cols=lam)
+    phi = Mat(field, [row[:kappa] for row in psi.data], cols=kappa)
+    delta = Mat(field, [row[kappa:] for row in psi.data], cols=lam - kappa)
+    y_left = Mat(field, [row[:kappa] for row in y.data], cols=kappa)
+    y_right = Mat(field, [row[kappa:] for row in y.data], cols=lam - kappa)
+    phi_inv = phi.inv()
+    ell = phi_inv @ y_right
+    n_hat = phi_inv @ Mat(
+        field,
+        [[(a - c) % field.p for a, c in zip(lrow, rrow)]
+         for lrow, rrow in zip(y_left.data, (delta @ ell.transpose()).data)],
+        cols=kappa,
+    )
+    grid = [[0] * lam for _ in range(lam)]
+    for r in range(kappa):
+        grid[r][:kappa] = n_hat.data[r]
+        grid[r][kappa:] = ell.data[r]
+    for r in range(kappa, lam):
+        for c in range(kappa):
+            grid[r][c] = ell.data[c][r - kappa]
+    return Mat(field, grid, cols=lam)
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_component_equals_per_block_reference(data):
+    fld = Field(data.draw(st.sampled_from((5, 17, 23, 101))))
+    lam = data.draw(st.integers(1, 6))
+    kappa = data.draw(st.integers(1, min(lam, fld.p - 1)))
+    z = data.draw(st.integers(1, 6))
+    points = data.draw(st.lists(st.integers(1, fld.p - 1), min_size=kappa,
+                                max_size=kappa, unique=True))
+    ys = [data.draw(st.lists(st.integers(0, fld.p - 1), min_size=z * lam,
+                             max_size=z * lam)) for _ in points]
+    got = pm_reconstruct_component(list(zip(points, ys)), fld, lam, kappa)
+    blocks = [
+        reference_component([(e, y[i * lam:(i + 1) * lam]) for e, y in zip(points, ys)],
+                            fld, lam, kappa)
+        for i in range(z)
+    ]
+    want = [[v for blk in blocks for v in blk.data[r]] for r in range(lam)]
+    assert got.shape == (lam, z * lam)
+    assert got.tolist() == want

@@ -143,3 +143,28 @@ def test_long_random_scenario(ex3_code, ex3_search):
     assert report.all_ok
     final = cluster.run_event(Event(kind="reconstruct", nodes=(1, 2, 3)))
     assert final.success
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_out_of_model_events_are_failed_rows(ex3_code, ex3_search, seed):
+    # Two liars among three accessed nodes or four helpers exceed b=1: each
+    # event is logged as a FAIL row and the scenario goes on.
+    script = parse_scenario(
+        f"corrupt random nodes=1,2 seed={seed}\n"
+        "reconstruct 1,2,3\n"
+        "fail 3\n"
+        "repair 3 d=4\n"
+        "corrupt honest\n"
+        "reconstruct 1,2,4\n"
+        "repair 3 d=4\n"
+        "reconstruct 1,2,3\n"
+    )
+    cluster = make_cluster(ex3_code, ex3_search.field, "1")
+    truth = cluster.shares[3]
+    report = run_scenario(cluster, script, seed=seed)
+    assert [r.success for r in report.rows] == [True, False, True, False,
+                                                True, True, True, True]
+    failed_repair = report.rows[3]
+    assert failed_repair.symbols == failed_repair.gamma_expect == 12
+    assert cluster.shares[3] == truth      # repaired by the second, honest repair
+    assert "failures=2" in report.render()
