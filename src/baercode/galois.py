@@ -241,7 +241,7 @@ class Mat:
         return Mat(self.field, out, cols=other.cols)
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, [self.col(j) for j in range(self.cols)], cols=self.rows)
+        return Mat(self.field, list(zip(*self.data)) or [()] * self.cols, cols=self.rows)
 
     def left_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix: vec @ self."""
@@ -305,6 +305,46 @@ class Mat:
             if not rows:
                 break
         return rank
+
+    def echelon_transform(self) -> "Mat":
+        """Invertible E with E @ self == [I; 0], for a matrix of full column rank.
+
+        Gauss-Jordan on [self | I] with first-nonzero pivoting: the first
+        `cols` rows of E (in pivot order) are a left inverse of self, the
+        remaining rows (in their original order) a basis of its left null
+        space.  Raises SingularMatrixError when the rank is below `cols`.
+        Rows are packed into integers as in rank(); every row, pivot rows
+        included, gets at most `cols` updates of less than p*p per entry,
+        and each processed column is shifted out, so after the last column
+        only the E part is left.
+        """
+        p = self.field.p
+        n, m = self.cols, self.rows
+        width = (p * p * (n + 1)).bit_length()
+        mask = (1 << width) - 1
+        rest = [
+            sum(v << (width * k) for k, v in enumerate(row)) | 1 << (width * (n + i))
+            for i, row in enumerate(self.data)
+        ]
+        pivots: list[int] = []
+        for col in range(n):
+            piv = next((i for i, x in enumerate(rest) if (x & mask) % p), None)
+            if piv is None:
+                raise SingularMatrixError(f"rank below {n} for a {m}x{n} matrix over GF({p})")
+            prow = rest.pop(piv)
+            inv = pow(prow & mask, -1, p)
+            # The scaled pivot row without its leading 1; entries reduced mod p.
+            tail = 0
+            for k in range(1, n - col + m):
+                tail |= ((prow >> (width * k)) & mask) * inv % p << (width * (k - 1))
+            rest = [(x >> width) + -(x & mask) % p * tail for x in rest]
+            pivots = [(x >> width) + -(x & mask) % p * tail for x in pivots]
+            pivots.append(tail)
+        return Mat(
+            self.field,
+            [[(x >> (width * k)) & mask for k in range(m)] for x in pivots + rest],
+            cols=m,
+        )
 
     def solve_right(self, y: Sequence[int]) -> tuple[int, ...]:
         """Solve x @ self == y for the row vector x (self square, non-singular)."""

@@ -162,6 +162,8 @@ def testgroup_reconstruct(
     if not all(1 <= i <= code.n for i in by_index):
         raise StructureViolationError("access set references unknown nodes")
 
+    # subset -> (blocks, message), or MALFORMED; the message is a function
+    # of the blocks, so pairs compare exactly as the blocks do.
     cache: dict[tuple[int, ...], object] = {}
 
     def estimate(subset: tuple[NodeShare, ...]):
@@ -169,11 +171,11 @@ def testgroup_reconstruct(
         if key not in cache:
             try:
                 blocks = _estimate_blocks(subset, code, field)
-                extract_message(DataMatrix(blocks=blocks, lam=code.lam, kappa=code.kappa))
+                msg = extract_message(DataMatrix(blocks=blocks, lam=code.lam, kappa=code.kappa))
             except StructureViolationError:
                 cache[key] = MALFORMED
             else:
-                cache[key] = blocks
+                cache[key] = (blocks, msg)
         return cache[key]
 
     for group in combinations(shares, code.k - code.b):
@@ -182,9 +184,7 @@ def testgroup_reconstruct(
         if first is MALFORMED:
             continue
         if all(est == first for est in estimates[1:]):
-            return extract_message(
-                DataMatrix(blocks=first, lam=code.lam, kappa=code.kappa)
-            )
+            return first[1]
     raise NoConsistentGroupError(
         f"no consistent test-group among {code.k} accessed nodes; "
         f"more than b={code.b} nodes must be corrupted"

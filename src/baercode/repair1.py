@@ -7,10 +7,19 @@ Omega:
 
     r(h, f) = x_h @ Phi_f @ Omega_{z_d}
 
-where Phi_f is block-diagonal with the lam x 1 blocks psi_f(i)^T.  The
-decoder concatenates the vectors of d-2b helpers and inverts the alpha x
-alpha matrix Theta_H = [Phi_{h_1} @ Omega_{z_d} | ... ], wrapped in
-test-group decoding against up to b lying helpers.
+where Phi_f is block-diagonal with the lam x 1 blocks psi_f(i)^T.  Honest
+vectors of helpers H stack to rho_H = x_f @ Theta_H, with
+Theta_H = [Phi_{h_1} @ Omega_{z_d} | ... ].  The paper decodes by test
+groups against up to b lying helpers: a group of d-b helpers is accepted
+when the estimates rho_H @ Theta_H^-1 of all its size-(d-2b) subsets agree.
+When every such Theta_H is invertible, that holds exactly when
+rho_G = x @ Theta_G for some x, Theta_G being the group's stacked
+alpha x (d-b)*z_d matrix.  So each group is decoded by one elimination,
+cached per group: a left inverse T returns x_f and a null-space basis N
+gives the syndrome N @ rho_G that must vanish.
+A group with a singular Theta_H is skipped, as the paper's scan skips it.
+A repair vector of the wrong length is a lie: every group holding it is
+skipped.
 
 Theta_H is provably invertible only over impractically large alphabets, so
 a configuration is instead certified empirically, by rank alone (no
@@ -27,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, islice
 from math import comb
+from operator import mul
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare, coeff_segment
@@ -38,7 +48,6 @@ from .errors import (
 )
 from .galois import Field, Mat, primes_from
 from .params import Derived, check_field
-from .reconstruct import MALFORMED
 
 REPAIR1_MAGIC = "BAERR1"
 
@@ -51,8 +60,8 @@ def default_exponents(code: Derived) -> tuple[int, ...]:
 
 @dataclass
 class OmegaConfig:
-    """Omega matrix plus its per-d truncations, cached Theta inverses and
-    cached Theta column blocks."""
+    """Omega matrix plus its per-d truncations, cached Theta inverses,
+    Theta column blocks and test-group decoders."""
 
     code: Derived
     field: Field
@@ -62,6 +71,7 @@ class OmegaConfig:
     rank_ok: bool                      # every Omega_{z_d} has full column rank
     _theta_inv: dict = dc_field(default_factory=dict, repr=False)
     _theta_cols: dict = dc_field(default_factory=dict, repr=False)
+    _group_dec: dict = dc_field(default_factory=dict, repr=False)
 
     def omega_cols(self, d: int) -> Mat:
         z_d = self.code.z_of(d)
@@ -76,6 +86,36 @@ class OmegaConfig:
             except SingularMatrixError:
                 self._theta_inv[key] = None
         return self._theta_inv[key]
+
+    def group_decoder(self, group: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...] | None:
+        """Rows of [T; N] for a sorted test-group G, or None if G is unusable.
+
+        E = [T; N] is the (d-b)*z_d square matrix with E @ Theta_G^T = [I; 0]:
+        T (alpha rows) is a left inverse of Theta_G^T and N (b*z_d rows) spans
+        its left null space.  By matroid duality, Theta_H for H = G minus b
+        helpers is invertible exactly when the b*z_d columns of N belonging to
+        those helpers are, so G is usable when Theta_G has rank alpha and
+        every such minor of N has full rank.
+        """
+        key = (d, group)
+        if key not in self._group_dec:
+            code = self.code
+            z_d = code.z_of(d)
+            bz = code.b * z_d
+            try:
+                rows = theta(group, d, self).transpose().echelon_transform().data
+            except SingularMatrixError:
+                self._group_dec[key] = None
+            else:
+                null = rows[code.alpha:]
+                usable = all(
+                    Mat(self.field, [
+                        [row[t * z_d + j] for t in out for j in range(z_d)] for row in null
+                    ], cols=bz).rank() == bz
+                    for out in combinations(range(len(group)), code.b)
+                )
+                self._group_dec[key] = tuple(map(tuple, rows)) if usable else None
+        return self._group_dec[key]
 
     def theta_cols(self, h: int, d: int) -> list[list[int]]:
         """Rows of helper h's alpha x z_d column block Phi_h @ Omega_{z_d}.
@@ -167,12 +207,15 @@ def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) ->
 
 
 def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
-    """alpha x alpha matrix [Phi_{h_1} @ Omega_{z_d} | ... | Phi_{h_{d-2b}} @ Omega_{z_d}]."""
+    """alpha x len(helpers)*z_d matrix [Phi_{h_1} @ Omega_{z_d} | Phi_{h_2} @ Omega_{z_d} | ...].
+
+    Square for the d-2b helpers of an estimate subset.
+    """
     blocks = [cfg.theta_cols(h, d) for h in helpers]
     return Mat(
         cfg.field,
         [[v for part in parts for v in part] for parts in zip(*blocks)],
-        cols=cfg.code.alpha,
+        cols=len(helpers) * cfg.code.z_of(d),
     )
 
 
@@ -189,45 +232,30 @@ def testgroup_repair(
 ) -> tuple[int, ...]:
     """Recover x_f from d helpers' repair vectors, at most b of them lying.
 
-    Test-groups of size d-b are scanned lexicographically; each size-(d-2b)
-    subset H contributes the estimate rho_H @ Theta_H^-1 and the first
-    all-equal group wins.
+    Test-groups of size d-b are scanned lexicographically and the first
+    usable group whose stacked vector rho_G has a zero syndrome wins; its
+    decoder's left inverse gives x_f.  This is the group the paper's
+    per-subset scan accepts, and the same x_f.  A helper whose vector is
+    not z_d symbols long is treated as lying: no group holding it is tried.
     """
     code = cfg.code
     helpers = sorted(symbols)
     if len(helpers) != d:
         raise BaerCodeError(f"need symbols from exactly d={d} helpers, got {len(helpers)}")
-    z_d = code.z_of(d)
     for h in helpers:
         if h == f or not 1 <= h <= code.n:
             raise BaerCodeError(f"invalid helper {h} for failed node {f}")
-        if len(symbols[h]) != z_d:
-            raise BaerCodeError(
-                f"helper {h} sent {len(symbols[h])} symbols, expected z_d={z_d}"
-            )
-
-    cache: dict[tuple[int, ...], object] = {}
-
-    def est(subset: tuple[int, ...]):
-        if subset not in cache:
-            t_inv = cfg.theta_inv(subset, d)
-            if t_inv is None:
-                cache[subset] = MALFORMED
-            else:
-                rho: list[int] = []
-                for h in subset:
-                    rho.extend(symbols[h])
-                cache[subset] = t_inv.left_mul(rho)
-        return cache[subset]
-
-    span = d - 2 * code.b
+    z_d, p, alpha = code.z_of(d), cfg.field.p, code.alpha
+    sound = {h for h in helpers if len(symbols[h]) == z_d}
     for group in combinations(helpers, d - code.b):
-        estimates = [est(sub) for sub in combinations(group, span)]
-        first = estimates[0]
-        if first is MALFORMED:
+        if not sound.issuperset(group):
             continue
-        if all(e == first for e in estimates[1:]):
-            return first
+        rows = cfg.group_decoder(group, d)
+        if rows is None:
+            continue
+        rho = [v for h in group for v in symbols[h]]
+        if all(sum(map(mul, row, rho)) % p == 0 for row in rows[alpha:]):
+            return tuple(sum(map(mul, row, rho)) % p for row in rows[:alpha])
     raise NoConsistentGroupError(
         f"no consistent test-group repairing node {f} from {d} helpers"
     )

@@ -244,3 +244,29 @@ def test_rank_of_product_is_inner_dimension(data):
     left = full_column_rank(data.draw, fld, rows, r)               # rows x r
     right = full_column_rank(data.draw, fld, cols, r).transpose()  # r x cols
     assert (left @ right).rank() == r
+
+
+@given(rect_matrices())
+@settings(deadline=None)
+def test_echelon_transform_exists_iff_full_column_rank(a):
+    try:
+        e = a.echelon_transform()
+    except SingularMatrixError:
+        assert a.rank() < a.cols
+    else:
+        assert a.rank() == a.cols
+        assert (e @ a).tolist() == [
+            [1 if i == j else 0 for j in range(a.cols)] for i in range(a.rows)
+        ]
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_echelon_transform_is_left_inverse_plus_null_space(data):
+    fld = Field(data.draw(st.sampled_from(RANK_PRIMES)))
+    cols = data.draw(st.integers(1, 8))
+    rows = data.draw(st.integers(cols, 12))
+    a = full_column_rank(data.draw, fld, rows, cols)
+    e = a.echelon_transform()
+    assert (e @ a).tolist() == [[1 if i == j else 0 for j in range(cols)] for i in range(rows)]
+    assert e.rank() == rows         # E is invertible, so its last rows span the null space

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baercode import reconstruct
 from baercode.encoder import NodeShare, build_data_matrix, encode_all
 from baercode.errors import (
     DimensionMismatchError,
@@ -171,6 +172,17 @@ def test_wrong_length_share_fails_its_estimates():
         reconstruct_estimate([resize(access[0], 19), access[1]], MID, F23)
     with pytest.raises(StructureViolationError):
         reconstruct_estimate([resize(access[0], 21), access[1]], MID, F23)
+
+
+def test_each_estimate_is_structure_checked_once(monkeypatch):
+    # An honest decode accepts the first group: C(k-b, kappa) = 3 estimates at
+    # mid, and the accepted message is the one checked with its estimate.
+    calls = []
+    check = reconstruct.extract_message
+    monkeypatch.setattr(reconstruct, "extract_message", lambda dm: calls.append(dm) or check(dm))
+    msg, access = mid_access(7)
+    assert tg_reconstruct(access, MID, F23) == msg
+    assert len(calls) == 3
 
 
 def test_two_malformed_shares_exceed_b():

@@ -3,14 +3,16 @@ from itertools import combinations
 
 import pytest
 
+from baercode import adversary as adv
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.errors import (
     BaerCodeError,
     NoConsistentGroupError,
     OmegaRankDeficientError,
 )
-from baercode.galois import Field
+from baercode.galois import Field, Mat
 from baercode.params import CodeParams, validate
+from baercode.reconstruct import MALFORMED
 from baercode.repair1 import (
     estimate,
     find_field,
@@ -241,6 +243,7 @@ def test_find_field_pins_mid_search():
     assert search.rejected == (11, 13, 17, 19)
     assert search.report.ok and search.report.checked == 462
     assert search.cfg._theta_inv == {}          # certification keeps no inverse
+    assert search.cfg._group_dec == {}          # nor any test-group decoder
 
 
 def test_verify_theta_lists_every_singular_matrix():
@@ -262,3 +265,136 @@ def test_repair_record_round_trip():
     assert parse_repair_record(text) == (3, 1, 4, (7, 0, 12))
     with pytest.raises(BaerCodeError):
         parse_repair_record("BOGUS\n1\n")
+
+
+# -- the stacked group decoder against the paper's per-subset scan ---------------
+
+def reference_repair(symbols, f, d, cfg):
+    """The paper's scan, the oracle for testgroup_repair: every size-(d-2b)
+    subset of a test-group is decoded through its own Theta_H inverse and the
+    first group whose estimates all agree wins."""
+    cache = {}
+
+    def est(subset):
+        if subset not in cache:
+            t_inv = cfg.theta_inv(subset, d)
+            if t_inv is None:
+                cache[subset] = MALFORMED
+            else:
+                cache[subset] = t_inv.left_mul([v for h in subset for v in symbols[h]])
+        return cache[subset]
+
+    b = cfg.code.b
+    for group in combinations(sorted(symbols), d - b):
+        estimates = [est(sub) for sub in combinations(group, d - 2 * b)]
+        first = estimates[0]
+        if first is MALFORMED:
+            continue
+        if all(e == first for e in estimates[1:]):
+            return first
+    raise NoConsistentGroupError(f"no consistent test-group repairing node {f}")
+
+
+def outcome(decode, *args):
+    try:
+        return decode(*args)
+    except NoConsistentGroupError:
+        return NoConsistentGroupError
+
+
+@pytest.fixture(scope="module")
+def mid_cfgs():
+    """mid over the certified GF(23) and the uncertified GF(19)."""
+    return {p: omega_build(mid_code(), Field(p), check=False) for p in (23, 19)}
+
+
+def adversarial_symbols(code, cfg, shares, f, d, helpers, policy):
+    fld = cfg.field
+    return {
+        h: adv.corrupt_repair_symbols(
+            policy, h, helper_repair_symbols(shares[h], f, d, cfg), fld,
+            recompute=lambda sh: helper_repair_symbols(sh, f, d, cfg), code=code,
+        )
+        for h in helpers
+    }
+
+
+@pytest.mark.parametrize("where", ["ex3", "mid23", "mid19"])
+def test_testgroup_repair_equals_per_subset_scan(where, ex3_code, ex3_search, mid_cfgs):
+    if where == "ex3":
+        code, cfg = ex3_code, ex3_search.cfg
+    else:
+        code, cfg = mid_code(), mid_cfgs[int(where[3:])]
+    rng = random.Random(f"equiv:{where}")
+    nodes = range(1, code.n + 1)
+    outcomes = {"ok": 0, "fail": 0}
+    for seed in range(12):
+        _, shares = encoded_cluster(code, cfg.field, seed)
+        for d in code.d_set:
+            f = rng.choice(nodes)
+            helpers = rng.sample([h for h in nodes if h != f], d)
+            cases = [adv.AdversaryPolicy()]
+            for strategy in (adv.RANDOM, adv.LIAR):
+                cases.append(adv.AdversaryPolicy(rng.sample(helpers, code.b), strategy, seed))
+                # out of the model: b+1 liars
+                cases.append(adv.AdversaryPolicy(rng.sample(helpers, code.b + 1), strategy, seed))
+            for policy in cases:
+                syms = adversarial_symbols(code, cfg, shares, f, d, helpers, policy)
+                got = outcome(tg_repair, syms, f, d, cfg)
+                assert got == outcome(reference_repair, syms, f, d, cfg)
+                if len(policy.controlled) <= code.b and where != "mid19":
+                    assert got == shares[f].x
+                outcomes["fail" if got is NoConsistentGroupError else "ok"] += 1
+    assert outcomes["ok"] and outcomes["fail"]      # both branches are compared
+
+
+@pytest.mark.parametrize("p, unusable", [(19, 70), (23, 0)])
+def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
+    code, cfg = mid_code(), mid_cfgs[p]
+    full = {}
+    bad = 0
+    for d in code.d_set:
+        for group in combinations(range(1, code.n + 1), d - code.b):
+            want = True
+            for sub in combinations(group, d - 2 * code.b):
+                if (d, sub) not in full:
+                    full[d, sub] = theta(sub, d, cfg).rank() == code.alpha
+                want = want and full[d, sub]
+            assert (cfg.group_decoder(group, d) is not None) == want
+            bad += not want
+    assert bad == unusable
+
+
+def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_search):
+    code, cfg = ex3_code, ex3_search.cfg
+    for d in code.d_set:
+        z_d = code.z_of(d)
+        for group in combinations(range(1, code.n + 1), d - code.b):
+            rows = cfg.group_decoder(group, d)
+            m = len(group) * z_d
+            assert len(rows) == m and all(len(r) == m for r in rows)
+            stacked = Mat(cfg.field, rows, cols=m) @ theta(group, d, cfg).transpose()
+            want = [[int(i == j) for j in range(code.alpha)] for i in range(m)]
+            assert stacked.tolist() == want       # T @ Theta_G^T = I, N @ Theta_G^T = 0
+
+
+def wrong_length(vec, kind):
+    return {"short": vec[:-1], "long": vec + (vec[0],), "empty": ()}[kind]
+
+
+@pytest.mark.parametrize("kind", ["short", "long", "empty"])
+@pytest.mark.parametrize("where", ["ex3", "mid"])
+def test_wrong_length_helper_is_absorbed_as_a_lie(kind, where, ex3_code, ex3_search, mid_cfgs):
+    code, cfg = (ex3_code, ex3_search.cfg) if where == "ex3" else (mid_code(), mid_cfgs[23])
+    _, shares = encoded_cluster(code, cfg.field, 9)
+    f = code.n
+    for d in code.d_set:
+        helpers = list(range(1, d + 1))
+        syms = {h: helper_repair_symbols(shares[h], f, d, cfg) for h in helpers}
+        first = dict(syms)
+        first[1] = wrong_length(syms[1], kind)      # first helper in the scan order
+        assert tg_repair(first, f, d, cfg) == shares[f].x
+        both = dict(first)
+        both[2] = wrong_length(syms[2], kind)
+        with pytest.raises(NoConsistentGroupError):
+            tg_repair(both, f, d, cfg)
