@@ -254,26 +254,10 @@ class Mat:
         )
 
     def inv(self) -> "Mat":
-        """Gauss-Jordan inverse with first-nonzero pivoting (positional tie-break)."""
+        """Inverse of a square matrix: its echelon transform, as E @ self == I."""
         if self.rows != self.cols:
             raise DimensionMismatchError("inverse of a non-square matrix")
-        n = self.rows
-        p = self.field.p
-        aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.data)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError(f"singular {n}x{n} matrix over GF({p})")
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            inv_piv = pow(aug[col][col], -1, p)
-            aug[col] = [v * inv_piv % p for v in aug[col]]
-            prow = aug[col]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(v - f * w) % p for v, w in zip(aug[r], prow)]
-        return Mat(self.field, [row[n:] for row in aug], cols=n)
+        return self.echelon_transform()
 
     def rank(self) -> int:
         """Rank by forward elimination.
@@ -316,7 +300,8 @@ class Mat:
         Rows are packed into integers as in rank(); every row, pivot rows
         included, gets at most `cols` updates of less than p*p per entry,
         and each processed column is shifted out, so after the last column
-        only the E part is left.
+        only the E part is left.  Its entries are below p + cols*p*p, and the
+        Mat constructor reduces them mod p.
         """
         p = self.field.p
         n, m = self.cols, self.rows
@@ -348,28 +333,7 @@ class Mat:
 
     def solve_right(self, y: Sequence[int]) -> tuple[int, ...]:
         """Solve x @ self == y for the row vector x (self square, non-singular)."""
-        if self.rows != self.cols:
-            raise DimensionMismatchError("solve_right needs a square matrix")
-        if len(y) != self.cols:
-            raise DimensionMismatchError(f"rhs of {len(y)} vs {self.shape}")
-        # x A = y  <=>  A^T x^T = y^T
-        n = self.rows
-        p = self.field.p
-        aug = [[self.data[r][c] for r in range(n)] + [y[c] % p] for c in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError(f"singular {n}x{n} system over GF({p})")
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            inv_piv = pow(aug[col][col], -1, p)
-            aug[col] = [v * inv_piv % p for v in aug[col]]
-            prow = aug[col]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(v - f * w) % p for v, w in zip(aug[r], prow)]
-        return tuple(aug[r][n] for r in range(n))
+        return self.inv().left_mul(y)
 
 
 def vandermonde(field: Field, points: Sequence[int], cols: int) -> Mat:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,5 +269,29 @@ def test_echelon_transform_is_left_inverse_plus_null_space(data):
     rows = data.draw(st.integers(cols, 12))
     a = full_column_rank(data.draw, fld, rows, cols)
     e = a.echelon_transform()
+    assert all(0 <= v < fld.p for row in e.data for v in row)
     assert (e @ a).tolist() == [[1 if i == j else 0 for j in range(cols)] for i in range(rows)]
     assert e.rank() == rows         # E is invertible, so its last rows span the null space
+
+
+@pytest.mark.parametrize("p", [23, 101])
+def test_echelon_transform_of_a_tall_matrix_feeds_rank(p):
+    """20 columns over 24 rows: each E row takes up to 20 packed updates.
+
+    The 4 null-space rows are read as 4x4 minors, as the repair group
+    decoder reads them, and their rank must match the list elimination.
+    """
+    rng = random.Random(f"tall:{p}")
+    fld = Field(p)
+    for _ in range(2):
+        while True:
+            a = Mat(fld, [[rng.randrange(p) for _ in range(20)] for _ in range(24)], cols=20)
+            if a.rank() == 20:
+                break
+        e = a.echelon_transform()
+        assert all(0 <= v < p for row in e.data for v in row)
+        assert (e @ a).tolist() == [[int(i == j) for j in range(20)] for i in range(24)]
+        null = e.data[20:]
+        for cols in combinations(range(24), 4):
+            minor = Mat(fld, [[row[c] for c in cols] for row in null], cols=4)
+            assert minor.rank() == reference_rank(minor)

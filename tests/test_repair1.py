@@ -373,6 +373,7 @@ def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_search):
             rows = cfg.group_decoder(group, d)
             m = len(group) * z_d
             assert len(rows) == m and all(len(r) == m for r in rows)
+            assert all(0 <= v < cfg.field.p for r in rows for v in r)
             stacked = Mat(cfg.field, rows, cols=m) @ theta(group, d, cfg).transpose()
             want = [[int(i == j) for j in range(code.alpha)] for i in range(m)]
             assert stacked.tolist() == want       # T @ Theta_G^T = I, N @ Theta_G^T = 0
