@@ -2,7 +2,9 @@
 
 Subcommands: bounds, find-field, encode, repair, reconstruct, simulate,
 selftest.  Exit codes: 0 ok, 2 validation error, 3 decode failure (no
-consistent test-group), 4 configuration uncertified.
+consistent test-group), 4 configuration uncertified.  `repair` runs the
+same driver as the simulator (repair.transmit, repair.decode) and alone
+writes the helpers' payloads out as wire records.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import adversary as adv
-from . import concat, repair1, repair2, simnet
+from . import repair, repair1, repair2, simnet
 from .encoder import (
     format_message,
     format_share,
@@ -148,44 +150,10 @@ def cmd_repair(args) -> int:
     if len(helpers) != d or any(h not in shares for h in helpers):
         raise BaerCodeError(f"need share files for exactly d={d} helpers {helpers}")
     policy = _policy(args)
-    stored = {h: policy.effective_share(shares[h], code, fld) for h in helpers}
-
-    records = []
-    if args.scheme == "1":
-        cfg = repair1.omega_build(code, fld)
-        syms = {}
-        for h in helpers:
-            vec = repair1.helper_repair_symbols(stored[h], f, d, cfg)
-            vec = adv.corrupt_repair_symbols(
-                policy, h, vec, fld,
-                recompute=lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg),
-                code=code,
-            )
-            syms[h] = vec
-            records.append(repair1.format_repair_record(h, f, d, vec))
-        x = repair1.testgroup_repair(syms, f, d, cfg)
-        moved = sum(len(v) for v in syms.values())
-    elif args.scheme == "2":
-        plan = schedule_scheme2(code, d)
-        streams = {}
-        for h in helpers:
-            st = repair2.helper_stream(stored[h], plan, f, fld)
-            st = adv.corrupt_repair_symbols(
-                policy, h, st, fld,
-                recompute=lambda sh: repair2.helper_stream(sh, plan, f, fld),
-                code=code,
-            )
-            streams[h] = st
-            records.append(repair2.format_stream_records(h, f, d, st))
-        x = repair2.testgroup_repair2(streams, f, plan, fld)
-        moved = sum(sum(len(r) for r in st) for st in streams.values())
-    else:
-        repaired = concat.repair_b0(stored, f, helpers, code, fld)
-        x = repaired.x
-        moved = code.alpha
-
-    from .encoder import NodeShare
-    share = NodeShare(index=f, e=fld.point(f), x=tuple(x))
+    cfg = repair1.omega_build(code, fld) if args.scheme == "1" else None
+    sent, moved = repair.transmit(args.scheme, {h: shares[h] for h in helpers}, f, d,
+                                  policy, code, fld, cfg)
+    share = repair.decode(args.scheme, sent, f, d, code, fld, cfg)
     text = format_share(share, code, fld, args.scheme)
     if args.out:
         Path(args.out).write_text(text)
@@ -194,8 +162,10 @@ def cmd_repair(args) -> int:
     if args.records:
         rec_dir = Path(args.records)
         rec_dir.mkdir(parents=True, exist_ok=True)
-        for h, rec in zip(helpers, records):
-            (rec_dir / f"repair_h{h:02d}.rec").write_text(rec)
+        if args.scheme != "concat":         # concat helpers send no wire records
+            fmt = repair1.format_repair_record if args.scheme == "1" else repair2.format_stream_records
+            for h, payload in sent.items():
+                (rec_dir / f"repair_h{h:02d}.rec").write_text(fmt(h, f, d, payload))
     print(
         f"bandwidth: d={d} per_helper={code.beta_of(d)} total={moved} "
         f"(gamma_mbr={code.gamma_of(d)})"

@@ -9,12 +9,15 @@ accessed nodes of size k-b) and accepts the first group whose estimates,
 one per size-(k-2b) subset, all agree: with at most b corrupted nodes,
 agreement certifies the genuine message.  A share whose length is not
 alpha spoils every estimate it takes part in, like any other lie.
+
+first_consistent is that scan, written once: scheme-2 repair runs the same
+one over helper subsets.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .encoder import DataMatrix, NodeShare, extract_message
 from .errors import (
@@ -43,6 +46,36 @@ class _Malformed:
 
 
 MALFORMED = _Malformed()
+
+
+def first_consistent(
+    keys: Sequence[int], group_size: int, subset_size: int,
+    estimate: Callable[[tuple[int, ...]], object], failures,
+):
+    """Common estimate of the first consistent test-group, or None.
+
+    Groups are the size-`group_size` combinations of the sorted `keys`, in
+    lexicographic order.  Every size-`subset_size` subset of a group is
+    estimated once, by `estimate(subset)`; an estimate that raises one of
+    `failures` counts as MALFORMED, which equals nothing.  A group is
+    accepted when all of its estimates are equal.
+    """
+    cache = {}
+
+    def est(subset):
+        if subset not in cache:
+            try:
+                cache[subset] = estimate(subset)
+            except failures:
+                cache[subset] = MALFORMED
+        return cache[subset]
+
+    for group in combinations(keys, group_size):
+        estimates = [est(sub) for sub in combinations(group, subset_size)]
+        first = estimates[0]
+        if first is not MALFORMED and all(e == first for e in estimates[1:]):
+            return first
+    return None
 
 
 def pm_reconstruct_component(
@@ -153,39 +186,25 @@ def testgroup_reconstruct(
     group, every size-(k-2b) subset yields an estimate of the full message
     matrix and estimates are compared entry-exact.
     """
-    shares = sorted(access, key=lambda s: s.index)
-    if len(shares) != code.k:
+    if len(access) != code.k:
         raise StructureViolationError(f"access set must have k={code.k} nodes")
-    if len({s.index for s in shares}) != code.k:
+    by_index = {s.index: s for s in access}
+    if len(by_index) != code.k:
         raise StructureViolationError("access set has duplicate node indices")
-    by_index = {s.index for s in shares}
     if not all(1 <= i <= code.n for i in by_index):
         raise StructureViolationError("access set references unknown nodes")
 
-    # subset -> (blocks, message), or MALFORMED; the message is a function
-    # of the blocks, so pairs compare exactly as the blocks do.
-    cache: dict[tuple[int, ...], object] = {}
+    # (blocks, message) per subset: the message is a function of the
+    # blocks, so pairs compare exactly as the blocks do.
+    def estimate(subset: tuple[int, ...]):
+        blocks = _estimate_blocks([by_index[i] for i in subset], code, field)
+        return blocks, extract_message(DataMatrix(blocks=blocks, lam=code.lam, kappa=code.kappa))
 
-    def estimate(subset: tuple[NodeShare, ...]):
-        key = tuple(s.index for s in subset)
-        if key not in cache:
-            try:
-                blocks = _estimate_blocks(subset, code, field)
-                msg = extract_message(DataMatrix(blocks=blocks, lam=code.lam, kappa=code.kappa))
-            except StructureViolationError:
-                cache[key] = MALFORMED
-            else:
-                cache[key] = (blocks, msg)
-        return cache[key]
-
-    for group in combinations(shares, code.k - code.b):
-        estimates = [estimate(sub) for sub in combinations(group, code.kappa)]
-        first = estimates[0]
-        if first is MALFORMED:
-            continue
-        if all(est == first for est in estimates[1:]):
-            return first[1]
-    raise NoConsistentGroupError(
-        f"no consistent test-group among {code.k} accessed nodes; "
-        f"more than b={code.b} nodes must be corrupted"
-    )
+    found = first_consistent(sorted(by_index), code.k - code.b, code.kappa, estimate,
+                             StructureViolationError)
+    if found is None:
+        raise NoConsistentGroupError(
+            f"no consistent test-group among {code.k} accessed nodes; "
+            f"more than b={code.b} nodes must be corrupted"
+        )
+    return found[1]

@@ -219,11 +219,6 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
     )
 
 
-def estimate(rho: Sequence[int], theta_mat: Mat) -> tuple[int, ...]:
-    """x_hat = rho @ Theta^-1 (exact share recovery when all inputs are honest)."""
-    return theta_mat.solve_right(rho)
-
-
 def testgroup_repair(
     symbols: Mapping[int, Sequence[int]],
     f: int,

@@ -14,8 +14,10 @@ labelled known (value recovered), inactive (expressed through one remaining
 active entry), or still active.  The iteration schedule comes from
 params.schedule_scheme2 and is shared verbatim by helpers and decoder.
 
-Estimates for every size-(d-2b) helper subset feed the same test-group
-consistency scan used everywhere else, defeating up to b lying helpers.
+Estimates for every size-(d-2b) helper subset feed the test-group scan
+that reconstruction uses (reconstruct.first_consistent), defeating up to b
+lying helpers.  A stream with a dropped, extra, short or long round is a
+lie too: no group holding it is scanned.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .galois import Field, Mat, primes_from
 from .params import ScheduleII, schedule_scheme2
-from .reconstruct import MALFORMED
+from .reconstruct import first_consistent
 
 REPAIR2_MAGIC = "BAERR2"
 
@@ -365,7 +367,11 @@ def testgroup_repair2(
     plan: ScheduleII,
     fld: Field,
 ) -> tuple[int, ...]:
-    """Recover x_f from d helpers' round streams, at most b of them lying."""
+    """Recover x_f from d helpers' round streams, at most b of them lying.
+
+    A stream whose round lengths differ from the plan's group counts is a
+    lie: only groups of well-formed streams are scanned.
+    """
     code = plan.code
     helpers = sorted(streams)
     if len(helpers) != plan.d:
@@ -373,32 +379,18 @@ def testgroup_repair2(
     for h in helpers:
         if h == f or not 1 <= h <= code.n:
             raise BaerCodeError(f"invalid helper {h} for failed node {f}")
-        if len(streams[h]) != len(plan.iterations):
-            raise PlanMismatchError(
-                f"helper {h} sent {len(streams[h])} rounds, plan has {len(plan.iterations)}"
-            )
-
-    cache: dict[tuple[int, ...], object] = {}
-
-    def est(subset: tuple[int, ...]):
-        if subset not in cache:
-            try:
-                cache[subset] = repair_estimate(streams, subset, f, plan, fld)
-            except (SingularReducedSystemError, UnresolvedEntriesError, SingularMatrixError):
-                cache[subset] = MALFORMED
-        return cache[subset]
-
-    span = plan.d - 2 * code.b
-    for group in combinations(helpers, plan.d - code.b):
-        estimates = [est(sub) for sub in combinations(group, span)]
-        first = estimates[0]
-        if first is MALFORMED:
-            continue
-        if all(e == first for e in estimates[1:]):
-            return first
-    raise NoConsistentGroupError(
-        f"no consistent test-group repairing node {f} from {plan.d} helpers"
+    rounds = [it.n_groups for it in plan.iterations]
+    sound = [h for h in helpers if list(map(len, streams[h])) == rounds]
+    x = first_consistent(
+        sound, plan.d - code.b, plan.d - 2 * code.b,
+        lambda subset: repair_estimate(streams, subset, f, plan, fld),
+        (SingularReducedSystemError, UnresolvedEntriesError, SingularMatrixError),
     )
+    if x is None:
+        raise NoConsistentGroupError(
+            f"no consistent test-group repairing node {f} from {plan.d} helpers"
+        )
+    return x
 
 
 @dataclass(frozen=True)

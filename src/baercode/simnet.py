@@ -9,7 +9,8 @@ are ordered events:
     corrupt random nodes=2 seed=42
     reconstruct 1,2,5
 
-Every repair is metered and compared against the minimum total bandwidth
+Every repair runs through the driver the CLI uses (repair.transmit, then
+repair.decode), is metered and compared against the minimum total bandwidth
 gamma_mbr(d) = alpha*d/(d-2b); every post-repair share is compared to the
 encoder's ground truth, so error propagation is impossible to miss.  An
 event outside the model (a repair or reconstruction with no consistent
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from . import adversary as adv
-from . import concat, repair1, repair2
+from . import repair, repair1
 from .encoder import NodeShare, build_data_matrix, encode_all, encode_node
 from .errors import (
     BaerCodeError,
@@ -159,52 +160,6 @@ class Cluster:
             return sorted(rng.sample(candidates, d))
         return candidates[:d]   # lowest-index (and exclude:) policy
 
-    def _repair(self, f: int, d: int, helpers: list[int]) -> tuple[NodeShare | None, int]:
-        """Run the scheme-appropriate repair; returns (share, symbols moved).
-
-        The share is None when no test-group is consistent (more than b liars).
-        """
-        code, fld, policy = self.code, self.field, self.policy
-        stored = {
-            h: policy.effective_share(self.shares[h], code, fld) for h in helpers
-        }
-        moved = 0
-        try:
-            if self.scheme == "1":
-                cfg = self.omega_cfg
-                syms = {}
-                for h in helpers:
-                    vec = repair1.helper_repair_symbols(stored[h], f, d, cfg)
-                    vec = adv.corrupt_repair_symbols(
-                        policy, h, vec, fld,
-                        recompute=lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg),
-                        code=code,
-                    )
-                    syms[h] = vec
-                    moved += len(vec)
-                x = repair1.testgroup_repair(syms, f, d, cfg)
-            elif self.scheme == "2":
-                plan = schedule_scheme2(code, d)
-                streams = {}
-                for h in helpers:
-                    st = repair2.helper_stream(stored[h], plan, f, fld)
-                    st = adv.corrupt_repair_symbols(
-                        policy, h, st, fld,
-                        recompute=lambda sh: repair2.helper_stream(sh, plan, f, fld),
-                        code=code,
-                    )
-                    streams[h] = st
-                    moved += sum(len(r) for r in st)
-                x = repair2.testgroup_repair2(streams, f, plan, fld)
-            else:
-                # concat: per-component scalars; the assignment fixes who sends what.
-                x_share = concat.repair_b0(stored, f, helpers, code, fld)
-                moved = code.alpha
-                x = x_share.x
-        except NoConsistentGroupError:
-            return None, moved     # outside the model; the symbols still moved
-        return NodeShare(index=f, e=fld.point(f), x=tuple(x)), moved
-
     # -- event engine -------------------------------------------------
 
     def run_event(self, event: Event, rng: random.Random | None = None) -> ReportRow:
@@ -231,10 +186,13 @@ class Cluster:
             if d not in code.d_set:
                 raise BaerCodeError(f"repair d={d} not in D={code.d_set}")
             helpers = self._choose_helpers(f, d, event.helper_policy, rng)
-            repaired, symbols = self._repair(f, d, helpers)
+            sent, symbols = repair.transmit(self.scheme, {h: self.shares[h] for h in helpers},
+                                            f, d, self.policy, code, self.field, self.omega_cfg)
             gamma_expect = code.gamma_of(d)
-            if repaired is None:
-                success = False             # node f stays failed
+            try:
+                repaired = repair.decode(self.scheme, sent, f, d, code, self.field, self.omega_cfg)
+            except NoConsistentGroupError:
+                success = False             # outside the model; node f stays failed
             else:
                 success = repaired.x == self.ground_truth(f).x and symbols == gamma_expect
                 self.shares[f] = repaired

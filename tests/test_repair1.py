@@ -14,7 +14,6 @@ from baercode.galois import Field, Mat
 from baercode.params import CodeParams, validate
 from baercode.reconstruct import MALFORMED
 from baercode.repair1 import (
-    estimate,
     find_field,
     format_repair_record,
     helper_repair_symbols,
@@ -145,7 +144,7 @@ def test_estimate_exact_for_honest_subsets(ex3_code, ex3_search):
                 rho = []
                 for h in subset:
                     rho.extend(helper_repair_symbols(shares[h], f, d, cfg))
-                got = estimate(rho, theta(subset, d, cfg))
+                got = theta(subset, d, cfg).solve_right(rho)
                 assert got == shares[f].x
                 # independent path: rho equals x_f @ Theta for honest inputs
                 assert tuple(rho) == theta(subset, d, cfg).left_mul(shares[f].x)
@@ -157,7 +156,7 @@ def test_estimate_zero_message(ex3_code, ex3_search):
     rho = []
     for h in (1, 2, 3):
         rho.extend(helper_repair_symbols(zeros[h - 1], 6, 5, cfg))
-    assert estimate(rho, theta((1, 2, 3), 5, cfg)) == (0,) * 6
+    assert theta((1, 2, 3), 5, cfg).solve_right(rho) == (0,) * 6
 
 
 def test_testgroup_repair_honest_and_corrupted(ex3_code, ex3_search):

@@ -292,7 +292,31 @@ def test_stream_validation(a12_code, a12_field2):
         tg_repair2(streams, 6, plan, fld)      # d=5 needs 5 streams
     streams = {h: helper_stream(shares[h], plan, 6, fld) for h in (1, 2, 3, 4, 5)}
     streams[5] = streams[5][:1]
-    with pytest.raises(PlanMismatchError):
+    assert tg_repair2(streams, 6, plan, fld) == shares[6].x
+
+
+MALFORMED_STREAMS = {
+    "dropped round": lambda st: st[:-1],
+    "extra round": lambda st: st + (st[-1],),
+    "extra symbol": lambda st: (st[0] + (0,),) + st[1:],
+    "short round": lambda st: (st[0][:-1],) + st[1:],
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_STREAMS)
+@pytest.mark.parametrize("d", [4, 5])
+def test_malformed_stream_is_a_lie(a12_code, a12_field2, d, shape):
+    """A stream of the wrong shape is absorbed like any other lie (b=1)."""
+    fld = a12_field2
+    _, shares = encoded_cluster(a12_code, fld, 15)
+    plan = schedule_scheme2(a12_code, d)
+    helpers = range(1, d + 1)
+    streams = {h: helper_stream(shares[h], plan, 6, fld) for h in helpers}
+    bad = MALFORMED_STREAMS[shape]
+    streams[1] = bad(streams[1])                # first helper in scan order
+    assert tg_repair2(streams, 6, plan, fld) == shares[6].x
+    streams[2] = bad(streams[2])                # two lies: outside the model
+    with pytest.raises(NoConsistentGroupError):
         tg_repair2(streams, 6, plan, fld)
 
 
