@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare, coeff_segment
-from .errors import BaerCodeError, NonIntegralDegreeError
+from .errors import BaerCodeError, NoConsistentGroupError, NonIntegralDegreeError
 from .galois import Field, Mat
 from .params import Derived
 
@@ -99,6 +99,8 @@ def repair_b0(
         raise BaerCodeError(f"helper count {d} not in D={code.d_set}")
     if f in helpers or not 1 <= f <= code.n:
         raise BaerCodeError(f"invalid failed node {f}")
+    if any(len(shares[h].x) != code.alpha for h in helpers):      # a lie; b = 0 absorbs none
+        raise NoConsistentGroupError(f"a helper share is not alpha={code.alpha} symbols long")
     assignment = assign_bipartite(code.z, helpers, code.lam)
     x: list[int] = []
     for comp in range(1, code.z + 1):

@@ -191,7 +191,9 @@ def parse_share(text: str) -> tuple[NodeShare, CodeParams, int, str]:
     """Parse a share file; returns (share, params, p, scheme).
 
     The evaluation point is re-derived from the node index; share content
-    never overrides node identity.
+    never overrides node identity.  A body that is not alpha symbols long is
+    returned as it is: the node stored a malformed share, which the decoders
+    absorb as a lie.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(SHARE_MAGIC + " "):
@@ -212,10 +214,6 @@ def parse_share(text: str) -> tuple[NodeShare, CodeParams, int, str]:
     except (KeyError, ValueError) as exc:
         raise BaerCodeError(f"malformed share header: {exc}") from exc
     body = [ln.strip() for ln in lines[1:] if ln.strip()]
-    if len(body) != params.alpha:
-        raise BaerCodeError(
-            f"share body has {len(body)} symbols, expected alpha={params.alpha}"
-        )
     try:
         x = tuple(int(v) for v in body)
     except ValueError as exc:

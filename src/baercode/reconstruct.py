@@ -10,8 +10,8 @@ one per size-(k-2b) subset, all agree: with at most b corrupted nodes,
 agreement certifies the genuine message.  A share whose length is not
 alpha spoils every estimate it takes part in, like any other lie.
 
-first_consistent is that scan, written once: scheme-2 repair runs the same
-one over helper subsets.
+first_consistent is that scan; the tests also run it over
+repair2.repair_estimate as the reference for scheme-2 repair.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ def first_consistent(
 
     Groups are the size-`group_size` combinations of the sorted `keys`, in
     lexicographic order.  Every size-`subset_size` subset of a group is
-    estimated once, by `estimate(subset)`; an estimate that raises one of
-    `failures` counts as MALFORMED, which equals nothing.  A group is
-    accepted when all of its estimates are equal.
+    estimated at most once, by `estimate(subset)`; an estimate that raises
+    one of `failures` counts as MALFORMED, which equals nothing.  A group is
+    accepted when all of its estimates are equal, and left at its first
+    estimate that is MALFORMED or differs from the first.
     """
     cache = {}
 
@@ -71,9 +72,9 @@ def first_consistent(
         return cache[subset]
 
     for group in combinations(keys, group_size):
-        estimates = [est(sub) for sub in combinations(group, subset_size)]
-        first = estimates[0]
-        if first is not MALFORMED and all(e == first for e in estimates[1:]):
+        subsets = combinations(group, subset_size)
+        first = est(next(subsets))
+        if first is not MALFORMED and all(est(sub) == first for sub in subsets):
             return first
     return None
 

@@ -19,7 +19,8 @@ cached per group: a left inverse T returns x_f and a null-space basis N
 gives the syndrome N @ rho_G that must vanish.
 A group with a singular Theta_H is skipped, as the paper's scan skips it.
 A repair vector of the wrong length is a lie: every group holding it is
-skipped.
+skipped.  group_decoder and testgroup_scan hold that decoder for any scheme
+whose honest payloads are x_f @ B_h; scheme 2 (repair2) runs them too.
 
 Theta_H is provably invertible only over impractically large alphabets, so
 a configuration is instead certified empirically, by rank alone (no
@@ -33,6 +34,7 @@ independently.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, islice
 from math import comb
@@ -60,8 +62,8 @@ def default_exponents(code: Derived) -> tuple[int, ...]:
 
 @dataclass
 class OmegaConfig:
-    """Omega matrix plus its per-d truncations, cached Theta inverses,
-    Theta column blocks and test-group decoders."""
+    """Omega matrix plus cached Theta inverses, Theta column blocks and
+    test-group decoders."""
 
     code: Derived
     field: Field
@@ -73,10 +75,6 @@ class OmegaConfig:
     _theta_cols: dict = dc_field(default_factory=dict, repr=False)
     _group_dec: dict = dc_field(default_factory=dict, repr=False)
 
-    def omega_cols(self, d: int) -> Mat:
-        z_d = self.code.z_of(d)
-        return Mat(self.field, [row[:z_d] for row in self.omega.data], cols=z_d)
-
     def theta_inv(self, helpers: tuple[int, ...], d: int) -> Mat | None:
         """Inverse of Theta_H for sorted helper indices, or None if singular."""
         key = (d, helpers)
@@ -87,34 +85,12 @@ class OmegaConfig:
                 self._theta_inv[key] = None
         return self._theta_inv[key]
 
-    def group_decoder(self, group: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...] | None:
-        """Rows of [T; N] for a sorted test-group G, or None if G is unusable.
-
-        E = [T; N] is the (d-b)*z_d square matrix with E @ Theta_G^T = [I; 0]:
-        T (alpha rows) is a left inverse of Theta_G^T and N (b*z_d rows) spans
-        its left null space.  By matroid duality, Theta_H for H = G minus b
-        helpers is invertible exactly when the b*z_d columns of N belonging to
-        those helpers are, so G is usable when Theta_G has rank alpha and
-        every such minor of N has full rank.
-        """
+    def group_decoder(self, group: tuple[int, ...], d: int) -> tuple[Sequence[int], ...] | None:
+        """group_decoder() of Theta_G for a sorted test-group, cached per (d, G)."""
         key = (d, group)
         if key not in self._group_dec:
-            code = self.code
-            z_d = code.z_of(d)
-            bz = code.b * z_d
-            try:
-                rows = theta(group, d, self).transpose().echelon_transform().data
-            except SingularMatrixError:
-                self._group_dec[key] = None
-            else:
-                null = rows[code.alpha:]
-                usable = all(
-                    Mat(self.field, [
-                        [row[t * z_d + j] for t in out for j in range(z_d)] for row in null
-                    ], cols=bz).rank() == bz
-                    for out in combinations(range(len(group)), code.b)
-                )
-                self._group_dec[key] = tuple(map(tuple, rows)) if usable else None
+            blocks = [self.theta_cols(h, d) for h in group]
+            self._group_dec[key] = group_decoder(blocks, self.code.b, self.field)
         return self._group_dec[key]
 
     def theta_cols(self, h: int, d: int) -> list[list[int]]:
@@ -179,16 +155,6 @@ def omega_rank_ok(omega: Mat, z_d: int) -> bool:
     return cols.rank() == z_d
 
 
-def phi_matrix(code: Derived, fld: Field, node: int) -> Mat:
-    """alpha x z block-diagonal matrix with blocks psi_node(i)^T."""
-    grid = [[0] * code.z for _ in range(code.alpha)]
-    for i in range(1, code.z + 1):
-        seg = coeff_segment(fld, node, i, code.lam)
-        for r, v in enumerate(seg):
-            grid[(i - 1) * code.lam + r][i - 1] = v
-    return Mat(fld, grid, cols=code.z)
-
-
 def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) -> tuple[int, ...]:
     """r(h, f) = x_h @ Phi_f @ Omega_{z_d}: z_d symbols from helper share."""
     code, fld = cfg.code, cfg.field
@@ -219,41 +185,70 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
     )
 
 
-def testgroup_repair(
-    symbols: Mapping[int, Sequence[int]],
-    f: int,
-    d: int,
-    cfg: OmegaConfig,
-) -> tuple[int, ...]:
-    """Recover x_f from d helpers' repair vectors, at most b of them lying.
+def group_decoder(blocks: Sequence[Sequence[Sequence[int]]], b: int,
+                  fld: Field) -> tuple[Sequence[int], ...] | None:
+    """Rows of E = [T; N] for one test-group G, or None if G is unusable.
 
-    Test-groups of size d-b are scanned lexicographically and the first
-    usable group whose stacked vector rho_G has a zero syndrome wins; its
-    decoder's left inverse gives x_f.  This is the group the paper's
-    per-subset scan accepts, and the same x_f.  A helper whose vector is
-    not z_d symbols long is treated as lying: no group holding it is tried.
+    `blocks` holds one alpha x w block per helper of G, in group order; an
+    honest helper sends x_f @ block, and side by side they form Theta_G.
+    E @ Theta_G^T = [I; 0]: T (alpha rows) is a left inverse of Theta_G^T,
+    N (b*w rows) spans its left null space.  By matroid duality, G minus b
+    helpers stacks to an invertible matrix exactly when N's b*w columns of
+    those helpers do, so G is usable when Theta_G has rank alpha and every
+    such minor of N has full rank.  Rows are arrays of the smallest item
+    type that holds p-1.
     """
-    code = cfg.code
-    helpers = sorted(symbols)
+    alpha, w = len(blocks[0]), len(blocks[0][0])
+    try:
+        rows = Mat(fld, [col for blk in blocks for col in zip(*blk)]).echelon_transform().data
+    except SingularMatrixError:
+        return None
+    null, bw = rows[alpha:], b * w
+    for out in combinations(range(len(blocks)), b):
+        minor = [[row[t * w + j] for t in out for j in range(w)] for row in null]
+        if Mat(fld, minor, cols=bw).rank() < bw:
+            return None
+    typecode = next((c for c in "BHIQ" if fld.p - 1 < 1 << 8 * array(c).itemsize), None)
+    return tuple(array(typecode, row) if typecode else tuple(row) for row in rows)
+
+
+def testgroup_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: int,
+                   code: Derived, p: int, decoder) -> tuple[int, ...]:
+    """Recover x_f from d helpers' flat payloads, at most b of them lying.
+
+    An honest payload is `width` symbols long.  Test-groups of size d-b are
+    scanned lexicographically; `decoder(group)` returns the group's
+    group_decoder() rows or None, and the first usable group whose stacked
+    payload rho_G has a zero syndrome N @ rho_G wins, with x_f = T @ rho_G.
+    This is the group the paper's per-subset scan accepts, and the same x_f.
+    A payload of any other length is a lie: no group holding it is tried.
+    """
+    helpers = sorted(payloads)
     if len(helpers) != d:
         raise BaerCodeError(f"need symbols from exactly d={d} helpers, got {len(helpers)}")
     for h in helpers:
         if h == f or not 1 <= h <= code.n:
             raise BaerCodeError(f"invalid helper {h} for failed node {f}")
-    z_d, p, alpha = code.z_of(d), cfg.field.p, code.alpha
-    sound = {h for h in helpers if len(symbols[h]) == z_d}
+    sound, alpha = {h for h in helpers if len(payloads[h]) == width}, code.alpha
     for group in combinations(helpers, d - code.b):
         if not sound.issuperset(group):
             continue
-        rows = cfg.group_decoder(group, d)
+        rows = decoder(group)
         if rows is None:
             continue
-        rho = [v for h in group for v in symbols[h]]
+        rho = [v for h in group for v in payloads[h]]
         if all(sum(map(mul, row, rho)) % p == 0 for row in rows[alpha:]):
             return tuple(sum(map(mul, row, rho)) % p for row in rows[:alpha])
     raise NoConsistentGroupError(
         f"no consistent test-group repairing node {f} from {d} helpers"
     )
+
+
+def testgroup_repair(symbols: Mapping[int, Sequence[int]], f: int, d: int,
+                     cfg: OmegaConfig) -> tuple[int, ...]:
+    """Recover x_f from d helpers' z_d-symbol repair vectors (testgroup_scan)."""
+    return testgroup_scan(symbols, f, d, cfg.code.z_of(d), cfg.code, cfg.field.p,
+                          lambda group: cfg.group_decoder(group, d))
 
 
 @dataclass(frozen=True)

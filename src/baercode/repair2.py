@@ -8,16 +8,20 @@ the overlap-add operator
 
     merge(m, eps, e, v, u) = [v, 0..0] + e^(m - eps*xi) [0..0, u]
 
-and send one inner product per group; each round the decoder solves one
-(d-2b) x (d-2b) system per group, after which entries of the lost share are
-labelled known (value recovered), inactive (expressed through one remaining
-active entry), or still active.  The iteration schedule comes from
-params.schedule_scheme2 and is shared verbatim by helpers and decoder.
+and send one inner product per group.  A RepairSession decodes one
+size-(d-2b) helper subset: each round it solves one (d-2b) x (d-2b) system
+per group, after which entries of the lost share are labelled known (value
+recovered), inactive (expressed through one remaining active entry), or
+still active.  The iteration schedule comes from params.schedule_scheme2
+and is shared verbatim by helpers and decoder.
 
-Estimates for every size-(d-2b) helper subset feed the test-group scan
-that reconstruction uses (reconstruct.first_consistent), defeating up to b
-lying helpers.  A stream with a dropped, extra, short or long round is a
-lie too: no group holding it is scanned.
+An honest stream is linear in the lost share, x_f @ B_h (_stream_block),
+so testgroup_repair2 runs scheme 1's stacked test-group decoder
+(repair1.testgroup_scan) on the flattened streams, defeating up to b lying
+helpers; a stream with a dropped, extra, short or long round is a lie.  It
+accepts the group and share that the per-subset scan of RepairSession
+estimates accepts; the tests keep that scan as the reference.
+Certification checks every per-group system by rank, keeping no inverse.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .encoder import NodeShare
 from .errors import (
     BadDimensionsError,
     BaerCodeError,
-    NoConsistentGroupError,
     PlanMismatchError,
     SingularMatrixError,
     SingularReducedSystemError,
@@ -40,7 +43,7 @@ from .errors import (
 )
 from .galois import Field, Mat, primes_from
 from .params import ScheduleII, schedule_scheme2
-from .reconstruct import first_consistent
+from .repair1 import group_decoder, testgroup_scan
 
 REPAIR2_MAGIC = "BAERR2"
 
@@ -185,17 +188,17 @@ def _slot_coeff(fld: Field, plan: ScheduleII, j: int, gi: int, slot: tuple, h: i
     return pow(e_h, (a - 1) * xi + q - 1, fld.p)
 
 
+def _group_matrix(plan: ScheduleII, fld: Field, j: int, gi: int, helpers: tuple[int, ...]) -> Mat:
+    """The system of group gi at iteration j: one column per helper, one row per slot."""
+    return Mat(fld, [[_slot_coeff(fld, plan, j, gi, s, h) for h in helpers]
+                     for s in _group_slots(plan, j, gi)], cols=len(helpers))
+
+
 @lru_cache(maxsize=16384)
 def _group_matrix_inv(plan: ScheduleII, fld: Field, j: int, gi: int, helpers: tuple[int, ...]) -> Mat:
-    slots = _group_slots(plan, j, gi)
-    mat = Mat(
-        fld,
-        [[_slot_coeff(fld, plan, j, gi, s, h) for h in helpers] for s in slots],
-        cols=len(helpers),
-    )
     try:
-        return mat.inv()
-    except SingularMatrixError as exc:      # unreachable for distinct helpers
+        return _group_matrix(plan, fld, j, gi, helpers).inv()
+    except SingularMatrixError as exc:
         raise SingularReducedSystemError(str(exc)) from exc
 
 
@@ -361,36 +364,36 @@ def repair_estimate(
     return session.finalize()
 
 
-def testgroup_repair2(
-    streams: Mapping[int, Sequence[Sequence[int]]],
-    f: int,
-    plan: ScheduleII,
-    fld: Field,
-) -> tuple[int, ...]:
-    """Recover x_f from d helpers' round streams, at most b of them lying.
+@lru_cache(maxsize=16384)
+def _stream_block(plan: ScheduleII, fld: Field, f: int, h: int) -> tuple[tuple[int, ...], ...]:
+    """Helper h's alpha x beta block: its honest flattened stream is x_f @ block.
 
-    A stream whose round lengths differ from the plan's group counts is a
-    lie: only groups of well-formed streams are scanned.
+    By the symmetry psi_h M psi_f^T = psi_f M psi_h^T, h's stream to f is f's
+    stream to h, so row r is the stream node f's r-th unit share sends to h.
     """
-    code = plan.code
-    helpers = sorted(streams)
-    if len(helpers) != plan.d:
-        raise BaerCodeError(f"need streams from exactly d={plan.d} helpers")
-    for h in helpers:
-        if h == f or not 1 <= h <= code.n:
-            raise BaerCodeError(f"invalid helper {h} for failed node {f}")
+    alpha, e_f = plan.code.alpha, fld.point(f)
+    rows = []
+    for r in range(alpha):
+        unit = NodeShare(index=f, e=e_f, x=tuple(int(t == r) for t in range(alpha)))
+        rows.append(tuple(v for rnd in helper_stream(unit, plan, h, fld) for v in rnd))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=16384)
+def _group_decoder2(plan: ScheduleII, fld: Field, f: int, group: tuple[int, ...]):
+    """repair1.group_decoder() over the group's stream blocks."""
+    return group_decoder([_stream_block(plan, fld, f, h) for h in group], plan.code.b, fld)
+
+
+def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,
+                      plan: ScheduleII, fld: Field) -> tuple[int, ...]:
+    """Recover x_f from d helpers' round streams, at most b of them lying, by
+    repair1.testgroup_scan; a stream whose round lengths differ from the plan is a lie."""
     rounds = [it.n_groups for it in plan.iterations]
-    sound = [h for h in helpers if list(map(len, streams[h])) == rounds]
-    x = first_consistent(
-        sound, plan.d - code.b, plan.d - 2 * code.b,
-        lambda subset: repair_estimate(streams, subset, f, plan, fld),
-        (SingularReducedSystemError, UnresolvedEntriesError, SingularMatrixError),
-    )
-    if x is None:
-        raise NoConsistentGroupError(
-            f"no consistent test-group repairing node {f} from {plan.d} helpers"
-        )
-    return x
+    flat = {h: [v for rnd in st for v in rnd] if list(map(len, st)) == rounds else ()
+            for h, st in streams.items()}
+    return testgroup_scan(flat, f, plan.d, plan.symbols_per_helper, plan.code, fld.p,
+                          lambda group: _group_decoder2(plan, fld, f, group))
 
 
 @dataclass(frozen=True)
@@ -428,16 +431,14 @@ def _system_count(code, plans: Sequence[ScheduleII]) -> int:
 def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
     """Yield each (d, subset, j, group) whose system is singular, in sweep order.
 
-    Every solvable system's inverse stays in the _group_matrix_inv cache, so
-    repairs over a certified field start warm.
+    Only the rank of each system is computed; no inverse is kept.
     """
     for plan in plans:
-        for subset in combinations(range(1, code.n + 1), plan.d - 2 * code.b):
+        span = plan.d - 2 * code.b
+        for subset in combinations(range(1, code.n + 1), span):
             for j, it in enumerate(plan.iterations, 1):
                 for gi in range(it.n_groups):
-                    try:
-                        _group_matrix_inv(plan, fld, j, gi, subset)
-                    except SingularReducedSystemError:
+                    if _group_matrix(plan, fld, j, gi, subset).rank() < span:
                         yield plan.d, subset, j, gi
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from baercode.cli import main
+from baercode.params import CodeParams, validate
 from baercode.repair1 import parse_repair_record
 
 
@@ -219,3 +220,51 @@ def test_scheme2_cli_round_trip(capsys, tmp_path, a12_code, a12_field2):
     assert got == want
     recs = (tmp_path / "recs" / "repair_h01.rec").read_text()
     assert recs.startswith("BAERR2 d=5 f=6 h=1 j=1\n")
+
+
+# -- share files of the wrong length are lies --------------------------------
+
+def shorten(path):
+    """Drop the last body symbol of a share file."""
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+
+
+def encoded_dir(tmp_path, code, p, scheme):
+    params = tmp_path / "c.params"
+    d_list = ",".join(map(str, code.d_set))
+    params.write_text(f"n={code.n}\nk={code.k}\nb={code.b}\nalpha={code.alpha}\nD={d_list}\np={p}\n")
+    rng = random.Random(12)
+    msg = tmp_path / "msg.txt"
+    msg.write_text("\n".join(str(rng.randrange(p)) for _ in range(code.f_mbr)) + "\n")
+    shares_dir = tmp_path / "shares"
+    assert run("encode", "--params", params, "--scheme", scheme,
+               "--message", msg, "--out", shares_dir) == 0
+    return params, msg, shares_dir
+
+
+def test_reconstruct_absorbs_a_short_share_file(capsys, tmp_path):
+    mid = validate(CodeParams(n=10, k=4, d_set=(6, 7), b=1, alpha=20))
+    params, msg, shares = encoded_dir(tmp_path, mid, 23, "1")
+    files = [shares / f"node{i:02d}.share" for i in (1, 2, 3, 4)]
+    shorten(files[0])                                   # 19 symbols
+    capsys.readouterr()
+    assert run("reconstruct", "--params", params, *files) == 0
+    assert capsys.readouterr().out == msg.read_text()
+    shorten(files[1])
+    assert run("reconstruct", "--params", params, *files) == 3
+
+
+@pytest.mark.parametrize("scheme", ["1", "2"])
+def test_repair_absorbs_a_short_share_file(tmp_path, scheme, ex3_code, ex3_search,
+                                           a12_code, a12_field2):
+    code, p = (ex3_code, ex3_search.field.p) if scheme == "1" else (a12_code, a12_field2.p)
+    params, _, shares = encoded_dir(tmp_path, code, p, scheme)
+    helpers = [shares / f"node{i:02d}.share" for i in (2, 3, 4, 5)]
+    shorten(helpers[1])                                 # node03
+    repaired = tmp_path / "node1.rebuilt"
+    assert run("repair", "--params", params, "--scheme", scheme, "--failed", 1,
+               "--d", 4, "--out", repaired, *helpers) == 0
+    assert repaired.read_bytes() == (shares / "node01.share").read_bytes()
+    shorten(helpers[2])
+    assert run("repair", "--params", params, "--scheme", scheme, "--failed", 1,
+               "--d", 4, "--out", repaired, *helpers) == 3

@@ -170,11 +170,22 @@ def test_share_file_rejections(ex3_code):
     good = format_share(
         NodeShare(index=1, e=3, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
     )
-    truncated = "\n".join(good.splitlines()[:-1]) + "\n"
-    with pytest.raises(BaerCodeError):
-        parse_share(truncated)
     with pytest.raises(BaerCodeError):
         parse_share(good.replace("\n1\n", "\n99\n"))   # symbol outside field
+    with pytest.raises(BaerCodeError):
+        parse_share(good.replace("\n1\n", "\none\n"))  # non-decimal symbol
+    with pytest.raises(BaerCodeError):
+        parse_share(good.replace("alpha=6", "alpha=x"))   # header
+
+
+def test_wrong_length_share_body_is_the_node_share(ex3_code):
+    # A malformed body is what the node stored: the decoders absorb it as a lie.
+    good = format_share(
+        NodeShare(index=1, e=3, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
+    )
+    truncated = "\n".join(good.splitlines()[:-1]) + "\n"
+    assert parse_share(truncated)[0].x == (1, 2, 3, 4, 5)
+    assert parse_share(good + "7\n")[0].x == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_message_file_never_pads(ex3_code):

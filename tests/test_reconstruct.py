@@ -185,6 +185,29 @@ def test_each_estimate_is_structure_checked_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("liar, calls", [
+    ("differs", [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
+                 (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)]),
+    ("raises", [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)]),
+])
+def test_first_consistent_leaves_a_group_at_its_first_bad_estimate(liar, calls):
+    # Key 1 lies and sits in the first group; each group is left at its first
+    # estimate that is malformed or differs, and (2, 3, 4, 5) is accepted.
+    made = []
+
+    def estimate(subset):
+        made.append(subset)
+        if 1 not in subset:
+            return "x"
+        if liar == "raises":
+            raise StructureViolationError("lie")
+        return ("lie", subset)
+
+    found = reconstruct.first_consistent([1, 2, 3, 4, 5], 4, 3, estimate,
+                                         StructureViolationError)
+    assert found == "x" and made == calls
+
+
 def test_two_malformed_shares_exceed_b():
     msg, access = mid_access(6)
     access[0] = resize(access[0], 19)

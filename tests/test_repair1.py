@@ -19,7 +19,6 @@ from baercode.repair1 import (
     helper_repair_symbols,
     omega_build,
     parse_repair_record,
-    phi_matrix,
     theta,
     testgroup_repair as tg_repair,
     verify_theta_all,
@@ -37,10 +36,6 @@ def test_default_exponents_and_truncation(ex3_code, ex3_search):
     cfg = ex3_search.cfg
     assert cfg.exponents == (1, 37, 73)        # alpha*n*(j-1) + 1
     assert cfg.omega.shape == (3, 3)
-    cols = cfg.omega_cols(5)
-    assert cols.shape == (3, 2)
-    assert cols.tolist() == [row[:2] for row in cfg.omega.tolist()]
-    assert cfg.omega_cols(4).shape == (3, 3)
 
 
 def test_single_component_omega_is_trivial():
@@ -118,19 +113,6 @@ def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_search):
     theta_cols = [tuple(th.col(c)) for c in range(6)]
     assert sorted(theta_cols) == sorted(xi_cols)
     assert set(theta_cols) == set(xi_cols)
-
-
-def test_phi_matrix_block_structure(ex3_code, ex3_search):
-    fld = ex3_search.field
-    phi = phi_matrix(ex3_code, fld, 3)
-    assert phi.shape == (6, 3)
-    from baercode.encoder import coeff_segment
-    for i in range(1, 4):
-        seg = coeff_segment(fld, 3, i, 2)
-        for r in range(2):
-            for c in range(3):
-                want = seg[r] if c == i - 1 else 0
-                assert phi[(i - 1) * 2 + r, c] == want
 
 
 def test_estimate_exact_for_honest_subsets(ex3_code, ex3_search):

@@ -3,21 +3,29 @@ from itertools import combinations
 
 import pytest
 
-from baercode.encoder import build_data_matrix, encode_all
+from baercode import adversary as adv
+from baercode.encoder import build_data_matrix, encode_all, encode_node
 from baercode.errors import (
     BadDimensionsError,
     BaerCodeError,
     NoConsistentGroupError,
     PlanMismatchError,
+    SingularMatrixError,
+    SingularReducedSystemError,
     UnresolvedEntriesError,
 )
-from baercode.galois import Field, is_prime
+from baercode.galois import Field, Mat, is_prime
 from baercode.params import CodeParams, schedule_scheme2, validate
+from baercode.reconstruct import first_consistent
 from baercode.repair2 import (
     ACTIVE,
     INACTIVE,
     KNOWN,
     RepairSession,
+    _group_decoder2,
+    _group_matrix,
+    _group_matrix_inv,
+    _stream_block,
     find_field_scheme2,
     format_round_record,
     format_stream_records,
@@ -300,6 +308,7 @@ MALFORMED_STREAMS = {
     "extra round": lambda st: st + (st[-1],),
     "extra symbol": lambda st: (st[0] + (0,),) + st[1:],
     "short round": lambda st: (st[0][:-1],) + st[1:],
+    "no stream": lambda st: (),
 }
 
 
@@ -342,9 +351,11 @@ def s2_code():
 
 
 def test_find_field_pins_s2_search():
+    cached = _group_matrix_inv.cache_info()
     fld, report, rejected = find_field_scheme2(s2_code())
     assert fld.p == 19 and rejected == (11, 13, 17)
     assert report.ok and report.checked == 5124
+    assert _group_matrix_inv.cache_info() == cached     # certification keeps no inverse
 
 
 def test_verify_systems_lists_every_singular_system():
@@ -422,12 +433,159 @@ def test_four_iteration_with_unmerged_segments():
     dm = build_data_matrix(msg, code, fld)
     f = 10
     shares = {h: None for h in subset}
-    from baercode.encoder import encode_node
     for h in subset:
         shares[h] = encode_node(dm, h, code, fld)
     truth = encode_node(dm, f, code, fld)
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in subset}
     assert repair_estimate(streams, subset, f, plan, fld) == truth.x
+
+
+# -- the stacked group decoder against the per-subset scan ------------------
+
+CODES = {
+    "a12": lambda: validate(CodeParams(n=6, k=3, d_set=(4, 5), b=1, alpha=12)),
+    "s2": s2_code,
+}
+
+
+def reference_repair2(streams, f, plan, fld):
+    """The paper's scan, the oracle for testgroup_repair2: every size-(d-2b)
+    subset of a test-group runs its own RepairSession, and the first group
+    whose estimates all agree wins.  A stream whose round lengths differ
+    from the plan is a lie."""
+    b = plan.code.b
+    rounds = [it.n_groups for it in plan.iterations]
+    sound = [h for h in sorted(streams) if list(map(len, streams[h])) == rounds]
+    x = first_consistent(
+        sound, plan.d - b, plan.d - 2 * b,
+        lambda subset: repair_estimate(streams, subset, f, plan, fld),
+        (SingularReducedSystemError, UnresolvedEntriesError, SingularMatrixError),
+    )
+    if x is None:
+        raise NoConsistentGroupError(f"no consistent test-group repairing node {f}")
+    return x
+
+
+def outcome(decode, *args):
+    try:
+        return decode(*args)
+    except NoConsistentGroupError:
+        return NoConsistentGroupError
+
+
+def adversarial_streams(code, plan, fld, shares, f, helpers, policy):
+    send = lambda sh: helper_stream(sh, plan, f, fld)
+    return {
+        h: adv.corrupt_repair_symbols(policy, h, send(shares[h]), fld, recompute=send, code=code)
+        for h in helpers
+    }
+
+
+@pytest.mark.parametrize("name, p", [
+    ("a12", 19), ("a12", 11), ("a12", 13), ("a12", 17),
+    ("s2", 19), ("s2", 11), ("s2", 13), ("s2", 17),
+])
+def test_testgroup_repair2_equals_per_subset_scan(name, p):
+    """19 certifies both configurations; 11, 13 and 17 do not."""
+    code, fld = CODES[name](), Field(p)
+    rng = random.Random(f"equiv2:{name}:{p}")
+    nodes = range(1, code.n + 1)
+    seen = set()
+    for seed in range(3 if name == "s2" else 6):
+        _, shares = encoded_cluster(code, fld, seed)
+        for d in code.d_set:
+            plan = schedule_scheme2(code, d)
+            f = rng.choice(nodes)
+            helpers = rng.sample([h for h in nodes if h != f], d)
+            honest = adversarial_streams(code, plan, fld, shares, f, helpers, adv.AdversaryPolicy())
+            cases = [(honest, True)]
+            for count in (code.b, code.b + 1):              # b+1 lies: out of the model
+                for strategy in (adv.RANDOM, adv.LIAR):
+                    policy = adv.AdversaryPolicy(rng.sample(helpers, count), strategy, seed)
+                    cases.append((adversarial_streams(code, plan, fld, shares, f, helpers, policy),
+                                  count == code.b))
+                for shape in MALFORMED_STREAMS.values():
+                    bad = dict(honest)
+                    for h in rng.sample(helpers, count):
+                        bad[h] = shape(bad[h])
+                    cases.append((bad, count == code.b))
+            for streams, in_model in cases:
+                got = outcome(tg_repair2, streams, f, plan, fld)
+                assert got == outcome(reference_repair2, streams, f, plan, fld)
+                if in_model and p == 19:
+                    assert got == shares[f].x
+                seen.add(got is NoConsistentGroupError)
+    assert seen == {True, False}         # both outcomes are compared
+
+
+@pytest.mark.parametrize("name", ["a12", "s2"])
+def test_helper_streams_are_symmetric(name):
+    # psi_h M psi_f^T = psi_f M psi_h^T: h's stream to f is f's stream to h
+    code, fld = CODES[name](), Field(19)
+    _, shares = encoded_cluster(code, fld, 21)
+    for d in code.d_set:
+        plan = schedule_scheme2(code, d)
+        for h, f in combinations(range(1, code.n + 1), 2):
+            assert helper_stream(shares[h], plan, f, fld) == helper_stream(shares[f], plan, h, fld)
+
+
+@pytest.mark.parametrize("name, p", [("a12", 19), ("a12", 13), ("s2", 19), ("s2", 17)])
+def test_stream_block_equals_a_sampled_fit(name, p):
+    """Theta2 of (h, f) fitted from alpha + 10 random messages: stream_h = x_f @ B."""
+    code, fld = CODES[name](), Field(p)
+    rng = random.Random(f"fit:{name}:{p}")
+    dms = [build_data_matrix([rng.randrange(p) for _ in range(code.f_mbr)], code, fld)
+           for _ in range(code.alpha + 10)]
+    for f, h in ((1, code.n), (code.n, 2)):
+        xs = Mat(fld, [encode_node(dm, f, code, fld).x for dm in dms])
+        left_inv = Mat(fld, xs.echelon_transform().data[:code.alpha])
+        helper_shares = [encode_node(dm, h, code, fld) for dm in dms]
+        for d in code.d_set:
+            plan = schedule_scheme2(code, d)
+            streams = Mat(fld, [[v for rnd in helper_stream(sh, plan, f, fld) for v in rnd]
+                                for sh in helper_shares])
+            fit = left_inv @ streams
+            assert xs @ fit == streams                  # the 10 extra messages agree
+            assert fit.tolist() == [list(row) for row in _stream_block(plan, fld, f, h)]
+
+
+@pytest.mark.parametrize("name, p, fs, unusable", [
+    ("a12", 7, None, 30), ("a12", 11, None, 12), ("a12", 13, None, 30),
+    ("a12", 17, None, 22), ("a12", 19, None, 0),
+    ("s2", 17, (1, 6), 30), ("s2", 19, (1,), 0),
+])
+def test_group_usable_iff_every_subset_system_has_full_rank(name, p, fs, unusable):
+    code, fld = CODES[name](), Field(p)
+    bad = 0
+    for d in code.d_set:
+        plan = schedule_scheme2(code, d)
+        span = d - 2 * code.b
+        full = {}
+        for sub in combinations(range(1, code.n + 1), span):
+            full[sub] = all(_group_matrix(plan, fld, j, gi, sub).rank() == span
+                            for j, it in enumerate(plan.iterations, 1)
+                            for gi in range(it.n_groups))
+        for f in fs or range(1, code.n + 1):
+            others = [h for h in range(1, code.n + 1) if h != f]
+            for group in combinations(others, d - code.b):
+                want = all(full[sub] for sub in combinations(group, span))
+                assert (_group_decoder2(plan, fld, f, group) is not None) == want
+                bad += not want
+    assert bad == unusable
+
+
+@pytest.mark.parametrize("p", [65537, 1000003])
+def test_decode_with_symbols_above_16_bits(a12_code, p):
+    fld = Field(p)
+    rng = random.Random(p)
+    _, shares = encoded_cluster(a12_code, fld, 22)
+    plan = schedule_scheme2(a12_code, 5)
+    f, helpers = 6, (1, 2, 3, 4, 5)
+    streams = {h: helper_stream(shares[h], plan, f, fld) for h in helpers}
+    streams[1] = tuple(tuple(rng.randrange(p) for _ in r) for r in streams[1])
+    assert tg_repair2(streams, f, plan, fld) == shares[f].x
+    rows = _group_decoder2(plan, fld, f, (2, 3, 4, 5))
+    assert rows[0].itemsize * 8 >= (p - 1).bit_length()
 
 
 # -- wire records ------------------------------------------------------------
