@@ -61,7 +61,7 @@ def _load_params(path: str, need_p: bool = True):
 
 def _policy(args) -> adv.AdversaryPolicy:
     strategy = {"honest": adv.HONEST, "random": adv.RANDOM, "liar": adv.LIAR}[args.adversary]
-    controlled = tuple(int(x) for x in args.controlled.split(",") if x) if args.controlled else ()
+    controlled = simnet.parse_int_list(args.controlled or "")
     return adv.AdversaryPolicy(controlled=controlled, strategy=strategy, seed=args.seed)
 
 
@@ -144,7 +144,7 @@ def cmd_repair(args) -> int:
     if f in shares:
         del shares[f]
     if args.helpers:
-        helpers = sorted(int(x) for x in args.helpers.split(","))
+        helpers = sorted(simnet.parse_int_list(args.helpers))
     else:
         helpers = sorted(shares)[:d]
     if len(helpers) != d or any(h not in shares for h in helpers):
@@ -177,7 +177,7 @@ def cmd_reconstruct(args) -> int:
     code, fld = _load_params(args.params)
     shares = _read_shares(args.shares, code, fld)
     if args.nodes:
-        nodes = [int(x) for x in args.nodes.split(",")]
+        nodes = list(simnet.parse_int_list(args.nodes))
     else:
         nodes = sorted(shares)[: code.k]
     if len(nodes) != code.k or any(n not in shares for n in nodes):

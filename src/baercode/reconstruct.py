@@ -1,25 +1,32 @@
 """Data reconstruction from k accessed nodes with test-group decoding.
 
-An estimate recovers the z component blocks from kappa = k-2b shares by
-product-matrix decoding.  Every block is evaluated at the same kappa node
-points, so all z blocks of a subset are decoded side by side: one inverse
-of the kappa x kappa Vandermonde Phi and three matrix products per subset.
-With adversaries, the collector examines test-groups (subsets of the k
-accessed nodes of size k-b) and accepts the first group whose estimates,
-one per size-(k-2b) subset, all agree: with at most b corrupted nodes,
-agreement certifies the genuine message.  A share whose length is not
-alpha spoils every estimate it takes part in, like any other lie.
+Node h stores x_h = psi_h @ M.  Block i of that share, with its prefix power
+e^((i-1)*lam) stripped, is m_i @ B_h: m_i holds block i's message symbols
+in the encoder's fill order, and B_h (_node_block) is the same f_block x lam
+matrix for every block.  So reconstruction runs the stacked test-group
+decoder of repair (repair1.group_decoder and testgroup_scan), with one
+decoder per test-group of k-b nodes shared by all z blocks: the first group
+whose z stacked chunks all have a zero syndrome is accepted, and its left
+inverse returns the message.  That is the group the paper's scan accepts,
+the first one whose estimates from every size-(k-2b) subset agree: an
+estimate passes the structure check (a symmetric N) exactly when its
+subset's payload lies in the row space of the subset's stacked blocks, and
+any kappa points form a Vandermonde of full rank, so every group is usable,
+b = 0 included.  A share whose length is not alpha is a lie, like any other.
 
-first_consistent is that scan; the tests also run it over
-repair2.repair_estimate as the reference for scheme-2 repair.
+reconstruct_estimate is that per-subset estimate: a product-matrix decode
+of all z blocks side by side from kappa shares (pm_reconstruct_component:
+one inverse of the kappa x kappa Vandermonde Phi and three matrix
+products).  The tests keep it, under the per-subset scan, as the reference
+for testgroup_reconstruct.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
-from .encoder import DataMatrix, NodeShare, extract_message
+from .encoder import DataMatrix, NodeShare, build_data_matrix, coeff_segment, extract_message
 from .errors import (
     DimensionMismatchError,
     NoConsistentGroupError,
@@ -27,56 +34,7 @@ from .errors import (
 )
 from .galois import Field, Mat
 from .params import Derived
-
-
-class _Malformed:
-    """Sentinel for estimates from corrupted inputs; unequal to everything."""
-
-    def __eq__(self, other):
-        return False
-
-    def __ne__(self, other):
-        return True
-
-    def __hash__(self):
-        return id(self)
-
-    def __repr__(self):
-        return "MALFORMED"
-
-
-MALFORMED = _Malformed()
-
-
-def first_consistent(
-    keys: Sequence[int], group_size: int, subset_size: int,
-    estimate: Callable[[tuple[int, ...]], object], failures,
-):
-    """Common estimate of the first consistent test-group, or None.
-
-    Groups are the size-`group_size` combinations of the sorted `keys`, in
-    lexicographic order.  Every size-`subset_size` subset of a group is
-    estimated at most once, by `estimate(subset)`; an estimate that raises
-    one of `failures` counts as MALFORMED, which equals nothing.  A group is
-    accepted when all of its estimates are equal, and left at its first
-    estimate that is MALFORMED or differs from the first.
-    """
-    cache = {}
-
-    def est(subset):
-        if subset not in cache:
-            try:
-                cache[subset] = estimate(subset)
-            except failures:
-                cache[subset] = MALFORMED
-        return cache[subset]
-
-    for group in combinations(keys, group_size):
-        subsets = combinations(group, subset_size)
-        first = est(next(subsets))
-        if first is not MALFORMED and all(est(sub) == first for sub in subsets):
-            return first
-    return None
+from .repair1 import group_decoder, testgroup_scan
 
 
 def pm_reconstruct_component(
@@ -136,46 +94,58 @@ def pm_reconstruct_component(
     return Mat(field, grid, cols=z * lam)
 
 
-def _estimate_blocks(
-    shares: Sequence[NodeShare], code: Derived, field: Field
-) -> tuple[Mat, ...]:
-    """Reconstruction of all z blocks from kappa shares (no structure check).
-
-    A share whose length is not alpha raises StructureViolationError.
-    """
-    p, lam = field.p, code.lam
-    segs = []
-    for sh in shares:
-        if len(sh.x) != code.alpha:
-            raise StructureViolationError(
-                f"node {sh.index} share has {len(sh.x)} symbols, expected alpha={code.alpha}"
-            )
-        # x(i) = e^((i-1)*lam) * [1,e,..,e^(lam-1)] @ M_i; strip the prefix power.
-        e = field.point(sh.index)
-        step = pow(e, -lam, p)
-        row, scale = [], 1
-        for off in range(0, code.alpha, lam):
-            row.extend(v * scale % p for v in sh.x[off : off + lam])
-            scale = scale * step % p
-        segs.append((e, row))
-    full = pm_reconstruct_component(segs, field, lam, code.kappa).data
-    return tuple(
-        Mat(field, [row[off : off + lam] for row in full], cols=lam)
-        for off in range(0, code.alpha, lam)
-    )
+def _stripped(share: NodeShare, lam: int, field: Field) -> list[int]:
+    """x(1) | ... | x(z) with each x(i) = e^((i-1)*lam) * [1,e,..,e^(lam-1)] @ M_i
+    stripped of its prefix power; a share of any length is stripped alike."""
+    p = field.p
+    step = pow(field.point(share.index), -lam, p)
+    out, scale = [], 1
+    for off in range(0, len(share.x), lam):
+        out.extend(v * scale % p for v in share.x[off : off + lam])
+        scale = scale * step % p
+    return out
 
 
 def reconstruct_estimate(
     shares: Sequence[NodeShare], code: Derived, field: Field
 ) -> tuple[int, ...]:
     """Message estimate from exactly k-2b shares; corrupted inputs may raise
-    StructureViolationError (treated by the test-group layer as non-matching)."""
+    StructureViolationError (a share whose length is not alpha always does)."""
     if len(shares) != code.kappa:
         raise StructureViolationError(
             f"estimate needs k-2b={code.kappa} shares, got {len(shares)}"
         )
-    blocks = _estimate_blocks(shares, code, field)
-    return extract_message(DataMatrix(blocks=blocks, lam=code.lam, kappa=code.kappa))
+    for sh in shares:
+        if len(sh.x) != code.alpha:
+            raise StructureViolationError(
+                f"node {sh.index} share has {len(sh.x)} symbols, expected alpha={code.alpha}"
+            )
+    lam = code.lam
+    segs = [(field.point(sh.index), _stripped(sh, lam, field)) for sh in shares]
+    full = pm_reconstruct_component(segs, field, lam, code.kappa).data
+    blocks = tuple(
+        Mat(field, [row[off : off + lam] for row in full], cols=lam)
+        for off in range(0, code.alpha, lam)
+    )
+    return extract_message(DataMatrix(blocks=blocks, lam=lam, kappa=code.kappa))
+
+
+@lru_cache(maxsize=4096)
+def _node_block(code: Derived, field: Field, h: int) -> tuple[tuple[int, ...], ...]:
+    """Node h's f_block x lam block: row r is block 1 of h's share under the
+    r-th unit message, whose prefix power is 1."""
+    psi = coeff_segment(field, h, 1, code.lam)
+    return tuple(
+        build_data_matrix([int(t == r) for t in range(code.f_mbr)], code, field)
+        .blocks[0].left_mul(psi)
+        for r in range(code.f_mbr // code.z)
+    )
+
+
+@lru_cache(maxsize=16384)
+def _group_decoder(code: Derived, field: Field, group: tuple[int, ...]):
+    """repair1.group_decoder() over the group's node blocks."""
+    return group_decoder([_node_block(code, field, h) for h in group], code.b, field)
 
 
 def testgroup_reconstruct(
@@ -183,9 +153,8 @@ def testgroup_reconstruct(
 ) -> tuple[int, ...]:
     """Decode the message from k accessed nodes, at most b of them corrupted.
 
-    Test-groups are scanned in lexicographic node-index order; within a
-    group, every size-(k-2b) subset yields an estimate of the full message
-    matrix and estimates are compared entry-exact.
+    Test-groups of k-b nodes are scanned in lexicographic node-index order
+    by repair1.testgroup_scan, over the z lam-symbol chunks of each share.
     """
     if len(access) != code.k:
         raise StructureViolationError(f"access set must have k={code.k} nodes")
@@ -194,18 +163,12 @@ def testgroup_reconstruct(
         raise StructureViolationError("access set has duplicate node indices")
     if not all(1 <= i <= code.n for i in by_index):
         raise StructureViolationError("access set references unknown nodes")
-
-    # (blocks, message) per subset: the message is a function of the
-    # blocks, so pairs compare exactly as the blocks do.
-    def estimate(subset: tuple[int, ...]):
-        blocks = _estimate_blocks([by_index[i] for i in subset], code, field)
-        return blocks, extract_message(DataMatrix(blocks=blocks, lam=code.lam, kappa=code.kappa))
-
-    found = first_consistent(sorted(by_index), code.k - code.b, code.kappa, estimate,
-                             StructureViolationError)
+    payloads = {i: _stripped(sh, code.lam, field) for i, sh in by_index.items()}
+    found = testgroup_scan(payloads, code.k - code.b, code.lam, code.z, field.p,
+                           lambda group: _group_decoder(code, field, group))
     if found is None:
         raise NoConsistentGroupError(
             f"no consistent test-group among {code.k} accessed nodes; "
             f"more than b={code.b} nodes must be corrupted"
         )
-    return found[1]
+    return found

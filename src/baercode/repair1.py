@@ -19,8 +19,9 @@ cached per group: a left inverse T returns x_f and a null-space basis N
 gives the syndrome N @ rho_G that must vanish.
 A group with a singular Theta_H is skipped, as the paper's scan skips it.
 A repair vector of the wrong length is a lie: every group holding it is
-skipped.  group_decoder and testgroup_scan hold that decoder for any scheme
-whose honest payloads are x_f @ B_h; scheme 2 (repair2) runs them too.
+skipped.  group_decoder and testgroup_scan hold that decoder for any payload
+that is honestly linear in the unknown; scheme 2 (repair2, through
+repair_scan) and reconstruction (reconstruct) run them too.
 
 Theta_H is provably invertible only over impractically large alphabets, so
 a configuration is instead certified empirically, by rank alone (no
@@ -85,7 +86,8 @@ class OmegaConfig:
                 self._theta_inv[key] = None
         return self._theta_inv[key]
 
-    def group_decoder(self, group: tuple[int, ...], d: int) -> tuple[Sequence[int], ...] | None:
+    def group_decoder(self, group: tuple[int, ...],
+                      d: int) -> tuple[tuple[Sequence[int], ...], ...] | None:
         """group_decoder() of Theta_G for a sorted test-group, cached per (d, G)."""
         key = (d, group)
         if key not in self._group_dec:
@@ -186,69 +188,92 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
 
 
 def group_decoder(blocks: Sequence[Sequence[Sequence[int]]], b: int,
-                  fld: Field) -> tuple[Sequence[int], ...] | None:
-    """Rows of E = [T; N] for one test-group G, or None if G is unusable.
+                  fld: Field) -> tuple[tuple[Sequence[int], ...], ...] | None:
+    """Rows of (T, N) for one test-group G, or None if G is unusable.
 
-    `blocks` holds one alpha x w block per helper of G, in group order; an
-    honest helper sends x_f @ block, and side by side they form Theta_G.
-    E @ Theta_G^T = [I; 0]: T (alpha rows) is a left inverse of Theta_G^T,
-    N (b*w rows) spans its left null space.  By matroid duality, G minus b
-    helpers stacks to an invertible matrix exactly when N's b*w columns of
-    those helpers do, so G is usable when Theta_G has rank alpha and every
-    such minor of N has full rank.  Rows are arrays of the smallest item
-    type that holds p-1.
+    `blocks` holds one u x w block per member of G, in group order; an
+    honest member sends r @ block for the group's unknown row r of length u,
+    and side by side the blocks form Theta_G.  With E = [T; N],
+    E @ Theta_G^T = [I; 0]: T (u rows) is a left inverse of Theta_G^T, N
+    spans its left null space.  By matroid duality, G minus b members stacks
+    to a matrix of rank u exactly when N's b*w columns of those members are
+    independent, so G is usable when Theta_G has rank u and every such minor
+    of N has full rank.  Rows are arrays of the smallest item type that
+    holds p-1.
     """
-    alpha, w = len(blocks[0]), len(blocks[0][0])
+    u, w = len(blocks[0]), len(blocks[0][0])
     try:
         rows = Mat(fld, [col for blk in blocks for col in zip(*blk)]).echelon_transform().data
     except SingularMatrixError:
         return None
-    null, bw = rows[alpha:], b * w
+    null, bw = rows[u:], b * w
     for out in combinations(range(len(blocks)), b):
         minor = [[row[t * w + j] for t in out for j in range(w)] for row in null]
         if Mat(fld, minor, cols=bw).rank() < bw:
             return None
     typecode = next((c for c in "BHIQ" if fld.p - 1 < 1 << 8 * array(c).itemsize), None)
-    return tuple(array(typecode, row) if typecode else tuple(row) for row in rows)
+    rows = [array(typecode, row) if typecode else tuple(row) for row in rows]
+    return tuple(rows[:u]), tuple(rows[u:])
 
 
-def testgroup_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: int,
-                   code: Derived, p: int, decoder) -> tuple[int, ...]:
-    """Recover x_f from d helpers' flat payloads, at most b of them lying.
+def testgroup_scan(payloads: Mapping[int, Sequence[int]], size: int, width: int,
+                   chunks: int, p: int, decoder) -> tuple[int, ...] | None:
+    """Decode the first consistent test-group of flat payloads, or None.
 
-    An honest payload is `width` symbols long.  Test-groups of size d-b are
+    An honest payload is `chunks` runs of `width` symbols, run i being
+    r_i @ B_h for the member's block B_h.  Test-groups of `size` members are
     scanned lexicographically; `decoder(group)` returns the group's
-    group_decoder() rows or None, and the first usable group whose stacked
-    payload rho_G has a zero syndrome N @ rho_G wins, with x_f = T @ rho_G.
-    This is the group the paper's per-subset scan accepts, and the same x_f.
-    A payload of any other length is a lie: no group holding it is tried.
+    group_decoder() rows or None.  The first usable group whose stacked runs
+    rho_i all have a zero syndrome N @ rho_i wins, and T @ rho_1 | ... |
+    T @ rho_chunks is returned.  This is the group the paper's per-subset
+    scan accepts, with the same result.  A payload of any other length is a
+    lie: no group holding it is tried.
     """
+    length = width * chunks
+    sound = {h for h, x in payloads.items() if len(x) == length}
+    for group in combinations(sorted(payloads), size):
+        if not sound.issuperset(group):
+            continue
+        rows = decoder(group)
+        if rows is None:
+            continue
+        t, null = rows
+        out = []
+        for off in range(0, length, width):
+            rho = [v for h in group for v in payloads[h][off : off + width]]
+            if any(sum(map(mul, row, rho)) % p for row in null):
+                break
+            out.extend(sum(map(mul, row, rho)) % p for row in t)
+        else:
+            return tuple(out)
+    return None
+
+
+def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: int,
+                code: Derived, p: int, decoder) -> tuple[int, ...]:
+    """Recover x_f from d helpers' `width`-symbol payloads, at most b of them
+    lying, by testgroup_scan over test-groups of d-b helpers."""
     helpers = sorted(payloads)
     if len(helpers) != d:
         raise BaerCodeError(f"need symbols from exactly d={d} helpers, got {len(helpers)}")
     for h in helpers:
         if h == f or not 1 <= h <= code.n:
             raise BaerCodeError(f"invalid helper {h} for failed node {f}")
-    sound, alpha = {h for h in helpers if len(payloads[h]) == width}, code.alpha
-    for group in combinations(helpers, d - code.b):
-        if not sound.issuperset(group):
-            continue
-        rows = decoder(group)
-        if rows is None:
-            continue
-        rho = [v for h in group for v in payloads[h]]
-        if all(sum(map(mul, row, rho)) % p == 0 for row in rows[alpha:]):
-            return tuple(sum(map(mul, row, rho)) % p for row in rows[:alpha])
-    raise NoConsistentGroupError(
-        f"no consistent test-group repairing node {f} from {d} helpers"
-    )
+    if not 1 <= f <= code.n:
+        raise BaerCodeError(f"invalid failed node {f}")
+    x = testgroup_scan(payloads, d - code.b, width, 1, p, decoder)
+    if x is None:
+        raise NoConsistentGroupError(
+            f"no consistent test-group repairing node {f} from {d} helpers"
+        )
+    return x
 
 
 def testgroup_repair(symbols: Mapping[int, Sequence[int]], f: int, d: int,
                      cfg: OmegaConfig) -> tuple[int, ...]:
-    """Recover x_f from d helpers' z_d-symbol repair vectors (testgroup_scan)."""
-    return testgroup_scan(symbols, f, d, cfg.code.z_of(d), cfg.code, cfg.field.p,
-                          lambda group: cfg.group_decoder(group, d))
+    """Recover x_f from d helpers' z_d-symbol repair vectors (repair_scan)."""
+    return repair_scan(symbols, f, d, cfg.code.z_of(d), cfg.code, cfg.field.p,
+                       lambda group: cfg.group_decoder(group, d))
 
 
 @dataclass(frozen=True)

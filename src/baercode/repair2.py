@@ -17,7 +17,7 @@ and is shared verbatim by helpers and decoder.
 
 An honest stream is linear in the lost share, x_f @ B_h (_stream_block),
 so testgroup_repair2 runs scheme 1's stacked test-group decoder
-(repair1.testgroup_scan) on the flattened streams, defeating up to b lying
+(repair1.repair_scan) on the flattened streams, defeating up to b lying
 helpers; a stream with a dropped, extra, short or long round is a lie.  It
 accepts the group and share that the per-subset scan of RepairSession
 estimates accepts; the tests keep that scan as the reference.
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .galois import Field, Mat, primes_from
 from .params import ScheduleII, schedule_scheme2
-from .repair1 import group_decoder, testgroup_scan
+from .repair1 import group_decoder, repair_scan
 
 REPAIR2_MAGIC = "BAERR2"
 
@@ -388,12 +388,12 @@ def _group_decoder2(plan: ScheduleII, fld: Field, f: int, group: tuple[int, ...]
 def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,
                       plan: ScheduleII, fld: Field) -> tuple[int, ...]:
     """Recover x_f from d helpers' round streams, at most b of them lying, by
-    repair1.testgroup_scan; a stream whose round lengths differ from the plan is a lie."""
+    repair1.repair_scan; a stream whose round lengths differ from the plan is a lie."""
     rounds = [it.n_groups for it in plan.iterations]
     flat = {h: [v for rnd in st for v in rnd] if list(map(len, st)) == rounds else ()
             for h, st in streams.items()}
-    return testgroup_scan(flat, f, plan.d, plan.symbols_per_helper, plan.code, fld.p,
-                          lambda group: _group_decoder2(plan, fld, f, group))
+    return repair_scan(flat, f, plan.d, plan.symbols_per_helper, plan.code, fld.p,
+                       lambda group: _group_decoder2(plan, fld, f, group))
 
 
 @dataclass(frozen=True)

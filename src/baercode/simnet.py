@@ -148,10 +148,8 @@ class Cluster:
         return encode_node(self._dm, node, self.code, self.field)
 
     def _choose_helpers(self, f: int, d: int, policy: str, rng: random.Random) -> list[int]:
-        candidates = [n for n in self.live_nodes() if n != f]
-        if policy.startswith("exclude:"):
-            banned = {int(x) for x in policy.split(":", 1)[1].split(",") if x}
-            candidates = [n for n in candidates if n not in banned]
+        banned = _banned(policy)
+        candidates = [n for n in self.live_nodes() if n != f and n not in banned]
         if len(candidates) < d:
             raise NotEnoughHelpersError(
                 f"{len(candidates)} candidate helpers for d={d} repair of node {f}"
@@ -260,31 +258,42 @@ def parse_scenario(text: str) -> list[Event]:
                 events.append(Event(kind="fail", node=int(toks[1])))
             elif kind == "repair":
                 opts = _opts(toks[2:])
+                policy = opts.get("helpers", "lowest")
+                _banned(policy)             # an unknown policy or bad list fails here
                 events.append(Event(
-                    kind="repair", node=int(toks[1]), d=int(opts["d"]),
-                    helper_policy=opts.get("helpers", "lowest"),
+                    kind="repair", node=int(toks[1]), d=int(opts["d"]), helper_policy=policy,
                 ))
             elif kind == "reconstruct":
-                events.append(Event(
-                    kind="reconstruct",
-                    nodes=tuple(int(x) for x in toks[1].split(",")),
-                ))
+                events.append(Event(kind="reconstruct", nodes=parse_int_list(toks[1])))
             elif kind == "corrupt":
                 strategy = {"random": adv.RANDOM, "liar": adv.LIAR,
                             "consistent_liar": adv.LIAR, "honest": adv.HONEST}[toks[1]]
                 opts = _opts(toks[2:])
-                nodes = tuple(
-                    int(x) for x in opts.get("nodes", "").split(",") if x
-                )
                 events.append(Event(
-                    kind="corrupt", strategy=strategy, nodes=nodes,
+                    kind="corrupt", strategy=strategy, nodes=parse_int_list(opts.get("nodes", "")),
                     seed=int(opts.get("seed", 0)),
                 ))
             else:
                 raise KeyError(kind)
-        except (KeyError, ValueError, IndexError) as exc:
+        except (KeyError, ValueError, IndexError, BaerCodeError) as exc:
             raise BaerCodeError(f"scenario line {lineno}: cannot parse {raw!r} ({exc})") from exc
     return events
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """The integers of a comma list such as "1,2,5"; empty items are skipped."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise BaerCodeError(f"not a comma list of integers: {text!r}") from None
+
+
+def _banned(policy: str) -> set[int]:
+    """Nodes a helper policy (lowest | random | exclude:<list>) leaves out."""
+    kind, colon, rest = policy.partition(":")
+    if (kind, colon) not in (("lowest", ""), ("random", ""), ("exclude", ":")):
+        raise BaerCodeError(f"unknown helper policy {policy!r}")
+    return set(parse_int_list(rest))
 
 
 def _opts(tokens: Sequence[str]) -> dict[str, str]:

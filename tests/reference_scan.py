@@ -1,0 +1,80 @@
+"""The paper's per-subset test-group scan, the tests' reference decoder.
+
+The library decides every test-group with one stacked linear system
+(repair1.group_decoder and testgroup_scan).  The scan below decides it as
+the paper states the rule: estimate from every size-`subset_size` subset of
+a group and accept the first group whose estimates all agree.  The tests run
+it over reconstruct_estimate and over scheme-2 RepairSession estimates as
+the oracle for the stacked decoder; scheme 1's reference scan, over Theta
+inverses, shares its MALFORMED sentinel.
+"""
+
+from itertools import combinations
+
+from baercode.errors import NoConsistentGroupError, StructureViolationError
+from baercode.reconstruct import reconstruct_estimate
+
+
+class _Malformed:
+    """Sentinel for estimates from corrupted inputs; unequal to everything."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    def __hash__(self):
+        return id(self)
+
+    def __repr__(self):
+        return "MALFORMED"
+
+
+MALFORMED = _Malformed()
+
+
+def first_consistent(keys, group_size, subset_size, estimate, failures):
+    """Common estimate of the first consistent test-group, or None.
+
+    Groups are the size-`group_size` combinations of the sorted `keys`, in
+    lexicographic order.  Every size-`subset_size` subset of a group is
+    estimated at most once, by `estimate(subset)`; an estimate that raises
+    one of `failures` counts as MALFORMED, which equals nothing.  A group is
+    accepted when all of its estimates are equal, and left at its first
+    estimate that is MALFORMED or differs from the first.
+    """
+    cache = {}
+
+    def est(subset):
+        if subset not in cache:
+            try:
+                cache[subset] = estimate(subset)
+            except failures:
+                cache[subset] = MALFORMED
+        return cache[subset]
+
+    for group in combinations(keys, group_size):
+        subsets = combinations(group, subset_size)
+        first = est(next(subsets))
+        if first is not MALFORMED and all(est(sub) == first for sub in subsets):
+            return first
+    return None
+
+
+def reference_reconstruct(access, code, field):
+    """The oracle for testgroup_reconstruct on an access set of k distinct
+    nodes: one reconstruct_estimate per size-(k-2b) subset of each group of
+    k-b nodes; a share whose length is not alpha fails its estimates."""
+    by_index = {s.index: s for s in access}
+    found = first_consistent(
+        sorted(by_index), code.k - code.b, code.kappa,
+        lambda subset: reconstruct_estimate([by_index[i] for i in subset], code, field),
+        StructureViolationError,
+    )
+    if found is None:
+        raise NoConsistentGroupError(
+            f"no consistent test-group among {code.k} accessed nodes; "
+            f"more than b={code.b} nodes must be corrupted"
+        )
+    return found

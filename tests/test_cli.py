@@ -268,3 +268,44 @@ def test_repair_absorbs_a_short_share_file(tmp_path, scheme, ex3_code, ex3_searc
     shorten(helpers[2])
     assert run("repair", "--params", params, "--scheme", scheme, "--failed", 1,
                "--d", 4, "--out", repaired, *helpers) == 3
+
+
+# -- caller errors exit 2 ------------------------------------------------------
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("reconstruct", "--controlled", "1,a"),
+    ("reconstruct", "--nodes", "1,x,3"),
+    ("repair", "--helpers", "2,a,3,4"),
+    ("repair", "--controlled", "1,a"),
+])
+def test_bad_comma_list_exits_2(capsys, workspace, cmd, flag, value):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    extra = ("--failed", 1, "--d", 4) if cmd == "repair" else ()
+    capsys.readouterr()
+    assert run(cmd, "--params", params, *extra, flag, value, *sorted(shares.iterdir())) == 2
+    assert capsys.readouterr().err == f"error: not a comma list of integers: {value!r}\n"
+
+
+def test_bad_scenario_list_exits_2(capsys, workspace):
+    tmp, params, _ = workspace
+    scen = tmp / "bad.scn"
+    scen.write_text("fail 1\nrepair 1 d=4 helpers=exclude:a\n")
+    assert run("simulate", "--params", params, "--scenario", scen) == 2
+    assert capsys.readouterr().err.startswith("error: scenario line 2: cannot parse ")
+
+
+@pytest.mark.parametrize("failed", [99, 0, -1])
+@pytest.mark.parametrize("scheme", ["1", "2"])
+def test_repair_rejects_a_failed_node_outside_the_cluster(capsys, tmp_path, scheme, failed,
+                                                          ex3_code, ex3_search,
+                                                          a12_code, a12_field2):
+    code, p = (ex3_code, ex3_search.field.p) if scheme == "1" else (a12_code, a12_field2.p)
+    params, _, shares = encoded_dir(tmp_path, code, p, scheme)
+    out = tmp_path / "rebuilt"
+    capsys.readouterr()
+    assert run("repair", "--params", params, "--scheme", scheme, "--failed", failed,
+               "--d", 4, "--out", out, *sorted(shares.iterdir())) == 2
+    assert capsys.readouterr().err == f"error: invalid failed node {failed}\n"
+    assert not out.exists()

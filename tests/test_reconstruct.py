@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baercode import adversary as adv
 from baercode import reconstruct
 from baercode.encoder import NodeShare, build_data_matrix, encode_all
 from baercode.errors import (
@@ -14,11 +15,12 @@ from baercode.errors import (
 from baercode.galois import Field, Mat
 from baercode.params import CodeParams, validate
 from baercode.reconstruct import (
-    MALFORMED,
     pm_reconstruct_component,
     reconstruct_estimate,
     testgroup_reconstruct as tg_reconstruct,
 )
+
+from reference_scan import MALFORMED, first_consistent, reference_reconstruct
 
 F17 = Field(17)
 
@@ -174,15 +176,19 @@ def test_wrong_length_share_fails_its_estimates():
         reconstruct_estimate([resize(access[0], 21), access[1]], MID, F23)
 
 
-def test_each_estimate_is_structure_checked_once(monkeypatch):
-    # An honest decode accepts the first group: C(k-b, kappa) = 3 estimates at
-    # mid, and the accepted message is the one checked with its estimate.
+def test_honest_decode_builds_one_group_decoder(monkeypatch):
+    # An honest decode accepts the first group from its one stacked decoder,
+    # built from k-b node blocks, with no per-subset estimate.
     calls = []
-    check = reconstruct.extract_message
-    monkeypatch.setattr(reconstruct, "extract_message", lambda dm: calls.append(dm) or check(dm))
+    monkeypatch.setattr(reconstruct, "pm_reconstruct_component", lambda *a: calls.append(a))
+    monkeypatch.setattr(reconstruct, "extract_message", lambda dm: calls.append(dm))
+    reconstruct._group_decoder.cache_clear()
+    reconstruct._node_block.cache_clear()
     msg, access = mid_access(7)
     assert tg_reconstruct(access, MID, F23) == msg
-    assert len(calls) == 3
+    assert reconstruct._group_decoder.cache_info().misses == 1
+    assert reconstruct._node_block.cache_info().misses == MID.k - MID.b
+    assert calls == []
 
 
 @pytest.mark.parametrize("liar, calls", [
@@ -203,8 +209,7 @@ def test_first_consistent_leaves_a_group_at_its_first_bad_estimate(liar, calls):
             raise StructureViolationError("lie")
         return ("lie", subset)
 
-    found = reconstruct.first_consistent([1, 2, 3, 4, 5], 4, 3, estimate,
-                                         StructureViolationError)
+    found = first_consistent([1, 2, 3, 4, 5], 4, 3, estimate, StructureViolationError)
     assert found == "x" and made == calls
 
 
@@ -270,3 +275,65 @@ def test_component_equals_per_block_reference(data):
     want = [[v for blk in blocks for v in blk.data[r]] for r in range(lam)]
     assert got.shape == (lam, z * lam)
     assert got.tolist() == want
+
+
+# -- the stacked group decoder against the per-subset scan --------------------
+
+S2 = validate(CodeParams(n=10, k=4, d_set=(7, 8), b=1, alpha=60))
+CODES = {
+    "ex3": (validate(CodeParams(n=6, k=3, d_set=(4, 5), b=1, alpha=6)), F17, 40),
+    "ex1": (validate(CodeParams(n=5, k=2, d_set=(3, 4), b=0, alpha=12)), Field(11), 40),
+    "mid": (MID, F23, 30),
+    "s2": (S2, Field(19), 20),
+}
+
+
+def outcome(decode, *args):
+    try:
+        return decode(*args)
+    except NoConsistentGroupError:
+        return NoConsistentGroupError
+
+
+def reshaped(share, kind, p):
+    """The share one symbol short, one long, or with its last symbol changed."""
+    x = {"short": share.x[:-1], "long": share.x + (share.x[0],),
+         "last": share.x[:-1] + ((share.x[-1] + 1) % p,)}[kind]
+    return NodeShare(index=share.index, e=share.e, x=x)
+
+
+@pytest.mark.parametrize("where", CODES)
+def test_stacked_decoder_matches_the_reference_scan(where):
+    code, fld, trials = CODES[where]
+    rng = random.Random(where)
+    seen = set()
+    for t in range(trials):
+        msg = tuple(rng.randrange(fld.p) for _ in range(code.f_mbr))
+        shares = {s.index: s for s in encode_all(build_data_matrix(msg, code, fld), code, fld)}
+        access = rng.sample(range(1, code.n + 1), code.k)
+        views = []
+        for liars in (0, code.b, code.b + 1):
+            bad = tuple(rng.sample(access, liars))
+            for strategy in (adv.HONEST, adv.RANDOM, adv.LIAR):
+                policy = adv.AdversaryPolicy(controlled=bad, strategy=strategy, seed=t)
+                views.append([adv.corrupt_access(policy, h, shares[h], code, fld)
+                              for h in access])
+            for kind in ("short", "long", "last"):
+                views.append([reshaped(shares[h], kind, fld.p) if h in bad else shares[h]
+                              for h in access])
+        for view in views:
+            got = outcome(tg_reconstruct, view, code, fld)
+            assert got == outcome(reference_reconstruct, view, code, fld)
+            seen.add("message" if got == msg else got)
+    assert seen >= {"message", NoConsistentGroupError}
+
+
+@pytest.mark.parametrize("where", CODES)
+def test_every_group_decoder_is_usable_and_over_the_field(where):
+    code, fld, _ = CODES[where]
+    f_block = code.f_mbr // code.z
+    for group in combinations(range(1, code.n + 1), code.k - code.b):
+        t, null = reconstruct._group_decoder(code, fld, group)
+        assert len(t) == f_block
+        assert len(null) == len(group) * code.lam - f_block
+        assert all(0 <= v < fld.p for row in t + null for v in row)

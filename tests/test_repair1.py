@@ -12,7 +12,6 @@ from baercode.errors import (
 )
 from baercode.galois import Field, Mat
 from baercode.params import CodeParams, validate
-from baercode.reconstruct import MALFORMED
 from baercode.repair1 import (
     find_field,
     format_repair_record,
@@ -23,6 +22,8 @@ from baercode.repair1 import (
     testgroup_repair as tg_repair,
     verify_theta_all,
 )
+
+from reference_scan import MALFORMED
 
 
 def encoded_cluster(code, fld, seed):
@@ -351,8 +352,9 @@ def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_search):
     for d in code.d_set:
         z_d = code.z_of(d)
         for group in combinations(range(1, code.n + 1), d - code.b):
-            rows = cfg.group_decoder(group, d)
-            m = len(group) * z_d
+            t, null = cfg.group_decoder(group, d)
+            rows, m = t + null, len(group) * z_d
+            assert len(t) == code.alpha
             assert len(rows) == m and all(len(r) == m for r in rows)
             assert all(0 <= v < cfg.field.p for r in rows for v in r)
             stacked = Mat(cfg.field, rows, cols=m) @ theta(group, d, cfg).transpose()

@@ -16,7 +16,6 @@ from baercode.errors import (
 )
 from baercode.galois import Field, Mat, is_prime
 from baercode.params import CodeParams, schedule_scheme2, validate
-from baercode.reconstruct import first_consistent
 from baercode.repair2 import (
     ACTIVE,
     INACTIVE,
@@ -38,6 +37,8 @@ from baercode.repair2 import (
     testgroup_repair2 as tg_repair2,
     verify_systems_all,
 )
+
+from reference_scan import first_consistent
 
 F7 = Field(7)
 
@@ -584,8 +585,8 @@ def test_decode_with_symbols_above_16_bits(a12_code, p):
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in helpers}
     streams[1] = tuple(tuple(rng.randrange(p) for _ in r) for r in streams[1])
     assert tg_repair2(streams, f, plan, fld) == shares[f].x
-    rows = _group_decoder2(plan, fld, f, (2, 3, 4, 5))
-    assert rows[0].itemsize * 8 >= (p - 1).bit_length()
+    t, null = _group_decoder2(plan, fld, f, (2, 3, 4, 5))
+    assert t[0].itemsize * 8 >= (p - 1).bit_length()
 
 
 # -- wire records ------------------------------------------------------------

@@ -125,6 +125,25 @@ def test_scenario_parse_rejects_garbage():
         parse_scenario("repair 1\n")      # missing d=
 
 
+@pytest.mark.parametrize("line", [
+    "repair 1 d=4 helpers=exclude:a",
+    "repair 1 d=4 helpers=bogus",
+    "repair 1 d=4 helpers=Random",
+    "reconstruct 1,x,3",
+    "corrupt random nodes=1,a",
+])
+def test_scenario_parse_rejects_bad_lists_and_policies(line):
+    with pytest.raises(BaerCodeError, match=r"^scenario line 2: cannot parse "):
+        parse_scenario(f"fail 1\n{line}\n")
+
+
+def test_unknown_helper_policy_is_refused_at_run_time(ex3_code, ex3_search):
+    cluster = make_cluster(ex3_code, ex3_search.field, "1")
+    cluster.run_event(Event(kind="fail", node=6))
+    with pytest.raises(BaerCodeError, match="unknown helper policy 'bogus'"):
+        cluster.run_event(Event(kind="repair", node=6, d=4, helper_policy="bogus"))
+
+
 def test_long_random_scenario(ex3_code, ex3_search):
     # interleave corruption, failures, repairs and reconstructions
     rng = random.Random(99)
