@@ -48,12 +48,9 @@ def main():
     policy = AdversaryPolicy(controlled=(3,), strategy=RANDOM, seed=13)
     syms = {}
     for h in helpers:
-        vec = repair1.helper_repair_symbols(shares[h], f, d, cfg)
-        syms[h] = corrupt_repair_symbols(
-            policy, h, vec, fld,
-            recompute=lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg),
-            code=code,
-        )
+        stored = policy.effective_share(shares[h], code, fld)
+        vec = repair1.helper_repair_symbols(stored, f, d, cfg)
+        syms[h] = corrupt_repair_symbols(policy, h, vec, fld)
     print(f"   helper 3 actually sent {list(syms[3])}")
     got = repair1.testgroup_repair(syms, f, d, cfg)
     print(f"   test-group decoding still rebuilt exactly: {got == shares[f].x}")

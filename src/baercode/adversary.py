@@ -10,6 +10,11 @@ A policy fixes the controlled node set and a strategy:
                   data* -- protocol-conformant collusion, the hardest case
                   for consistency checks.
 
+Stored lies come from effective_share: whatever a node computes from its
+share, a repair payload included, is computed from that lie.  Only a
+`random` node lies again in transit (corrupt_repair_symbols); a consistent
+liar's payload is already the honest output for its fake share.
+
 |controlled| <= b is the honest configuration; deliberately larger sets are
 permitted so negative tests can step outside the model.  Strategies are
 deterministic given the seed.
@@ -18,7 +23,7 @@ deterministic given the seed.
 from __future__ import annotations
 
 import random
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .encoder import NodeShare, build_data_matrix, encode_node
 from .errors import BaerCodeError
@@ -96,28 +101,15 @@ def corrupt_access(
     return policy.effective_share(share, code, fld)
 
 
-def corrupt_repair_symbols(
-    policy: AdversaryPolicy,
-    node: int,
-    symbols: Sequence[int],
-    fld: Field,
-    recompute: Callable[[NodeShare], Sequence[int]] | None = None,
-    code: Derived | None = None,
-):
-    """Repair symbols as emitted by this helper.
+def corrupt_repair_symbols(policy: AdversaryPolicy, node: int, symbols: Sequence[int], fld: Field):
+    """Repair symbols as emitted by this helper, computed from its effective share.
 
-    For `random` the vector is replaced with uniforms of the same length;
-    a consistent liar re-runs the honest encoding on its fake share, which
-    requires the caller-provided `recompute` hook (share -> symbols).
+    A `random` helper replaces them with uniforms of the same shape; every
+    other helper sends them unchanged.
     """
-    if not policy.controls(node):
-        return symbols
-    if policy.strategy == RANDOM:
-        rng = policy._node_rng(node, salt=1)
-        return _replace_uniform(symbols, rng, fld)
-    if recompute is None or code is None:
-        raise BaerCodeError("consistent_liar needs recompute(share) and code context")
-    return recompute(policy.fake_shares(code, fld)[node])
+    if policy.controls(node) and policy.strategy == RANDOM:
+        return _replace_uniform(symbols, policy._node_rng(node, salt=1), fld)
+    return symbols
 
 
 def _replace_uniform(symbols, rng: random.Random, fld: Field):

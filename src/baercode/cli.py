@@ -105,6 +105,9 @@ def cmd_find_field(args) -> int:
         fld, report, rejected = repair2.find_field_scheme2(code, start=args.start)
         print(report.summary())
     elif args.scheme == "concat":
+        if code.b != 0:
+            print("concat scheme requires b = 0")
+            return EXIT_UNCERTIFIED
         # only needs n distinct nonzero points: first prime >= n+1
         p = next(primes_from(max(args.start or 0, code.n + 1)))
         fld, rejected = Field(p), ()

@@ -94,28 +94,6 @@ class Field:
                 return cand
         raise NoPrimitiveElementError(f"no generator mod {p}")  # unreachable for prime p
 
-    # -- scalar ops --------------------------------------------------
-
-    def elem(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroToNegativePowerError("zero has no multiplicative inverse")
-        return pow(a, -1, self.p)
-
     def pow(self, e: int, k: int) -> int:
         """e**k with negative k meaning powers of the inverse; pow(e, 0) == 1."""
         e %= self.p
@@ -165,10 +143,6 @@ class Mat:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, [[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -199,12 +173,6 @@ class Mat:
     def __getitem__(self, rc: tuple[int, int]) -> int:
         r, c = rc
         return self.data[r][c]
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return tuple(self.data[r])
-
-    def col(self, c: int) -> tuple[int, ...]:
-        return tuple(row[c] for row in self.data)
 
     def tolist(self) -> list[list[int]]:
         return [list(r) for r in self.data]
@@ -334,7 +302,3 @@ class Mat:
     def solve_right(self, y: Sequence[int]) -> tuple[int, ...]:
         """Solve x @ self == y for the row vector x (self square, non-singular)."""
         return self.inv().left_mul(y)
-
-
-def vandermonde(field: Field, points: Sequence[int], cols: int) -> Mat:
-    return Mat.vandermonde(field, points, cols)

@@ -92,10 +92,6 @@ class Derived:
                 return v
         raise DNotInDError(f"d={d} not in D={self.d_set}")
 
-    def z_of(self, d: int) -> int:
-        """Repair-vector length alpha/(d-2b) for helper count d (equals beta_of)."""
-        return self.beta_of(d)
-
 
 def _check_int(name: str, v, minimum: int) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
@@ -215,12 +211,7 @@ class ScheduleII:
     d: int
     xi: int                # segment length floor((d-2b)/lam)*lam
     zeta: int              # alpha / xi: number of segments
-    c: int                 # xi / lam: component blocks per segment
     iterations: tuple[IterationPlan, ...]
-
-    @property
-    def single_iteration(self) -> bool:
-        return len(self.iterations) == 1 and self.iterations[0].sigma == 0
 
     @property
     def symbols_per_helper(self) -> int:
@@ -273,7 +264,7 @@ def schedule_scheme2(code: Derived, d: int) -> ScheduleII:
         tau -= sigma
         j += 1
     plan = ScheduleII(
-        code=code, d=d, xi=xi, zeta=zeta, c=xi // code.lam, iterations=tuple(iterations)
+        code=code, d=d, xi=xi, zeta=zeta, iterations=tuple(iterations)
     )
     # Bandwidth identities: one symbol per group per helper, and every
     # iteration pins down exactly (d-2b) entries per group.

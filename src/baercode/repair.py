@@ -3,7 +3,7 @@
 transmit() reads each helper's share as the adversary policy serves it,
 computes what the helper sends (a scheme-1 vector, a scheme-2 round stream,
 or for concat the share whose component scalars the decoder takes; nothing
-from a share that is not alpha long), lets a controlled helper corrupt it,
+from a share that is not alpha long), lets a `random` helper replace it,
 and counts the symbols moved.  decode() turns those payloads into the
 repaired share, or raises NoConsistentGroupError once the symbols have
 moved.  Scheme 1 uses the caller's OmegaConfig, so its caches live as long
@@ -37,8 +37,7 @@ def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
         send = lambda sh: repair2.helper_stream(sh, plan, f, fld)
         size = lambda stream: sum(map(len, stream))
     sent = {
-        h: adv.corrupt_repair_symbols(policy, h, send(sh) if len(sh.x) == code.alpha else (),
-                                      fld, recompute=send, code=code)
+        h: adv.corrupt_repair_symbols(policy, h, send(sh) if len(sh.x) == code.alpha else (), fld)
         for h, sh in stored.items()
     }
     return sent, sum(map(size, sent.values()))

@@ -28,9 +28,9 @@ a configuration is instead certified empirically, by rank alone (no
 inverse is kept).  verify_theta_all checks every (d, H) pair and lists
 every singular one.  find_field searches successive primes p >= n+1: it
 refuses a prime whose Omega truncations lose rank before building any
-Theta, and otherwise stops at the first singular Theta.  Omega is a
-deterministic function of (params, field), so every party derives it
-independently.
+Theta, and otherwise stops at the first singular Theta.  Omega's exponents
+are fixed, i_j = alpha*n*(j-1) + 1, so Omega is a function of (params,
+field) alone and every party derives it independently.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ from .params import Derived, check_field
 REPAIR1_MAGIC = "BAERR1"
 
 
-def default_exponents(code: Derived) -> tuple[int, ...]:
-    """Exponents i_j = alpha*n*(j-1) + 1, spaced exactly alpha*n apart."""
-    step = code.alpha * code.n
-    return tuple(step * (j - 1) + 1 for j in range(1, code.z + 1))
-
-
 @dataclass
 class OmegaConfig:
     """Omega matrix plus cached Theta inverses, Theta column blocks and
@@ -68,8 +62,7 @@ class OmegaConfig:
 
     code: Derived
     field: Field
-    exponents: tuple[int, ...]
-    points: tuple[int, ...]            # g**(i_j mod (p-1))
+    exponents: tuple[int, ...]         # i_j = alpha*n*(j-1) + 1
     omega: Mat                         # z x z
     rank_ok: bool                      # every Omega_{z_d} has full column rank
     _theta_inv: dict = dc_field(default_factory=dict, repr=False)
@@ -104,7 +97,7 @@ class OmegaConfig:
         key = (h, d)
         if key not in self._theta_cols:
             code, p = self.code, self.field.p
-            z_d = code.z_of(d)
+            z_d = code.beta_of(d)
             rows = []
             for i in range(1, code.z + 1):
                 orow = self.omega.data[i - 1][:z_d]
@@ -114,27 +107,20 @@ class OmegaConfig:
         return self._theta_cols[key]
 
 
-def omega_build(code: Derived, fld: Field, exponents: Sequence[int] | None = None,
-                *, check: bool = True) -> OmegaConfig:
+def omega_build(code: Derived, fld: Field, *, check: bool = True) -> OmegaConfig:
     """Build Omega for this configuration.
 
-    Exponents are reduced mod p-1 before exponentiation; with check=True the
+    Row j is the Vandermonde row of g**i_j for the fixed exponents
+    i_j = alpha*n*(j-1) + 1, reduced mod p-1 before exponentiation; gaps of
+    alpha*n keep the dominant determinant term unique.  With check=True the
     truncation for every d in D must have full column rank (small fields make
     the reduced exponents collide, which this catches).
     """
     check_field(code, fld)
-    exps = tuple(exponents) if exponents is not None else default_exponents(code)
-    if len(exps) != code.z:
-        raise BaerCodeError(f"need z={code.z} exponents, got {len(exps)}")
-    # Consecutive gaps of at least alpha*n keep the dominant determinant term
-    # unique; the default spacing sits exactly on that bound.
-    step = code.alpha * code.n
-    if any(exps[i + 1] - exps[i] < step for i in range(len(exps) - 1)):
-        raise BaerCodeError(f"exponent gaps must be >= alpha*n = {step}")
-    points = tuple(pow(fld.g, e % (fld.p - 1), fld.p) for e in exps)
+    exps = tuple(code.alpha * code.n * j + 1 for j in range(code.z))
     p = fld.p
     rows = []
-    for x in points:
+    for x in (pow(fld.g, e % (p - 1), p) for e in exps):
         row, acc = [], 1
         for _ in range(code.z):
             row.append(acc)
@@ -142,14 +128,13 @@ def omega_build(code: Derived, fld: Field, exponents: Sequence[int] | None = Non
         rows.append(row)
     omega = Mat(fld, rows, cols=code.z)
     rank_ok = all(
-        omega_rank_ok(omega, code.z_of(d)) for d in code.d_set
+        omega_rank_ok(omega, code.beta_of(d)) for d in code.d_set
     )
     if check and not rank_ok:
         raise OmegaRankDeficientError(
             f"Omega truncation rank-deficient over GF({p}); pick a larger prime"
         )
-    return OmegaConfig(code=code, field=fld, exponents=exps, points=points,
-                       omega=omega, rank_ok=rank_ok)
+    return OmegaConfig(code=code, field=fld, exponents=exps, omega=omega, rank_ok=rank_ok)
 
 
 def omega_rank_ok(omega: Mat, z_d: int) -> bool:
@@ -161,7 +146,7 @@ def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) ->
     """r(h, f) = x_h @ Phi_f @ Omega_{z_d}: z_d symbols from helper share."""
     code, fld = cfg.code, cfg.field
     p = fld.p
-    z_d = code.z_of(d)
+    z_d = code.beta_of(d)
     # x_h @ Phi_f is the vector of per-block scalars x_h(i) . psi_f(i).
     scalars = []
     for i in range(1, code.z + 1):
@@ -183,7 +168,7 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
     return Mat(
         cfg.field,
         [[v for part in parts for v in part] for parts in zip(*blocks)],
-        cols=len(helpers) * cfg.code.z_of(d),
+        cols=len(helpers) * cfg.code.beta_of(d),
     )
 
 
@@ -272,7 +257,7 @@ def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: in
 def testgroup_repair(symbols: Mapping[int, Sequence[int]], f: int, d: int,
                      cfg: OmegaConfig) -> tuple[int, ...]:
     """Recover x_f from d helpers' z_d-symbol repair vectors (repair_scan)."""
-    return repair_scan(symbols, f, d, cfg.code.z_of(d), cfg.code, cfg.field.p,
+    return repair_scan(symbols, f, d, cfg.code.beta_of(d), cfg.code, cfg.field.p,
                        lambda group: cfg.group_decoder(group, d))
 
 
@@ -316,17 +301,16 @@ def _singular_thetas(code: Derived, cfg: OmegaConfig):
                 yield d, subset
 
 
-def verify_theta_all(code: Derived, fld: Field, cfg: OmegaConfig | None = None) -> ThetaReport:
+def verify_theta_all(code: Derived, fld: Field) -> ThetaReport:
     """Check every Theta_H over all (d in D, H subset of nodes, |H| = d-2b).
 
     An empty report certifies the configuration for repair with any helper
     choice; rank failures are reported as data rather than raised so callers
     can display them.
     """
-    if cfg is None:
-        cfg = omega_build(code, fld, check=False)
+    cfg = omega_build(code, fld, check=False)
     omega_bad = tuple(
-        d for d in code.d_set if not omega_rank_ok(cfg.omega, code.z_of(d))
+        d for d in code.d_set if not omega_rank_ok(cfg.omega, code.beta_of(d))
     )
     return ThetaReport(
         p=fld.p, checked=_theta_count(code),

@@ -442,14 +442,12 @@ def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
                         yield plan.d, subset, j, gi
 
 
-def verify_systems_all(code, fld: Field, schedule=None) -> SystemReport:
+def verify_systems_all(code, fld: Field) -> SystemReport:
     """Check every per-group system over all (d in D, helper subset, iteration).
 
-    `schedule` is the plan factory (defaults to params.schedule_scheme2);
-    raises DivisibilityViolationError if some d has no valid plan.
+    Raises DivisibilityViolationError if some d has no valid plan.
     """
-    mk = schedule or schedule_scheme2
-    plans = [mk(code, d) for d in code.d_set]
+    plans = [schedule_scheme2(code, d) for d in code.d_set]
     return SystemReport(p=fld.p, checked=_system_count(code, plans),
                         singular=tuple(_singular_systems(code, fld, plans)))
 

@@ -80,12 +80,9 @@ def test_c04_scheme1_exact_repair(ex3_code, ex3_search):
                             )
                             syms = {}
                             for h in helpers:
-                                vec = repair1.helper_repair_symbols(shares[h], f, d, cfg)
-                                vec = adv.corrupt_repair_symbols(
-                                    policy, h, vec, fld,
-                                    recompute=lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg),
-                                    code=code,
-                                )
+                                stored = policy.effective_share(shares[h], code, fld)
+                                vec = repair1.helper_repair_symbols(stored, f, d, cfg)
+                                vec = adv.corrupt_repair_symbols(policy, h, vec, fld)
                                 assert len(vec) == z_d
                                 syms[h] = vec
                             got = repair1.testgroup_repair(syms, f, d, cfg)
@@ -124,10 +121,9 @@ def test_c05_scheme2_exact_repair(a12_code, a12_field2):
                                 controlled=(bad,), strategy=strategy, seed=seed
                             )
                             streams = dict(honest)
+                            stored = policy.effective_share(shares[bad], code, fld)
                             streams[bad] = adv.corrupt_repair_symbols(
-                                policy, bad, honest[bad], fld,
-                                recompute=lambda sh: repair2.helper_stream(sh, plan, f, fld),
-                                code=code,
+                                policy, bad, repair2.helper_stream(stored, plan, f, fld), fld
                             )
                             got = repair2.testgroup_repair2(streams, f, plan, fld)
                             assert got == shares[f].x

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from baercode import repair1
+from baercode import repair, repair1, repair2
 from baercode.adversary import (
     HONEST,
     LIAR,
@@ -16,6 +16,7 @@ from baercode.adversary import (
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.errors import BaerCodeError
 from baercode.galois import Field
+from baercode.params import schedule_scheme2
 from baercode.reconstruct import testgroup_reconstruct as tg_reconstruct
 
 F17 = Field(17)
@@ -73,17 +74,30 @@ def test_liar_shares_encode_one_fake_message(ex3_code):
     assert est1 == est2
 
 
-def test_liar_repair_symbols_are_protocol_conformant(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
-    _, shares = cluster(ex3_code, fld, 4)
-    pol = AdversaryPolicy(controlled=(2,), strategy=LIAR, seed=6)
-    honest_vec = repair1.helper_repair_symbols(shares[2], 1, 4, cfg)
-    recompute = lambda sh: repair1.helper_repair_symbols(sh, 1, 4, cfg)
-    lied = corrupt_repair_symbols(pol, 2, honest_vec, fld, recompute=recompute, code=ex3_code)
-    fake = pol.fake_shares(ex3_code, fld)[2]
-    assert lied == repair1.helper_repair_symbols(fake, 1, 4, cfg)
-    with pytest.raises(BaerCodeError):
-        corrupt_repair_symbols(pol, 2, honest_vec, fld)   # missing recompute hook
+def test_liar_repair_symbols_are_protocol_conformant(monkeypatch, ex3_code, ex3_search,
+                                                     a12_code, a12_field2):
+    """A liar sends the helper's output on its fake share, computed once:
+    transmit makes exactly d helper calls, one per helper."""
+    f, d = 1, 4
+    plan = schedule_scheme2(a12_code, d)
+    cases = (
+        ("1", ex3_code, ex3_search.field, ex3_search.cfg, repair1, "helper_repair_symbols",
+         lambda sh: repair1.helper_repair_symbols(sh, f, d, ex3_search.cfg)),
+        ("2", a12_code, a12_field2, None, repair2, "helper_stream",
+         lambda sh: repair2.helper_stream(sh, plan, f, a12_field2)),
+    )
+    for scheme, code, fld, cfg, module, name, send in cases:
+        _, shares = cluster(code, fld, 4)
+        helpers = {h: shares[h] for h in (2, 3, 4, 5)}
+        pol = AdversaryPolicy(controlled=(2,), strategy=LIAR, seed=6)
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a[0].index) or original(*a))
+        sent, _ = repair.transmit(scheme, helpers, f, d, pol, code, fld, cfg)
+        monkeypatch.undo()
+        assert sorted(calls) == [2, 3, 4, 5]
+        assert sent[2] == send(pol.fake_shares(code, fld)[2]) != send(shares[2])
+        assert all(sent[h] == send(shares[h]) for h in (3, 4, 5))
 
 
 def test_corrupt_access(ex3_code):

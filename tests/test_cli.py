@@ -165,6 +165,18 @@ def test_find_field_per_scheme(capsys, tmp_path, a12_field2):
     assert "p=7" in capsys.readouterr().out    # first prime >= n+1 = 6
 
 
+def test_find_field_concat_refuses_b_above_zero(capsys, tmp_path):
+    params = tmp_path / "b1.params"
+    params.write_text("n=6\nk=3\nb=1\nalpha=12\nD=4,5\n")
+    out_file = tmp_path / "found.params"
+    assert run("find-field", "--params", params, "--scheme", "concat", "--out", out_file) == 4
+    assert capsys.readouterr().out == "concat scheme requires b = 0\n"
+    assert not out_file.exists()
+    params.write_text("n=6\nk=3\nb=1\nalpha=12\nD=4,5\np=7\n")
+    assert run("selftest", "--params", params, "--scheme", "concat") == 4
+    assert "concat scheme requires b = 0" in capsys.readouterr().out.splitlines()
+
+
 def test_simulate_report(capsys, workspace):
     tmp, params, msg = workspace
     scen = tmp / "scen.txt"

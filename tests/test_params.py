@@ -137,7 +137,7 @@ def test_classical_and_err_resilient_bounds():
 
 def test_schedule_two_iterations(a12_code):
     plan = schedule_scheme2(a12_code, 5)
-    assert plan.xi == 2 and plan.zeta == 6 and plan.c == 1
+    assert plan.xi == 2 and plan.zeta == 6
     first, second = plan.iterations
     assert (first.tau, first.mu, first.sigma, first.m) == (2, 1, 1, 3)
     assert first.groups == ((1, 2), (3, 4), (5, 6))
@@ -148,9 +148,8 @@ def test_schedule_two_iterations(a12_code):
 
 def test_schedule_single_iteration(a12_code):
     plan = schedule_scheme2(a12_code, 4)
-    assert plan.single_iteration
     (only,) = plan.iterations
-    assert only.group_size == 1 and only.n_groups == 6
+    assert only.sigma == 0 and only.group_size == 1 and only.n_groups == 6
     assert plan.symbols_per_helper == 6
 
 

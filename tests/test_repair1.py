@@ -85,6 +85,7 @@ def test_theta_shape_and_column_structure(ex3_code, ex3_search):
     fld, cfg = ex3_search.field, ex3_search.cfg
     th = theta((1, 2, 3), 5, cfg)
     assert th.shape == (6, 6)
+    columns = th.transpose().tolist()
     # independent construction: column (t*z_d + j) stacks omega[i][j] * psi_h_t(i)^T
     from baercode.encoder import coeff_segment
     for t, h in enumerate((1, 2, 3)):
@@ -93,7 +94,7 @@ def test_theta_shape_and_column_structure(ex3_code, ex3_search):
             for i in range(1, 4):
                 seg = coeff_segment(fld, h, i, 2)
                 col.extend(v * cfg.omega.data[i - 1][j] % fld.p for v in seg)
-            assert list(th.col(t * 2 + j)) == col
+            assert columns[t * 2 + j] == col
 
 
 def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_search):
@@ -111,7 +112,7 @@ def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_search):
                 seg = coeff_segment(fld, h, i, 2)
                 col.extend(v * cfg.omega.data[i - 1][j] % fld.p for v in seg)
             xi_cols.append(tuple(col))
-    theta_cols = [tuple(th.col(c)) for c in range(6)]
+    theta_cols = [tuple(c) for c in th.transpose().tolist()]
     assert sorted(theta_cols) == sorted(xi_cols)
     assert set(theta_cols) == set(xi_cols)
 
@@ -194,7 +195,7 @@ def test_beyond_model_corruption_raises(ex3_code, ex3_search):
 
 
 def test_verify_theta_reports(ex3_code, ex3_search):
-    good = verify_theta_all(ex3_code, ex3_search.field, ex3_search.cfg)
+    good = verify_theta_all(ex3_code, ex3_search.field)
     assert good.ok and good.checked == 35      # C(6,2) + C(6,3)
     bad = verify_theta_all(ex3_code, Field(7))
     assert not bad.ok
@@ -294,8 +295,8 @@ def adversarial_symbols(code, cfg, shares, f, d, helpers, policy):
     fld = cfg.field
     return {
         h: adv.corrupt_repair_symbols(
-            policy, h, helper_repair_symbols(shares[h], f, d, cfg), fld,
-            recompute=lambda sh: helper_repair_symbols(sh, f, d, cfg), code=code,
+            policy, h,
+            helper_repair_symbols(policy.effective_share(shares[h], code, fld), f, d, cfg), fld,
         )
         for h in helpers
     }
@@ -350,7 +351,7 @@ def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
 def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_search):
     code, cfg = ex3_code, ex3_search.cfg
     for d in code.d_set:
-        z_d = code.z_of(d)
+        z_d = code.beta_of(d)
         for group in combinations(range(1, code.n + 1), d - code.b):
             t, null = cfg.group_decoder(group, d)
             rows, m = t + null, len(group) * z_d

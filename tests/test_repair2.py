@@ -475,11 +475,8 @@ def outcome(decode, *args):
 
 
 def adversarial_streams(code, plan, fld, shares, f, helpers, policy):
-    send = lambda sh: helper_stream(sh, plan, f, fld)
-    return {
-        h: adv.corrupt_repair_symbols(policy, h, send(shares[h]), fld, recompute=send, code=code)
-        for h in helpers
-    }
+    send = lambda sh: helper_stream(policy.effective_share(sh, code, fld), plan, f, fld)
+    return {h: adv.corrupt_repair_symbols(policy, h, send(shares[h]), fld) for h in helpers}
 
 
 @pytest.mark.parametrize("name, p", [
