@@ -8,7 +8,9 @@ a least-loaded bipartite assignment.  Total traffic is always alpha.
 
 import random
 
-from baercode.concat import assign_bipartite, component_repair_symbol, repair_b0
+from baercode import repair
+from baercode.adversary import AdversaryPolicy
+from baercode.concat import assign_bipartite
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.galois import Field
 from baercode.params import CodeParams, validate
@@ -37,13 +39,10 @@ def main():
         load = a.helper_load()
         print(f"   per-helper load: { {h: load[h] for h in sorted(load)} } "
               f"(alpha/d = {code.alpha // d})")
-        sent = 0
-        for comp, nb in enumerate(a.neighbors, 1):
-            for h in nb:
-                component_repair_symbol(shares[h], f, comp, code, fld)
-                sent += 1
-        print(f"   symbols moved: {sent} = alpha = {code.alpha}")
-        got = repair_b0(shares, f, helpers, code, fld)
+        sent, moved = repair.transmit("concat", {h: shares[h] for h in helpers}, f, d,
+                                      AdversaryPolicy(), code, fld)
+        print(f"   symbols moved: {moved} = alpha = {code.alpha}")
+        got = repair.decode("concat", sent, f, d, code, fld)
         print(f"   rebuilt exactly: {got.x == shares[f].x}")
 
     print("\nconcatenation cannot defend against adversaries; for b > 0 use the")

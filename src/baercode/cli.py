@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import adversary as adv
-from . import repair, repair1, repair2, simnet
+from . import concat, repair, repair1, repair2, simnet
 from .encoder import (
     format_message,
     format_share,
@@ -68,10 +68,10 @@ def _policy(args) -> adv.AdversaryPolicy:
 def _read_shares(paths, code, fld):
     shares = {}
     for path in paths:
-        share, params, p, _scheme = parse_share(Path(path).read_text())
-        if params != code.params or p != fld.p:
+        parsed = parse_share(Path(path).read_text(), code, fld)
+        if parsed is None:
             raise BaerCodeError(f"{path}: share parameters disagree with --params")
-        shares[share.index] = share
+        shares[parsed[0].index] = parsed[0]
     return shares
 
 
@@ -127,6 +127,8 @@ def cmd_find_field(args) -> int:
 
 def cmd_encode(args) -> int:
     code, fld = _load_params(args.params)
+    if args.scheme == "concat":
+        concat.require_b0(code)
     message = parse_message_text(Path(args.message).read_text(), code.f_mbr, fld.p)
     shares = encode_message(message, code, fld)
     out = Path(args.out)
@@ -153,10 +155,9 @@ def cmd_repair(args) -> int:
     if len(helpers) != d or any(h not in shares for h in helpers):
         raise BaerCodeError(f"need share files for exactly d={d} helpers {helpers}")
     policy = _policy(args)
-    cfg = repair1.omega_build(code, fld) if args.scheme == "1" else None
     sent, moved = repair.transmit(args.scheme, {h: shares[h] for h in helpers}, f, d,
-                                  policy, code, fld, cfg)
-    share = repair.decode(args.scheme, sent, f, d, code, fld, cfg)
+                                  policy, code, fld)
+    share = repair.decode(args.scheme, sent, f, d, code, fld)
     text = format_share(share, code, fld, args.scheme)
     if args.out:
         Path(args.out).write_text(text)

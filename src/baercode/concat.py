@@ -5,23 +5,29 @@ With no adversaries the code is alpha/d_min independent component codes
 component work through a bipartite assignment: each component is served by
 exactly d_min helpers and each helper serves exactly alpha/d components,
 so every helper ships alpha/d scalars and the total traffic is exactly
-alpha.  Each assigned helper h sends the scalar
+alpha.  For each component i it serves, in ascending order, helper h
+sends the scalar
 
-    x_h(i) . psi_f(i)  ( = psi_h(i) M_i psi_f(i)^T )
+    x_h(i) . psi_f(i)  ( = psi_h(i) M_i psi_f(i)^T = x_f(i) . psi_h(i) )
 
-for component i, and d_min such scalars solve one small system for x_f(i).
+So h's payload is x_f @ B_h, B_h holding one column psi_h(i), in block i's
+rows, per component i that h serves, and testgroup_repair runs scheme 1's
+stacked decoder (repair1.repair_scan) at b = 0, the d helpers forming the
+only test-group.
 This scheme is not error resilient; use scheme 1 or 2 when b > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare, coeff_segment
-from .errors import BaerCodeError, NoConsistentGroupError, NonIntegralDegreeError
-from .galois import Field, Mat
+from .errors import BaerCodeError, NonIntegralDegreeError
+from .galois import Field
 from .params import Derived
+from .repair1 import group_decoder, repair_scan
 
 
 @dataclass(frozen=True)
@@ -38,12 +44,18 @@ class Assignment:
     right_degree: int
     neighbors: tuple[tuple[int, ...], ...]
 
+    def served(self, h: int) -> tuple[int, ...]:
+        """The components (1-based, ascending) helper h serves."""
+        return tuple(i for i, nb in enumerate(self.neighbors, 1) if h in nb)
+
     def helper_load(self) -> dict[int, int]:
-        load = {u: 0 for u in self.helpers}
-        for nb in self.neighbors:
-            for u in nb:
-                load[u] += 1
-        return load
+        return {u: len(self.served(u)) for u in self.helpers}
+
+
+def require_b0(code: Derived) -> None:
+    """Refuse parameters with b > 0, which concatenation cannot defend."""
+    if code.b != 0:
+        raise BaerCodeError("concat scheme requires b = 0 parameters")
 
 
 def assign_bipartite(n_components: int, helpers: Sequence[int], d_min: int) -> Assignment:
@@ -84,34 +96,21 @@ def component_repair_symbol(
     return sum(a * b for a, b in zip(seg, psi_f)) % fld.p
 
 
-def repair_b0(
-    shares: Mapping[int, NodeShare],
-    f: int,
-    helpers: Sequence[int],
-    code: Derived,
-    fld: Field,
-) -> NodeShare:
-    """Exact repair of node f from the given helpers (b = 0 parameters only)."""
-    if code.b != 0:
-        raise BaerCodeError("concatenation repair requires b = 0 parameters")
-    d = len(helpers)
-    if d not in code.d_set:
-        raise BaerCodeError(f"helper count {d} not in D={code.d_set}")
-    if f in helpers or not 1 <= f <= code.n:
-        raise BaerCodeError(f"invalid failed node {f}")
-    if any(len(shares[h].x) != code.alpha for h in helpers):      # a lie; b = 0 absorbs none
-        raise NoConsistentGroupError(f"a helper share is not alpha={code.alpha} symbols long")
-    assignment = assign_bipartite(code.z, helpers, code.lam)
-    x: list[int] = []
-    for comp in range(1, code.z + 1):
-        assigned = assignment.neighbors[comp - 1]
-        rhs = [component_repair_symbol(shares[h], f, comp, code, fld) for h in assigned]
-        # x_f(comp) solves  x_f(comp) . psi_h(comp) = psi_f(comp) M psi_h(comp)^T
-        # over the lam assigned helpers (columns are scaled Vandermonde rows).
-        coef = Mat(
-            fld,
-            [[v for v in coeff_segment(fld, h, comp, code.lam)] for h in assigned],
-            cols=code.lam,
-        ).transpose()
-        x.extend(coef.solve_right(rhs))
-    return NodeShare(index=f, e=fld.point(f), x=tuple(x))
+@lru_cache(maxsize=4096)
+def _group_decoder(code: Derived, fld: Field, helpers: tuple[int, ...]):
+    """repair1.group_decoder() at b = 0 over the blocks B_h of one helper set."""
+    lam, served = code.lam, assign_bipartite(code.z, helpers, code.lam).served
+    blocks = []
+    for h in helpers:
+        cols = [[0] * code.alpha for _ in served(h)]
+        for col, i in zip(cols, served(h)):
+            col[(i - 1) * lam : i * lam] = coeff_segment(fld, h, i, lam)
+        blocks.append(tuple(zip(*cols)))
+    return group_decoder(blocks, 0, fld)
+
+
+def testgroup_repair(payloads: Mapping[int, Sequence[int]], f: int, d: int,
+                     code: Derived, fld: Field) -> tuple[int, ...]:
+    """Recover x_f from d helpers' component scalars by repair1.repair_scan."""
+    return repair_scan(payloads, f, d, code.beta_of(d), code, fld.p,
+                       lambda group: _group_decoder(code, fld, group))

@@ -22,7 +22,7 @@ from .errors import (
     WrongMessageLengthError,
 )
 from .galois import Field, Mat
-from .params import CodeParams, Derived, check_field, validate
+from .params import CodeParams, Derived, check_field
 
 SHARE_MAGIC = "BAER1"
 
@@ -187,21 +187,20 @@ def format_share(share: NodeShare, code: Derived, field: Field, scheme: str) -> 
     return header + "\n" + "\n".join(str(v) for v in share.x) + "\n"
 
 
-def parse_share(text: str) -> tuple[NodeShare, CodeParams, int, str]:
-    """Parse a share file; returns (share, params, p, scheme).
+def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str] | None:
+    """Parse a share file of this (code, field); returns (share, scheme).
 
-    The evaluation point is re-derived from the node index; share content
-    never overrides node identity.  A body that is not alpha symbols long is
-    returned as it is: the node stored a malformed share, which the decoders
-    absorb as a lie.
+    Returns None when the header names other parameters or another p; the
+    header is compared before any field arithmetic, so a forged p costs
+    nothing.  The evaluation point is re-derived from the node index; share
+    content never overrides node identity.  A body that is not alpha
+    symbols long is returned as it is: the node stored a malformed share,
+    which the decoders absorb as a lie.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(SHARE_MAGIC + " "):
         raise BaerCodeError("not a share file (bad magic)")
-    fields: dict[str, str] = {}
-    for tok in lines[0].split()[1:]:
-        key, _, val = tok.partition("=")
-        fields[key] = val
+    fields = dict(tok.partition("=")[::2] for tok in lines[0].split()[1:])
     try:
         params = CodeParams(
             n=int(fields["n"]), k=int(fields["k"]),
@@ -213,6 +212,8 @@ def parse_share(text: str) -> tuple[NodeShare, CodeParams, int, str]:
         scheme = fields["scheme"]
     except (KeyError, ValueError) as exc:
         raise BaerCodeError(f"malformed share header: {exc}") from exc
+    if params != code.params or p != field.p:
+        return None
     body = [ln.strip() for ln in lines[1:] if ln.strip()]
     try:
         x = tuple(int(v) for v in body)
@@ -220,13 +221,9 @@ def parse_share(text: str) -> tuple[NodeShare, CodeParams, int, str]:
         raise BaerCodeError(f"non-decimal share symbol: {exc}") from exc
     if any(not 0 <= v < p for v in x):
         raise BaerCodeError("share symbol outside field range")
-    code = validate(params)
-    field = Field(p)
-    check_field(code, field)
     if not 1 <= node <= params.n:
         raise BadNodeIndexError(f"node index {node} outside 1..{params.n}")
-    share = NodeShare(index=node, e=field.point(node), x=x)
-    return share, params, p, scheme
+    return NodeShare(index=node, e=field.point(node), x=x), scheme
 
 
 def parse_message_text(text: str, expected_len: int, p: int) -> tuple[int, ...]:

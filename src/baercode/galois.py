@@ -298,7 +298,3 @@ class Mat:
             [[(x >> (width * k)) & mask for k in range(m)] for x in pivots + rest],
             cols=m,
         )
-
-    def solve_right(self, y: Sequence[int]) -> tuple[int, ...]:
-        """Solve x @ self == y for the row vector x (self square, non-singular)."""
-        return self.inv().left_mul(y)

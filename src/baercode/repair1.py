@@ -15,13 +15,13 @@ when the estimates rho_H @ Theta_H^-1 of all its size-(d-2b) subsets agree.
 When every such Theta_H is invertible, that holds exactly when
 rho_G = x @ Theta_G for some x, Theta_G being the group's stacked
 alpha x (d-b)*z_d matrix.  So each group is decoded by one elimination,
-cached per group: a left inverse T returns x_f and a null-space basis N
-gives the syndrome N @ rho_G that must vanish.
+cached per (params, field, d, group): a left inverse T returns x_f and a
+null-space basis N gives the syndrome N @ rho_G that must vanish.
 A group with a singular Theta_H is skipped, as the paper's scan skips it.
 A repair vector of the wrong length is a lie: every group holding it is
 skipped.  group_decoder and testgroup_scan hold that decoder for any payload
-that is honestly linear in the unknown; scheme 2 (repair2, through
-repair_scan) and reconstruction (reconstruct) run them too.
+that is honestly linear in the unknown; scheme 2 (repair2) and concat
+(concat), through repair_scan, and reconstruction (reconstruct) run them too.
 
 Theta_H is provably invertible only over impractically large alphabets, so
 a configuration is instead certified empirically, by rank alone (no
@@ -36,7 +36,8 @@ field) alone and every party derives it independently.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
 from operator import mul
@@ -55,60 +56,49 @@ from .params import Derived, check_field
 REPAIR1_MAGIC = "BAERR1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OmegaConfig:
-    """Omega matrix plus cached Theta inverses, Theta column blocks and
-    test-group decoders."""
+    """Omega matrix of one (params, field); every party derives the same."""
 
     code: Derived
     field: Field
     exponents: tuple[int, ...]         # i_j = alpha*n*(j-1) + 1
     omega: Mat                         # z x z
     rank_ok: bool                      # every Omega_{z_d} has full column rank
-    _theta_inv: dict = dc_field(default_factory=dict, repr=False)
-    _theta_cols: dict = dc_field(default_factory=dict, repr=False)
-    _group_dec: dict = dc_field(default_factory=dict, repr=False)
 
     def theta_inv(self, helpers: tuple[int, ...], d: int) -> Mat | None:
         """Inverse of Theta_H for sorted helper indices, or None if singular."""
-        key = (d, helpers)
-        if key not in self._theta_inv:
-            try:
-                self._theta_inv[key] = theta(helpers, d, self).inv()
-            except SingularMatrixError:
-                self._theta_inv[key] = None
-        return self._theta_inv[key]
-
-    def group_decoder(self, group: tuple[int, ...],
-                      d: int) -> tuple[tuple[Sequence[int], ...], ...] | None:
-        """group_decoder() of Theta_G for a sorted test-group, cached per (d, G)."""
-        key = (d, group)
-        if key not in self._group_dec:
-            blocks = [self.theta_cols(h, d) for h in group]
-            self._group_dec[key] = group_decoder(blocks, self.code.b, self.field)
-        return self._group_dec[key]
-
-    def theta_cols(self, h: int, d: int) -> list[list[int]]:
-        """Rows of helper h's alpha x z_d column block Phi_h @ Omega_{z_d}.
-
-        Every Theta_H with h in H holds this block, so it is built once per
-        (h, d) and shared by all of them.
-        """
-        key = (h, d)
-        if key not in self._theta_cols:
-            code, p = self.code, self.field.p
-            z_d = code.beta_of(d)
-            rows = []
-            for i in range(1, code.z + 1):
-                orow = self.omega.data[i - 1][:z_d]
-                for v in coeff_segment(self.field, h, i, code.lam):
-                    rows.append([v * w % p for w in orow])
-            self._theta_cols[key] = rows
-        return self._theta_cols[key]
+        try:
+            return theta(helpers, d, self).inv()
+        except SingularMatrixError:
+            return None
 
 
+@lru_cache(maxsize=4096)
+def _theta_cols(code: Derived, fld: Field, h: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of helper h's alpha x z_d column block Phi_h @ Omega_{z_d}.
+
+    Every Theta_H with h in H holds this block, so it is built once per
+    (params, field, h, d) and shared by all of them.
+    """
+    omega, p, z_d = omega_build(code, fld, check=False).omega, fld.p, code.beta_of(d)
+    rows = []
+    for i in range(1, code.z + 1):
+        orow = omega.data[i - 1][:z_d]
+        for v in coeff_segment(fld, h, i, code.lam):
+            rows.append(tuple(v * w % p for w in orow))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=16384)
+def _theta_decoder(code: Derived, fld: Field, d: int, group: tuple[int, ...]):
+    """group_decoder() of Theta_G for a sorted test-group."""
+    return group_decoder([_theta_cols(code, fld, h, d) for h in group], code.b, fld)
+
+
+@lru_cache(maxsize=256)
 def omega_build(code: Derived, fld: Field, *, check: bool = True) -> OmegaConfig:
-    """Build Omega for this configuration.
+    """Build Omega for this configuration, cached per (params, field).
 
     Row j is the Vandermonde row of g**i_j for the fixed exponents
     i_j = alpha*n*(j-1) + 1, reduced mod p-1 before exponentiation; gaps of
@@ -143,20 +133,11 @@ def omega_rank_ok(omega: Mat, z_d: int) -> bool:
 
 
 def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) -> tuple[int, ...]:
-    """r(h, f) = x_h @ Phi_f @ Omega_{z_d}: z_d symbols from helper share."""
-    code, fld = cfg.code, cfg.field
-    p = fld.p
-    z_d = code.beta_of(d)
-    # x_h @ Phi_f is the vector of per-block scalars x_h(i) . psi_f(i).
-    scalars = []
-    for i in range(1, code.z + 1):
-        seg_f = coeff_segment(fld, f, i, code.lam)
-        seg_x = share.segment(i, code.lam)
-        scalars.append(sum(a * b for a, b in zip(seg_x, seg_f)) % p)
-    return tuple(
-        sum(scalars[i] * cfg.omega.data[i][j] for i in range(code.z)) % p
-        for j in range(z_d)
-    )
+    """r(h, f) = x_h @ Phi_f @ Omega_{z_d}: z_d symbols from helper share,
+    through f's own column block."""
+    p = cfg.field.p
+    return tuple(sum(map(mul, share.x, col)) % p
+                 for col in zip(*_theta_cols(cfg.code, cfg.field, f, d)))
 
 
 def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
@@ -164,7 +145,7 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
 
     Square for the d-2b helpers of an estimate subset.
     """
-    blocks = [cfg.theta_cols(h, d) for h in helpers]
+    blocks = [_theta_cols(cfg.code, cfg.field, h, d) for h in helpers]
     return Mat(
         cfg.field,
         [[v for part in parts for v in part] for parts in zip(*blocks)],
@@ -258,7 +239,7 @@ def testgroup_repair(symbols: Mapping[int, Sequence[int]], f: int, d: int,
                      cfg: OmegaConfig) -> tuple[int, ...]:
     """Recover x_f from d helpers' z_d-symbol repair vectors (repair_scan)."""
     return repair_scan(symbols, f, d, cfg.code.beta_of(d), cfg.code, cfg.field.p,
-                       lambda group: cfg.group_decoder(group, d))
+                       lambda group: _theta_decoder(cfg.code, cfg.field, d, group))
 
 
 @dataclass(frozen=True)
@@ -293,7 +274,7 @@ def _singular_thetas(code: Derived, cfg: OmegaConfig):
     """Yield each (d, H) whose Theta_H is singular, in sweep order.
 
     Only the rank of each Theta is computed, so a sweep stores no inverse
-    and leaves cfg's Theta cache to the decoders.
+    and builds no test-group decoder.
     """
     for d in code.d_set:
         for subset in combinations(range(1, code.n + 1), d - 2 * code.b):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from . import adversary as adv
-from . import repair, repair1
+from . import repair
 from .encoder import NodeShare, build_data_matrix, encode_all, encode_node
 from .errors import (
     BaerCodeError,
@@ -37,7 +37,7 @@ from .errors import (
     RepairOfLiveNodeError,
 )
 from .galois import Field
-from .params import Derived, check_field, schedule_scheme2
+from .params import Derived, check_field
 from .reconstruct import testgroup_reconstruct
 
 SCHEMES = ("1", "2", "concat")
@@ -120,9 +120,8 @@ class Cluster:
     def __init__(self, code: Derived, message: Sequence[int], scheme: str, fld: Field):
         if scheme not in SCHEMES:
             raise BaerCodeError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-        if scheme == "concat" and code.b != 0:
-            raise BaerCodeError("concat scheme requires b = 0 parameters")
         check_field(code, fld)
+        repair.check(scheme, code, fld)
         self.code = code
         self.field = fld
         self.scheme = scheme
@@ -133,10 +132,6 @@ class Cluster:
             s.index: s for s in encode_all(dm, code, fld)
         }
         self.policy = adv.AdversaryPolicy()
-        self.omega_cfg = repair1.omega_build(code, fld) if scheme == "1" else None
-        if scheme == "2":
-            for d in code.d_set:
-                schedule_scheme2(code, d)   # raises DivisibilityViolation up front
         self.log: list[ReportRow] = []
 
     # -- helpers -----------------------------------------------------
@@ -185,10 +180,10 @@ class Cluster:
                 raise BaerCodeError(f"repair d={d} not in D={code.d_set}")
             helpers = self._choose_helpers(f, d, event.helper_policy, rng)
             sent, symbols = repair.transmit(self.scheme, {h: self.shares[h] for h in helpers},
-                                            f, d, self.policy, code, self.field, self.omega_cfg)
+                                            f, d, self.policy, code, self.field)
             gamma_expect = code.gamma_of(d)
             try:
-                repaired = repair.decode(self.scheme, sent, f, d, code, self.field, self.omega_cfg)
+                repaired = repair.decode(self.scheme, sent, f, d, code, self.field)
             except NoConsistentGroupError:
                 success = False             # outside the model; node f stays failed
             else:

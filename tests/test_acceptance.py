@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from baercode import adversary as adv
-from baercode import cli, concat, repair1, repair2, simnet
+from baercode import cli, concat, repair, repair1, repair2, simnet
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.errors import NoConsistentGroupError
 from baercode.galois import Field
@@ -228,10 +228,12 @@ def test_c10_concatenation_repair(ex1_code):
             others = [h for h in range(1, 6) if h != f]
             for d in (3, 4):
                 for helpers in combinations(others, d):
-                    got = concat.repair_b0(shares, f, helpers, ex1_code, fld)
+                    sent, moved = repair.transmit("concat", {h: shares[h] for h in helpers}, f,
+                                                  d, adv.AdversaryPolicy(), ex1_code, fld)
+                    got = repair.decode("concat", sent, f, d, ex1_code, fld)
                     assert got.x == shares[f].x
                     a = concat.assign_bipartite(ex1_code.z, helpers, ex1_code.lam)
-                    assert sum(a.helper_load().values()) == ex1_code.alpha
+                    assert sum(a.helper_load().values()) == ex1_code.alpha == moved
                     trials += 1
     _pass(10, f"concatenation: {trials} exhaustive repairs exact, traffic = alpha")
 

@@ -81,19 +81,19 @@ def test_liar_repair_symbols_are_protocol_conformant(monkeypatch, ex3_code, ex3_
     f, d = 1, 4
     plan = schedule_scheme2(a12_code, d)
     cases = (
-        ("1", ex3_code, ex3_search.field, ex3_search.cfg, repair1, "helper_repair_symbols",
+        ("1", ex3_code, ex3_search.field, repair1, "helper_repair_symbols",
          lambda sh: repair1.helper_repair_symbols(sh, f, d, ex3_search.cfg)),
-        ("2", a12_code, a12_field2, None, repair2, "helper_stream",
+        ("2", a12_code, a12_field2, repair2, "helper_stream",
          lambda sh: repair2.helper_stream(sh, plan, f, a12_field2)),
     )
-    for scheme, code, fld, cfg, module, name, send in cases:
+    for scheme, code, fld, module, name, send in cases:
         _, shares = cluster(code, fld, 4)
         helpers = {h: shares[h] for h in (2, 3, 4, 5)}
         pol = AdversaryPolicy(controlled=(2,), strategy=LIAR, seed=6)
         calls = []
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: calls.append(a[0].index) or original(*a))
-        sent, _ = repair.transmit(scheme, helpers, f, d, pol, code, fld, cfg)
+        sent, _ = repair.transmit(scheme, helpers, f, d, pol, code, fld)
         monkeypatch.undo()
         assert sorted(calls) == [2, 3, 4, 5]
         assert sent[2] == send(pol.fake_shares(code, fld)[2]) != send(shares[2])

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from baercode import repair1
 from baercode.cli import main
+from baercode.galois import Field
 from baercode.params import CodeParams, validate
 from baercode.repair1 import parse_repair_record
 
@@ -175,6 +177,55 @@ def test_find_field_concat_refuses_b_above_zero(capsys, tmp_path):
     params.write_text("n=6\nk=3\nb=1\nalpha=12\nD=4,5\np=7\n")
     assert run("selftest", "--params", params, "--scheme", "concat") == 4
     assert "concat scheme requires b = 0" in capsys.readouterr().out.splitlines()
+
+
+def test_concat_refuses_b_above_zero_before_writing(capsys, workspace):
+    tmp, params, msg = workspace                       # ex3: b=1
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    scen = tmp / "scen.txt"
+    scen.write_text("fail 1\nrepair 1 d=4\n")
+    out = tmp / "concat"
+    capsys.readouterr()
+    for argv in (("encode", "--message", msg, "--out", out),
+                 ("repair", "--failed", 1, "--d", 4, "--out", out, *sorted(shares.iterdir())[1:]),
+                 ("simulate", "--scenario", scen, "--out", out)):
+        assert run(argv[0], "--params", params, "--scheme", "concat", *argv[1:]) == 2
+        assert capsys.readouterr() == ("", "error: concat scheme requires b = 0 parameters\n")
+        assert not out.exists()
+
+
+def test_forged_share_header_is_refused_before_field_arithmetic(capsys, monkeypatch,
+                                                                workspace, ex3_search):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    forged = shares / "node01.share"
+    huge = 4503599627372423                           # a 53-bit safe prime
+    forged.write_text(forged.read_text().replace(f"p={ex3_search.field.p}", f"p={huge}", 1))
+    built = []
+    init = Field.__init__
+    monkeypatch.setattr(Field, "__init__", lambda self, p: built.append(p) or init(self, p))
+    capsys.readouterr()
+    assert run("reconstruct", "--params", params, *sorted(shares.iterdir())) == 2
+    assert capsys.readouterr().err == f"error: {forged}: share parameters disagree with --params\n"
+    assert huge not in built
+
+
+def test_repeated_repairs_build_each_group_decoder_once(workspace):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    helpers = [f for f in sorted(shares.iterdir()) if f.name != "node02.share"]
+    argv = ("repair", "--params", params, "--failed", 2, "--d", 4, "--adversary", "random",
+            "--controlled", 1, "--out", tmp / "rebuilt", *helpers)
+    repair1._theta_decoder.cache_clear()
+    assert run(*argv) == 0
+    first = repair1._theta_decoder.cache_info()
+    assert run(*argv) == 0
+    second = repair1._theta_decoder.cache_info()
+    assert first.misses == second.misses == 4         # groups 134, 135, 145 hold the liar
+    assert second.hits == first.hits + 4
 
 
 def test_simulate_report(capsys, workspace):

@@ -158,24 +158,24 @@ def test_share_file_round_trip(ex3_code):
     text = format_share(share, ex3_code, F17, "1")
     assert text.startswith("BAER1 p=17 n=6 k=3 b=1 alpha=6 D=4,5 node=5 scheme=1\n")
     assert text.endswith("\n") and "\r" not in text
-    parsed, params, p, scheme = parse_share(text)
-    assert parsed == share and params == ex3_code.params and p == 17 and scheme == "1"
+    parsed, scheme = parse_share(text, ex3_code, F17)
+    assert parsed == share and scheme == "1"
     # byte-exactness: formatting the parse reproduces the file
     assert format_share(parsed, ex3_code, F17, scheme) == text
 
 
 def test_share_file_rejections(ex3_code):
     with pytest.raises(BaerCodeError):
-        parse_share("NOTASHARE\n1\n")
+        parse_share("NOTASHARE\n1\n", ex3_code, F17)
     good = format_share(
         NodeShare(index=1, e=3, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
     )
     with pytest.raises(BaerCodeError):
-        parse_share(good.replace("\n1\n", "\n99\n"))   # symbol outside field
+        parse_share(good.replace("\n1\n", "\n99\n"), ex3_code, F17)   # symbol outside field
     with pytest.raises(BaerCodeError):
-        parse_share(good.replace("\n1\n", "\none\n"))  # non-decimal symbol
+        parse_share(good.replace("\n1\n", "\none\n"), ex3_code, F17)  # non-decimal symbol
     with pytest.raises(BaerCodeError):
-        parse_share(good.replace("alpha=6", "alpha=x"))   # header
+        parse_share(good.replace("alpha=6", "alpha=x"), ex3_code, F17)   # header
 
 
 def test_wrong_length_share_body_is_the_node_share(ex3_code):
@@ -184,8 +184,8 @@ def test_wrong_length_share_body_is_the_node_share(ex3_code):
         NodeShare(index=1, e=3, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
     )
     truncated = "\n".join(good.splitlines()[:-1]) + "\n"
-    assert parse_share(truncated)[0].x == (1, 2, 3, 4, 5)
-    assert parse_share(good + "7\n")[0].x == (1, 2, 3, 4, 5, 6, 7)
+    assert parse_share(truncated, ex3_code, F17)[0].x == (1, 2, 3, 4, 5)
+    assert parse_share(good + "7\n", ex3_code, F17)[0].x == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_message_file_never_pads(ex3_code):

@@ -8,7 +8,8 @@ Every pipeline must handle the zero-width region.
 import random
 from itertools import combinations
 
-from baercode import concat, repair1, repair2
+from baercode import repair, repair1, repair2
+from baercode.adversary import AdversaryPolicy
 from baercode.encoder import build_data_matrix, encode_all, extract_message
 from baercode.params import CodeParams, schedule_scheme2, validate
 from baercode.reconstruct import testgroup_reconstruct as tg_reconstruct
@@ -49,8 +50,9 @@ def test_all_three_repair_paths():
     syms = {h: repair1.helper_repair_symbols(shares[h], f, 4, cfg) for h in helpers4}
     assert repair1.testgroup_repair(syms, f, 4, cfg) == shares[f].x
 
-    got = concat.repair_b0(shares, f, helpers4, CODE, fld)
-    assert got.x == shares[f].x
+    sent, _ = repair.transmit("concat", {h: shares[h] for h in helpers4}, f, 4,
+                              AdversaryPolicy(), CODE, fld)
+    assert repair.decode("concat", sent, f, 4, CODE, fld).x == shares[f].x
 
     fld2, report, _ = repair2.find_field_scheme2(CODE)
     assert report.ok

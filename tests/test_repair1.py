@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from baercode import adversary as adv
+from baercode import repair1
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.errors import (
     BaerCodeError,
@@ -128,7 +129,7 @@ def test_estimate_exact_for_honest_subsets(ex3_code, ex3_search):
                 rho = []
                 for h in subset:
                     rho.extend(helper_repair_symbols(shares[h], f, d, cfg))
-                got = theta(subset, d, cfg).solve_right(rho)
+                got = theta(subset, d, cfg).inv().left_mul(rho)
                 assert got == shares[f].x
                 # independent path: rho equals x_f @ Theta for honest inputs
                 assert tuple(rho) == theta(subset, d, cfg).left_mul(shares[f].x)
@@ -140,7 +141,7 @@ def test_estimate_zero_message(ex3_code, ex3_search):
     rho = []
     for h in (1, 2, 3):
         rho.extend(helper_repair_symbols(zeros[h - 1], 6, 5, cfg))
-    assert theta((1, 2, 3), 5, cfg).solve_right(rho) == (0,) * 6
+    assert theta((1, 2, 3), 5, cfg).inv().left_mul(rho) == (0,) * 6
 
 
 def test_testgroup_repair_honest_and_corrupted(ex3_code, ex3_search):
@@ -220,13 +221,18 @@ def mid_code():
     return validate(CodeParams(n=10, k=4, d_set=(6, 7), b=1, alpha=20))
 
 
-def test_find_field_pins_mid_search():
+def test_find_field_pins_mid_search(monkeypatch):
+    decoders = repair1._theta_decoder.cache_info()
+    eliminations = []
+    echelon = Mat.echelon_transform
+    monkeypatch.setattr(Mat, "echelon_transform",
+                        lambda self: eliminations.append(self.shape) or echelon(self))
     search = find_field(mid_code())
     assert search.field.p == 23
     assert search.rejected == (11, 13, 17, 19)
     assert search.report.ok and search.report.checked == 462
-    assert search.cfg._theta_inv == {}          # certification keeps no inverse
-    assert search.cfg._group_dec == {}          # nor any test-group decoder
+    assert eliminations == []               # certification inverts no Theta
+    assert repair1._theta_decoder.cache_info() == decoders   # nor builds a group decoder
 
 
 def test_verify_theta_lists_every_singular_matrix():
@@ -343,7 +349,7 @@ def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
                 if (d, sub) not in full:
                     full[d, sub] = theta(sub, d, cfg).rank() == code.alpha
                 want = want and full[d, sub]
-            assert (cfg.group_decoder(group, d) is not None) == want
+            assert (repair1._theta_decoder(code, cfg.field, d, group) is not None) == want
             bad += not want
     assert bad == unusable
 
@@ -353,7 +359,7 @@ def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_search):
     for d in code.d_set:
         z_d = code.beta_of(d)
         for group in combinations(range(1, code.n + 1), d - code.b):
-            t, null = cfg.group_decoder(group, d)
+            t, null = repair1._theta_decoder(code, cfg.field, d, group)
             rows, m = t + null, len(group) * z_d
             assert len(t) == code.alpha
             assert len(rows) == m and all(len(r) == m for r in rows)

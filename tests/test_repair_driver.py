@@ -82,7 +82,7 @@ def test_cli_and_simulator_repair_alike(request, tmp_path, capsys, scheme, code_
     assert total == row.symbols == code.gamma_of(d)
 
     helpers = {h: cluster.shares[h] for h in range(1, d + 1)}
-    sent, _ = repair.transmit(scheme, helpers, f, d, cluster.policy, code, fld, cluster.omega_cfg)
+    sent, _ = repair.transmit(scheme, helpers, f, d, cluster.policy, code, fld)
     if scheme == "concat":
         assert list(recs.iterdir()) == []        # concat helpers send no wire records
         return
