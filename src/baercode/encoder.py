@@ -194,8 +194,9 @@ def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str]
     header is compared before any field arithmetic, so a forged p costs
     nothing.  The evaluation point is re-derived from the node index; share
     content never overrides node identity.  A body that is not alpha
-    symbols long is returned as it is: the node stored a malformed share,
-    which the decoders absorb as a lie.
+    symbols long is returned as it is, and one holding a symbol that is not
+    a decimal in range(p) as x = (): the node stored a malformed share, which
+    the decoders absorb as a lie.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(SHARE_MAGIC + " "):
@@ -217,10 +218,10 @@ def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str]
     body = [ln.strip() for ln in lines[1:] if ln.strip()]
     try:
         x = tuple(int(v) for v in body)
-    except ValueError as exc:
-        raise BaerCodeError(f"non-decimal share symbol: {exc}") from exc
-    if any(not 0 <= v < p for v in x):
-        raise BaerCodeError("share symbol outside field range")
+    except ValueError:
+        x = ()
+    if not all(0 <= v < p for v in x):
+        x = ()
     if not 1 <= node <= params.n:
         raise BadNodeIndexError(f"node index {node} outside 1..{params.n}")
     return NodeShare(index=node, e=field.point(node), x=x), scheme

@@ -103,10 +103,6 @@ class UnresolvedEntriesError(BaerCodeError):
     """Repair session finalized while some entries are still unresolved."""
 
 
-class BadDimensionsError(BaerCodeError):
-    """Merge operator called with out-of-range output length or segment sizes."""
-
-
 class PlanMismatchError(BaerCodeError):
     """Repair data does not fit the iteration schedule in force."""
 

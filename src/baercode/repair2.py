@@ -8,20 +8,24 @@ the overlap-add operator
 
     merge(m, eps, e, v, u) = [v, 0..0] + e^(m - eps*xi) [0..0, u]
 
-and send one inner product per group.  A RepairSession decodes one
-size-(d-2b) helper subset: each round it solves one (d-2b) x (d-2b) system
-per group, after which entries of the lost share are labelled known (value
-recovered), inactive (expressed through one remaining active entry), or
-still active.  The iteration schedule comes from params.schedule_scheme2
-and is shared verbatim by helpers and decoder.
+and send one inner product per group.  Every round symbol is linear in the
+helper's share, so a helper sends x_h @ _stream_cols(h, f), one closed-form
+alpha x beta(d) matrix per (helper, failed node); the tests keep the
+paper's segment-by-segment arithmetic as its reference.  A RepairSession
+decodes one size-(d-2b) helper subset: each round it solves one
+(d-2b) x (d-2b) system per group, after which entries of the lost share
+are labelled known (value recovered), inactive (expressed through one
+remaining active entry), or still active.  The iteration schedule comes
+from params.schedule_scheme2 and is shared verbatim by helpers and decoder.
 
-An honest stream is linear in the lost share, x_f @ B_h (_stream_block),
-so testgroup_repair2 runs scheme 1's stacked test-group decoder
-(repair1.repair_scan) on the flattened streams, defeating up to b lying
-helpers; a stream with a dropped, extra, short or long round is a lie.  It
-accepts the group and share that the per-subset scan of RepairSession
-estimates accepts; the tests keep that scan as the reference.
-Certification checks every per-group system by rank, keeping no inverse.
+By symmetry an honest stream is also linear in the lost share,
+x_f @ _stream_cols(f, h), so testgroup_repair2 runs scheme 1's stacked
+test-group decoder (repair1.repair_scan) on the flattened streams,
+defeating up to b lying helpers; a stream with a dropped, extra, short or
+long round is a lie.  It accepts the group and share that the per-subset
+scan of RepairSession estimates accepts; the tests keep that scan as the
+reference.  Certification checks every per-group system by rank, keeping
+no inverse.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
+from operator import mul
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare
 from .errors import (
-    BadDimensionsError,
     BaerCodeError,
     PlanMismatchError,
     SingularMatrixError,
@@ -50,93 +54,41 @@ REPAIR2_MAGIC = "BAERR2"
 ACTIVE, INACTIVE, KNOWN = 0, 1, 2
 
 
-def merge(fld: Field, m: int, eps: int, e: int, v: Sequence[int], u: Sequence[int]) -> tuple[int, ...]:
-    """Overlap-add of two xi-length segments into an m-length vector.
+@lru_cache(maxsize=16384)
+def _stream_cols(plan: ScheduleII, fld: Field, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
+    """Columns of the alpha x beta(d) matrix C: src's flattened stream to dst is x_src @ C.
 
-    Requires xi <= m < 2*xi and eps >= 2 (eps is j-i+1 for merged segment
-    indices i < j); the scale e^(m - eps*xi) usually has a negative
-    exponent, so e must be nonzero.
+    Column (round, group) projects each segment i of the group onto
+    phi_dst(i), putting e_dst^pos on every entry pos of i.  A merged round
+    overlap-adds the group's last two segments a < c, which scales the
+    entries of c by e_src^(m - (c-a+1)xi) e_dst^((a-c)xi + m - xi).
     """
-    xi = len(v)
-    if len(u) != xi:
-        raise BadDimensionsError(f"segment lengths differ: {len(v)} vs {len(u)}")
-    if not xi <= m < 2 * xi:
-        raise BadDimensionsError(f"need xi <= m < 2*xi, got m={m}, xi={xi}")
-    if eps < 2:
-        raise BadDimensionsError(f"merge distance eps must be >= 2, got {eps}")
-    p = fld.p
-    scale = fld.pow(e, m - eps * xi)
-    out = [0] * m
-    out[:xi] = [x % p for x in v]
-    off = m - xi
-    for t, val in enumerate(u):
-        out[off + t] = (out[off + t] + scale * val) % p
-    return tuple(out)
-
-
-def _seg_dot(fld: Field, seg: Sequence[int], f: int, i: int, xi: int) -> int:
-    """chi(i) . phi_f(i): inner product with [e_f^((i-1)xi), ..., e_f^(i*xi - 1)]."""
-    p = fld.p
-    e_f = fld.point(f)
-    acc_pow = pow(e_f, (i - 1) * xi, p)
-    total = 0
-    for val in seg:
-        total += val * acc_pow
-        acc_pow = acc_pow * e_f % p
-    return total % p
-
-
-def m_merged_symbol(
-    fld: Field, plan: ScheduleII, share: NodeShare, f: int, i: int, j_seg: int, m: int
-) -> int:
-    """Repair symbol covering segments i < j_seg of the helper share:
-    e_f^((i-1)xi) * (merge(e_h, chi_h(i), chi_h(j)) . [1, e_f, ..., e_f^(m-1)])."""
-    if not 1 <= i < j_seg <= plan.zeta:
-        raise PlanMismatchError(f"bad merged segment pair ({i}, {j_seg})")
-    p = fld.p
-    xi = plan.xi
-    e_h = fld.point(share.index)
-    e_f = fld.point(f)
-    merged = merge(fld, m, j_seg - i + 1, e_h, share.segment(i, xi), share.segment(j_seg, xi))
-    total, acc = 0, 1
-    for val in merged:
-        total += val * acc
-        acc = acc * e_f % p
-    return total * pow(e_f, (i - 1) * xi, p) % p
-
-
-def helper_round_symbols(
-    share: NodeShare, plan: ScheduleII, j: int, f: int, fld: Field
-) -> tuple[int, ...]:
-    """One symbol per group for iteration j (1-based), per the shared schedule."""
-    if not 1 <= j <= len(plan.iterations):
-        raise PlanMismatchError(f"iteration {j} outside plan of {len(plan.iterations)}")
-    if share.index == f:
-        raise PlanMismatchError("failed node cannot help repair itself")
-    it = plan.iterations[j - 1]
-    p = fld.p
-    xi = plan.xi
-    out = []
-    for group in it.groups:
-        if it.sigma > 0:
-            a, bseg = group[-2], group[-1]
-            total = m_merged_symbol(fld, plan, share, f, a, bseg, it.m)
-            for i in group[:-2]:
-                total = (total + _seg_dot(fld, share.segment(i, xi), f, i, xi)) % p
-        else:
-            total = 0
+    xi, p = plan.xi, fld.p
+    e_src, e_dst = fld.point(src), fld.point(dst)
+    powers = [pow(e_dst, pos, p) for pos in range(plan.code.alpha)]
+    cols = []
+    for it in plan.iterations:
+        for group in it.groups:
+            col = [0] * plan.code.alpha
             for i in group:
-                total = (total + _seg_dot(fld, share.segment(i, xi), f, i, xi)) % p
-        out.append(total)
-    return tuple(out)
+                col[(i - 1) * xi : i * xi] = powers[(i - 1) * xi : i * xi]
+            if it.sigma > 0:
+                a, c = group[-2:]
+                scale = pow(e_src, it.m - (c - a + 1) * xi, p) * pow(e_dst, (a - c) * xi + it.m - xi, p)
+                for pos in range((c - 1) * xi, c * xi):
+                    col[pos] = col[pos] * scale % p
+            cols.append(tuple(col))
+    return tuple(cols)
 
 
 def helper_stream(share: NodeShare, plan: ScheduleII, f: int, fld: Field) -> tuple[tuple[int, ...], ...]:
-    """All rounds of one helper's transmission; total length is beta(d)."""
-    return tuple(
-        helper_round_symbols(share, plan, j, f, fld)
-        for j in range(1, len(plan.iterations) + 1)
-    )
+    """All rounds of one helper's transmission, one symbol per group; beta(d) in total."""
+    if share.index == f:
+        raise PlanMismatchError("failed node cannot help repair itself")
+    p = fld.p
+    flat = iter([sum(map(mul, share.x, col)) % p
+                 for col in _stream_cols(plan, fld, share.index, f)])
+    return tuple(tuple(islice(flat, it.n_groups)) for it in plan.iterations)
 
 
 # -- per-group linear systems (index data only, so cacheable) ---------------
@@ -365,24 +317,14 @@ def repair_estimate(
 
 
 @lru_cache(maxsize=16384)
-def _stream_block(plan: ScheduleII, fld: Field, f: int, h: int) -> tuple[tuple[int, ...], ...]:
-    """Helper h's alpha x beta block: its honest flattened stream is x_f @ block.
+def _group_decoder2(plan: ScheduleII, fld: Field, f: int, group: tuple[int, ...]):
+    """repair1.group_decoder() over the group's stream blocks.
 
     By the symmetry psi_h M psi_f^T = psi_f M psi_h^T, h's stream to f is f's
-    stream to h, so row r is the stream node f's r-th unit share sends to h.
+    stream to h, x_f @ _stream_cols(f, h).
     """
-    alpha, e_f = plan.code.alpha, fld.point(f)
-    rows = []
-    for r in range(alpha):
-        unit = NodeShare(index=f, e=e_f, x=tuple(int(t == r) for t in range(alpha)))
-        rows.append(tuple(v for rnd in helper_stream(unit, plan, h, fld) for v in rnd))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=16384)
-def _group_decoder2(plan: ScheduleII, fld: Field, f: int, group: tuple[int, ...]):
-    """repair1.group_decoder() over the group's stream blocks."""
-    return group_decoder([_stream_block(plan, fld, f, h) for h in group], plan.code.b, fld)
+    return group_decoder([tuple(zip(*_stream_cols(plan, fld, f, h))) for h in group],
+                         plan.code.b, fld)
 
 
 def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,

