@@ -10,10 +10,10 @@ sends the scalar
 
     x_h(i) . psi_f(i)  ( = psi_h(i) M_i psi_f(i)^T = x_f(i) . psi_h(i) )
 
-So h's payload is x_f @ B_h, B_h holding one column psi_h(i), in block i's
-rows, per component i that h serves, and testgroup_repair runs scheme 1's
-stacked decoder (repair1.repair_scan) at b = 0, the d helpers forming the
-only test-group.
+So h's payload is x_h @ _cols(h, f) = x_f @ _cols(h), and testgroup_repair
+runs repair1.repair_scan at b = 0, the d helpers forming the only
+test-group; _cols and that decoder are keyed on the helper set, since the
+assignment depends on it.
 This scheme is not error resilient; use scheme 1 or 2 when b > 0.
 """
 
@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .encoder import NodeShare, coeff_segment
+from .encoder import coeff_segment
 from .errors import BaerCodeError, NonIntegralDegreeError
 from .galois import Field
 from .params import Derived
-from .repair1 import group_decoder, repair_scan
+from .repair1 import repair_scan
 
 
 @dataclass(frozen=True)
@@ -87,30 +87,23 @@ def assign_bipartite(n_components: int, helpers: Sequence[int], d_min: int) -> A
     )
 
 
-def component_repair_symbol(
-    share: NodeShare, f: int, comp: int, code: Derived, fld: Field
-) -> int:
-    """Scalar x_h(comp) . psi_f(comp) a helper sends for one component."""
-    seg = share.segment(comp, code.lam)
-    psi_f = coeff_segment(fld, f, comp, code.lam)
-    return sum(a * b for a, b in zip(seg, psi_f)) % fld.p
-
-
 @lru_cache(maxsize=4096)
-def _group_decoder(code: Derived, fld: Field, helpers: tuple[int, ...]):
-    """repair1.group_decoder() at b = 0 over the blocks B_h of one helper set."""
-    lam, served = code.lam, assign_bipartite(code.z, helpers, code.lam).served
-    blocks = []
-    for h in helpers:
-        cols = [[0] * code.alpha for _ in served(h)]
-        for col, i in zip(cols, served(h)):
-            col[(i - 1) * lam : i * lam] = coeff_segment(fld, h, i, lam)
-        blocks.append(tuple(zip(*cols)))
-    return group_decoder(blocks, 0, fld)
+def _cols(code: Derived, fld: Field, helpers: tuple[int, ...], h: int,
+          node: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Columns of helper h's payload as a map of node's share (h's own by
+    default): one column psi_node(i), in block i's rows, per component i
+    that h serves in the sorted helper set's assignment."""
+    lam, node = code.lam, node or h
+    cols = []
+    for i in assign_bipartite(code.z, helpers, lam).served(h):
+        col = [0] * code.alpha
+        col[(i - 1) * lam : i * lam] = coeff_segment(fld, node, i, lam)
+        cols.append(tuple(col))
+    return tuple(cols)
 
 
 def testgroup_repair(payloads: Mapping[int, Sequence[int]], f: int, d: int,
                      code: Derived, fld: Field) -> tuple[int, ...]:
     """Recover x_f from d helpers' component scalars by repair1.repair_scan."""
-    return repair_scan(payloads, f, d, code.beta_of(d), code, fld.p,
-                       lambda group: _group_decoder(code, fld, group))
+    return repair_scan(payloads, f, d, code.beta_of(d), code, fld,
+                       _cols, (code, fld, tuple(sorted(payloads))))

@@ -39,10 +39,6 @@ class NodeShare:
     e: int
     x: tuple[int, ...]
 
-    def segment(self, i: int, seg_len: int) -> tuple[int, ...]:
-        """1-based slice of length seg_len: entries (i-1)*seg_len .. i*seg_len - 1."""
-        return self.x[(i - 1) * seg_len : i * seg_len]
-
 
 @dataclass(frozen=True)
 class DataMatrix:

@@ -2,10 +2,11 @@
 
 Node h stores x_h = psi_h @ M.  Block i of that share, with its prefix power
 e^((i-1)*lam) stripped, is m_i @ B_h: m_i holds block i's message symbols
-in the encoder's fill order, and B_h (_node_block) is the same f_block x lam
-matrix for every block.  So reconstruction runs the stacked test-group
-decoder of repair (repair1.group_decoder and testgroup_scan), with one
-decoder per test-group of k-b nodes shared by all z blocks: the first group
+in the encoder's fill order, and B_h is the same f_block x lam matrix for
+every block, whose columns _node_block returns.  So reconstruction runs the
+stacked test-group decoder of repair (repair1.testgroup_scan over
+repair1.group_decoder, keyed on (params, field)), one decoder per test-group
+of k-b nodes shared by all z blocks: the first group
 whose z stacked chunks all have a zero syndrome is accepted, and its left
 inverse returns the message.  That is the group the paper's scan accepts,
 the first one whose estimates from every size-(k-2b) subset agree: an
@@ -24,6 +25,7 @@ for testgroup_reconstruct.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .encoder import DataMatrix, NodeShare, build_data_matrix, coeff_segment, extract_message
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .galois import Field, Mat
 from .params import Derived
-from .repair1 import group_decoder, testgroup_scan
+from .repair1 import testgroup_scan
 
 
 def pm_reconstruct_component(
@@ -132,20 +134,14 @@ def reconstruct_estimate(
 
 @lru_cache(maxsize=4096)
 def _node_block(code: Derived, field: Field, h: int) -> tuple[tuple[int, ...], ...]:
-    """Node h's f_block x lam block: row r is block 1 of h's share under the
-    r-th unit message, whose prefix power is 1."""
-    psi = coeff_segment(field, h, 1, code.lam)
-    return tuple(
-        build_data_matrix([int(t == r) for t in range(code.f_mbr)], code, field)
-        .blocks[0].left_mul(psi)
-        for r in range(code.f_mbr // code.z)
-    )
-
-
-@lru_cache(maxsize=16384)
-def _group_decoder(code: Derived, field: Field, group: tuple[int, ...]):
-    """repair1.group_decoder() over the group's node blocks."""
-    return group_decoder([_node_block(code, field, h) for h in group], code.b, field)
+    """Columns of node h's f_block x lam block: entry r of column t is entry
+    t of block 1 of h's share under the r-th unit message, whose prefix
+    power is 1, which is row t of the symmetric M_1 times psi_h(1)."""
+    psi, p = coeff_segment(field, h, 1, code.lam), field.p
+    units = [build_data_matrix([int(s == r) for s in range(code.f_mbr)], code, field)
+             .blocks[0].data for r in range(code.f_mbr // code.z)]
+    return tuple(tuple(sum(map(mul, m[t], psi)) % p for m in units)
+                 for t in range(code.lam))
 
 
 def testgroup_reconstruct(
@@ -164,8 +160,8 @@ def testgroup_reconstruct(
     if not all(1 <= i <= code.n for i in by_index):
         raise StructureViolationError("access set references unknown nodes")
     payloads = {i: _stripped(sh, code.lam, field) for i, sh in by_index.items()}
-    found = testgroup_scan(payloads, code.k - code.b, code.lam, code.z, field.p,
-                           lambda group: _group_decoder(code, field, group))
+    found = testgroup_scan(payloads, code.k - code.b, code.lam, code.z, code.b, field,
+                           _node_block, (code, field))
     if found is None:
         raise NoConsistentGroupError(
             f"no consistent test-group among {code.k} accessed nodes; "

@@ -4,14 +4,17 @@ transmit() reads each helper's share as the adversary policy serves it,
 computes what the helper sends (a scheme-1 vector, a scheme-2 round stream
 or concat's component scalars; nothing from a share that is not alpha
 long), lets a `random` helper replace it, and counts the symbols moved.
-Every honest payload is linear in the lost share, x_f @ B_h, so decode()
-runs scheme 1's stacked test-group decoder (repair1.repair_scan) for all
-three schemes, each caching its decoders per (params, field).  It raises
-NoConsistentGroupError once the symbols have moved.
+Each scheme has one column function cols (repair1._theta_cols,
+repair2._stream_cols, concat._cols): helper h sends x_h @ cols(h->f), and
+by the symmetry of the product-matrix code that is x_f @ cols(f->h).  So
+decode() runs scheme 1's stacked test-group decoder (repair1.repair_scan)
+for all three schemes, through the one decoder cache repair1.group_decoder.
+It raises NoConsistentGroupError once the symbols have moved.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Mapping
 
 from . import adversary as adv
@@ -39,9 +42,9 @@ def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
     size = len
     if scheme == "concat":
         concat.require_b0(code)
-        served = concat.assign_bipartite(code.z, list(shares), code.lam).served
-        send = lambda sh: tuple(concat.component_repair_symbol(sh, f, i, code, fld)
-                                for i in served(sh.index))
+        helpers = tuple(sorted(shares))
+        send = lambda sh: tuple(sum(map(mul, sh.x, col)) % fld.p
+                                for col in concat._cols(code, fld, helpers, sh.index, f))
     elif scheme == "1":
         cfg = repair1.omega_build(code, fld)
         send = lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg)

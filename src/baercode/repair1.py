@@ -7,21 +7,23 @@ Omega:
 
     r(h, f) = x_h @ Phi_f @ Omega_{z_d}
 
-where Phi_f is block-diagonal with the lam x 1 blocks psi_f(i)^T.  Honest
-vectors of helpers H stack to rho_H = x_f @ Theta_H, with
+where Phi_f is block-diagonal with the lam x 1 blocks psi_f(i)^T, so
+r(h, f) = x_h @ _theta_cols(f) and, by the symmetry psi_h M psi_f^T =
+psi_f M psi_h^T, x_f @ _theta_cols(h).  Honest vectors of helpers H stack
+to rho_H = x_f @ Theta_H, with
 Theta_H = [Phi_{h_1} @ Omega_{z_d} | ... ].  The paper decodes by test
 groups against up to b lying helpers: a group of d-b helpers is accepted
 when the estimates rho_H @ Theta_H^-1 of all its size-(d-2b) subsets agree.
 When every such Theta_H is invertible, that holds exactly when
 rho_G = x @ Theta_G for some x, Theta_G being the group's stacked
-alpha x (d-b)*z_d matrix.  So each group is decoded by one elimination,
-cached per (params, field, d, group): a left inverse T returns x_f and a
-null-space basis N gives the syndrome N @ rho_G that must vanish.
-A group with a singular Theta_H is skipped, as the paper's scan skips it.
-A repair vector of the wrong length is a lie: every group holding it is
-skipped.  group_decoder and testgroup_scan hold that decoder for any payload
-that is honestly linear in the unknown; scheme 2 (repair2) and concat
-(concat), through repair_scan, and reconstruction (reconstruct) run them too.
+alpha x (d-b)*z_d matrix.  So each group is decoded by one elimination:
+a left inverse T returns x_f and a null-space basis N gives the syndrome
+N @ rho_G that must vanish.  A group with a singular Theta_H is skipped,
+as the paper's scan skips it.  A repair vector of the wrong length is a
+lie: every group holding it is skipped.  group_decoder, the one decoder
+cache, and testgroup_scan serve any payload x_f @ cols(f->h) for a column
+function cols, one per scheme: _theta_cols here, repair2._stream_cols and
+concat._cols through repair_scan, and reconstruct._node_block.
 
 Theta_H is provably invertible only over impractically large alphabets, so
 a configuration is instead certified empirically, by rank alone (no
@@ -75,25 +77,19 @@ class OmegaConfig:
 
 
 @lru_cache(maxsize=4096)
-def _theta_cols(code: Derived, fld: Field, h: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of helper h's alpha x z_d column block Phi_h @ Omega_{z_d}.
+def _theta_cols(code: Derived, fld: Field, d: int, h: int) -> tuple[tuple[int, ...], ...]:
+    """Columns of node h's alpha x z_d block Phi_h @ Omega_{z_d}.
 
-    Every Theta_H with h in H holds this block, so it is built once per
-    (params, field, h, d) and shared by all of them.
+    A helper sends x_h @ _theta_cols(f), and by the symmetry that is
+    x_f @ _theta_cols(h); every Theta_H with h in H holds h's block, so it is
+    built once per (params, field, d, h) and shared by all of them.
     """
-    omega, p, z_d = omega_build(code, fld, check=False).omega, fld.p, code.beta_of(d)
-    rows = []
-    for i in range(1, code.z + 1):
-        orow = omega.data[i - 1][:z_d]
-        for v in coeff_segment(fld, h, i, code.lam):
-            rows.append(tuple(v * w % p for w in orow))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=16384)
-def _theta_decoder(code: Derived, fld: Field, d: int, group: tuple[int, ...]):
-    """group_decoder() of Theta_G for a sorted test-group."""
-    return group_decoder([_theta_cols(code, fld, h, d) for h in group], code.b, fld)
+    omega, p = omega_build(code, fld, check=False).omega, fld.p
+    segs = [coeff_segment(fld, h, i, code.lam) for i in range(1, code.z + 1)]
+    return tuple(
+        tuple(v * orow[j] % p for orow, seg in zip(omega.data, segs) for v in seg)
+        for j in range(code.beta_of(d))
+    )
 
 
 @lru_cache(maxsize=256)
@@ -137,7 +133,7 @@ def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) ->
     through f's own column block."""
     p = cfg.field.p
     return tuple(sum(map(mul, share.x, col)) % p
-                 for col in zip(*_theta_cols(cfg.code, cfg.field, f, d)))
+                 for col in _theta_cols(cfg.code, cfg.field, d, f))
 
 
 def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
@@ -145,21 +141,19 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
 
     Square for the d-2b helpers of an estimate subset.
     """
-    blocks = [_theta_cols(cfg.code, cfg.field, h, d) for h in helpers]
-    return Mat(
-        cfg.field,
-        [[v for part in parts for v in part] for parts in zip(*blocks)],
-        cols=len(helpers) * cfg.code.beta_of(d),
-    )
+    cols = [c for h in helpers for c in _theta_cols(cfg.code, cfg.field, d, h)]
+    return Mat(cfg.field, zip(*cols), cols=len(cols))
 
 
-def group_decoder(blocks: Sequence[Sequence[Sequence[int]]], b: int,
+@lru_cache(maxsize=16384)
+def group_decoder(block, key: tuple, group: tuple[int, ...], b: int,
                   fld: Field) -> tuple[tuple[Sequence[int], ...], ...] | None:
     """Rows of (T, N) for one test-group G, or None if G is unusable.
 
-    `blocks` holds one u x w block per member of G, in group order; an
-    honest member sends r @ block for the group's unknown row r of length u,
-    and side by side the blocks form Theta_G.  With E = [T; N],
+    The one decoder cache of every repair scheme and of reconstruction.
+    `block(*key, h)` returns member h's u x w block as a tuple of its w
+    columns; an honest member sends r @ block for the group's unknown row r
+    of length u, and side by side the blocks form Theta_G.  With E = [T; N],
     E @ Theta_G^T = [I; 0]: T (u rows) is a left inverse of Theta_G^T, N
     spans its left null space.  By matroid duality, G minus b members stacks
     to a matrix of rank u exactly when N's b*w columns of those members are
@@ -167,13 +161,14 @@ def group_decoder(blocks: Sequence[Sequence[Sequence[int]]], b: int,
     of N has full rank.  Rows are arrays of the smallest item type that
     holds p-1.
     """
-    u, w = len(blocks[0]), len(blocks[0][0])
+    cols = [col for h in group for col in block(*key, h)]
+    u, w = len(cols[0]), len(cols) // len(group)
     try:
-        rows = Mat(fld, [col for blk in blocks for col in zip(*blk)]).echelon_transform().data
+        rows = Mat(fld, cols).echelon_transform().data
     except SingularMatrixError:
         return None
     null, bw = rows[u:], b * w
-    for out in combinations(range(len(blocks)), b):
+    for out in combinations(range(len(group)), b):
         minor = [[row[t * w + j] for t in out for j in range(w)] for row in null]
         if Mat(fld, minor, cols=bw).rank() < bw:
             return None
@@ -183,24 +178,24 @@ def group_decoder(blocks: Sequence[Sequence[Sequence[int]]], b: int,
 
 
 def testgroup_scan(payloads: Mapping[int, Sequence[int]], size: int, width: int,
-                   chunks: int, p: int, decoder) -> tuple[int, ...] | None:
+                   chunks: int, b: int, fld: Field, block, key: tuple) -> tuple[int, ...] | None:
     """Decode the first consistent test-group of flat payloads, or None.
 
     An honest payload is `chunks` runs of `width` symbols, run i being
-    r_i @ B_h for the member's block B_h.  Test-groups of `size` members are
-    scanned lexicographically; `decoder(group)` returns the group's
-    group_decoder() rows or None.  The first usable group whose stacked runs
-    rho_i all have a zero syndrome N @ rho_i wins, and T @ rho_1 | ... |
-    T @ rho_chunks is returned.  This is the group the paper's per-subset
-    scan accepts, with the same result.  A payload of any other length is a
-    lie: no group holding it is tried.
+    r_i @ B_h for the member's block B_h = block(*key, h).  Test-groups of
+    `size` members are scanned lexicographically, each decoded by
+    group_decoder(block, key, group, b, fld).  The first usable group whose
+    stacked runs rho_i all have a zero syndrome N @ rho_i wins, and
+    T @ rho_1 | ... | T @ rho_chunks is returned.  This is the group the
+    paper's per-subset scan accepts, with the same result.  A payload of any
+    other length is a lie: no group holding it is tried.
     """
-    length = width * chunks
+    length, p = width * chunks, fld.p
     sound = {h for h, x in payloads.items() if len(x) == length}
     for group in combinations(sorted(payloads), size):
         if not sound.issuperset(group):
             continue
-        rows = decoder(group)
+        rows = group_decoder(block, key, group, b, fld)
         if rows is None:
             continue
         t, null = rows
@@ -216,9 +211,10 @@ def testgroup_scan(payloads: Mapping[int, Sequence[int]], size: int, width: int,
 
 
 def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: int,
-                code: Derived, p: int, decoder) -> tuple[int, ...]:
+                code: Derived, fld: Field, block, key: tuple) -> tuple[int, ...]:
     """Recover x_f from d helpers' `width`-symbol payloads, at most b of them
-    lying, by testgroup_scan over test-groups of d-b helpers."""
+    lying, by testgroup_scan over test-groups of d-b helpers; helper h's
+    honest payload is x_f @ block(*key, h)."""
     helpers = sorted(payloads)
     if len(helpers) != d:
         raise BaerCodeError(f"need symbols from exactly d={d} helpers, got {len(helpers)}")
@@ -227,7 +223,7 @@ def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: in
             raise BaerCodeError(f"invalid helper {h} for failed node {f}")
     if not 1 <= f <= code.n:
         raise BaerCodeError(f"invalid failed node {f}")
-    x = testgroup_scan(payloads, d - code.b, width, 1, p, decoder)
+    x = testgroup_scan(payloads, d - code.b, width, 1, code.b, fld, block, key)
     if x is None:
         raise NoConsistentGroupError(
             f"no consistent test-group repairing node {f} from {d} helpers"
@@ -238,8 +234,8 @@ def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: in
 def testgroup_repair(symbols: Mapping[int, Sequence[int]], f: int, d: int,
                      cfg: OmegaConfig) -> tuple[int, ...]:
     """Recover x_f from d helpers' z_d-symbol repair vectors (repair_scan)."""
-    return repair_scan(symbols, f, d, cfg.code.beta_of(d), cfg.code, cfg.field.p,
-                       lambda group: _theta_decoder(cfg.code, cfg.field, d, group))
+    return repair_scan(symbols, f, d, cfg.code.beta_of(d), cfg.code, cfg.field,
+                       _theta_cols, (cfg.code, cfg.field, d))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ the overlap-add operator
     merge(m, eps, e, v, u) = [v, 0..0] + e^(m - eps*xi) [0..0, u]
 
 and send one inner product per group.  Every round symbol is linear in the
-helper's share, so a helper sends x_h @ _stream_cols(h, f), one closed-form
-alpha x beta(d) matrix per (helper, failed node); the tests keep the
-paper's segment-by-segment arithmetic as its reference.  A RepairSession
+helper's share, so a helper sends x_h @ _stream_cols(h, f), the columns of
+one closed-form alpha x beta(d) matrix per (helper, failed node): scheme
+2's column function (see repair1).  The tests keep the paper's
+segment-by-segment arithmetic as its reference.  A RepairSession
 decodes one size-(d-2b) helper subset: each round it solves one
 (d-2b) x (d-2b) system per group, after which entries of the lost share
 are labelled known (value recovered), inactive (expressed through one
@@ -19,9 +20,10 @@ remaining active entry), or still active.  The iteration schedule comes
 from params.schedule_scheme2 and is shared verbatim by helpers and decoder.
 
 By symmetry an honest stream is also linear in the lost share,
-x_f @ _stream_cols(f, h), so testgroup_repair2 runs scheme 1's stacked
-test-group decoder (repair1.repair_scan) on the flattened streams,
-defeating up to b lying helpers; a stream with a dropped, extra, short or
+x_f @ _stream_cols(f, h), so testgroup_repair2 runs repair1.repair_scan on
+the flattened streams, its group decoders stacking _stream_cols(f, h) and
+keyed on (plan, field, f), defeating up to b lying helpers; a stream with
+a dropped, extra, short or
 long round is a lie.  It accepts the group and share that the per-subset
 scan of RepairSession estimates accepts; the tests keep that scan as the
 reference.  Certification checks every per-group system by rank, keeping
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .galois import Field, Mat, primes_from
 from .params import ScheduleII, schedule_scheme2
-from .repair1 import group_decoder, repair_scan
+from .repair1 import repair_scan
 
 REPAIR2_MAGIC = "BAERR2"
 
@@ -316,17 +318,6 @@ def repair_estimate(
     return session.finalize()
 
 
-@lru_cache(maxsize=16384)
-def _group_decoder2(plan: ScheduleII, fld: Field, f: int, group: tuple[int, ...]):
-    """repair1.group_decoder() over the group's stream blocks.
-
-    By the symmetry psi_h M psi_f^T = psi_f M psi_h^T, h's stream to f is f's
-    stream to h, x_f @ _stream_cols(f, h).
-    """
-    return group_decoder([tuple(zip(*_stream_cols(plan, fld, f, h))) for h in group],
-                         plan.code.b, fld)
-
-
 def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,
                       plan: ScheduleII, fld: Field) -> tuple[int, ...]:
     """Recover x_f from d helpers' round streams, at most b of them lying, by
@@ -334,8 +325,8 @@ def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,
     rounds = [it.n_groups for it in plan.iterations]
     flat = {h: [v for rnd in st for v in rnd] if list(map(len, st)) == rounds else ()
             for h, st in streams.items()}
-    return repair_scan(flat, f, plan.d, plan.symbols_per_helper, plan.code, fld.p,
-                       lambda group: _group_decoder2(plan, fld, f, group))
+    return repair_scan(flat, f, plan.d, plan.symbols_per_helper, plan.code, fld,
+                       _stream_cols, (plan, fld, f))
 
 
 @dataclass(frozen=True)

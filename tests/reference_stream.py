@@ -43,13 +43,14 @@ def round_symbols(share, plan, j: int, f: int, fld: Field) -> tuple[int, ...]:
     it = plan.iterations[j - 1]
     xi, p = plan.xi, fld.p
     e_h, e_f = fld.point(share.index), fld.point(f)
+    seg = lambda i: share.x[(i - 1) * xi : i * xi]
     out = []
     for group in it.groups:
         plain = group[:-2] if it.sigma > 0 else group
-        total = sum(_dot_from(fld, share.segment(i, xi), e_f, (i - 1) * xi) for i in plain)
+        total = sum(_dot_from(fld, seg(i), e_f, (i - 1) * xi) for i in plain)
         if it.sigma > 0:
             a, c = group[-2:]
-            merged = merge(fld, it.m, c - a + 1, e_h, share.segment(a, xi), share.segment(c, xi))
+            merged = merge(fld, it.m, c - a + 1, e_h, seg(a), seg(c))
             total += _dot_from(fld, merged, e_f, (a - 1) * xi)
         out.append(total % p)
     return tuple(out)

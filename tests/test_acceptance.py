@@ -175,7 +175,8 @@ def test_c07_merge_identity(a12_code):
         e_h, e_f = fld.point(h), fld.point(f)
 
         def side(e_src, src, e_dst):
-            merged = merge(fld, m, j - i + 1, e_src, src.segment(i, xi), src.segment(j, xi))
+            merged = merge(fld, m, j - i + 1, e_src, src.x[(i - 1) * xi : i * xi],
+                           src.x[(j - 1) * xi : j * xi])
             return sum(v * pow(e_dst, t, p) for t, v in enumerate(merged)) % p
 
         lhs = pow(e_h, (i - 1) * xi, p) * side(e_f, sf, e_h) % p

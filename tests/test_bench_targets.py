@@ -1,13 +1,17 @@
-"""Every library name the benchmark traces still exists.
+"""Every library name the benchmark traces still exists, and still runs.
 
 bench/spans.py patches the functions and methods it lists in TARGETS by
 name; a refactor that deletes or renames one would stop the benchmark at
-start-up.  This checks the list against the library in the tier-1 suite.
+start-up, and one that stops calling it would leave its per-layer metrics
+reading 0.  This checks both against the library in the tier-1 suite.
 """
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
+
+from baercode import cli, repair1, repair2, simnet
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -33,3 +37,53 @@ def test_every_traced_name_resolves_on_the_library():
             missing.append(f"{mod_name}.{dotted}")
     assert missing == []
     assert spans.Tracer()._patches          # the tracer builds every patch
+
+
+
+# Spans no library path reaches: the paper-form decoders and estimates that
+# only the tests' references run.
+SILENT = {"galois.inv", "galois.matmul", "reconstruct.component", "repair1.theta",
+          "repair2.estimate"}
+
+
+def test_only_the_dead_spans_stay_silent(tmp_path, ex3_code, a12_code, ex1_code):
+    spans = load_spans()
+    for m in spans.MODULES:
+        importlib.import_module(f"baercode.{m}")
+    tracer, fields = spans.Tracer(), {}
+    tracer.begin("setup")
+    tracer.install()
+    try:
+        # Scheme 2 has no schedule at ex3 (alpha=6).
+        for code, scheme in ((ex3_code, "1"), (a12_code, "2"), (ex1_code, "concat")):
+            fld = repair1.find_field(code).field
+            repair1.verify_theta_all(code, fld)
+            if scheme != "1":
+                fld2, _, _ = repair2.find_field_scheme2(code)
+                repair2.verify_systems_all(code, fld2)
+                fld = fld2 if scheme == "2" else fld
+            fields[scheme] = fld
+            rng = random.Random(5)
+            message = [rng.randrange(fld.p) for _ in range(code.f_mbr)]
+            script = simnet.parse_scenario(
+                f"fail {code.n}\nrepair {code.n} d={max(code.d_set)}\n"
+                f"reconstruct {','.join(map(str, range(1, code.k + 1)))}\n")
+            report = simnet.run_scenario(simnet.init_cluster(code, message, scheme, fld), script)
+            assert all(row.success for row in report.rows)
+        p = fields["1"].p
+        params, msg, shares = tmp_path / "ex3.params", tmp_path / "msg.txt", tmp_path / "shares"
+        params.write_text(f"n=6\nk=3\nb=1\nalpha=6\nD=4,5\np={p}\n")
+        msg.write_text("".join(f"{v % p}\n" for v in range(ex3_code.f_mbr)))
+        assert cli.main(["encode", "--params", str(params), "--message", str(msg),
+                         "--out", str(shares)]) == 0
+        files = [str(f) for f in sorted(shares.iterdir())]
+        assert cli.main(["repair", "--params", str(params), "--failed", "6", "--d", "4",
+                         "--adversary", "liar", "--controlled", "1",
+                         "--out", str(tmp_path / "rebuilt"), *files[:4]]) == 0
+        assert cli.main(["reconstruct", "--params", str(params),
+                         "--out", str(tmp_path / "message"), *files[:3]]) == 0
+    finally:
+        tracer.uninstall()
+        tracer.finish()
+    calls = {name: c for name, (c, _ms, _self) in tracer._totals("setup").items()}
+    assert {name for name, c in calls.items() if c == 0} == SILENT

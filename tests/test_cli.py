@@ -219,11 +219,11 @@ def test_repeated_repairs_build_each_group_decoder_once(workspace):
     helpers = [f for f in sorted(shares.iterdir()) if f.name != "node02.share"]
     argv = ("repair", "--params", params, "--failed", 2, "--d", 4, "--adversary", "random",
             "--controlled", 1, "--out", tmp / "rebuilt", *helpers)
-    repair1._theta_decoder.cache_clear()
+    repair1.group_decoder.cache_clear()
     assert run(*argv) == 0
-    first = repair1._theta_decoder.cache_info()
+    first = repair1.group_decoder.cache_info()
     assert run(*argv) == 0
-    second = repair1._theta_decoder.cache_info()
+    second = repair1.group_decoder.cache_info()
     assert first.misses == second.misses == 4         # groups 134, 135, 145 hold the liar
     assert second.hits == first.hits + 4
 

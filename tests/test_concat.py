@@ -6,7 +6,7 @@ import pytest
 
 from baercode import repair
 from baercode.adversary import AdversaryPolicy
-from baercode.concat import assign_bipartite, component_repair_symbol
+from baercode.concat import assign_bipartite
 from baercode.encoder import NodeShare, build_data_matrix, encode_all
 from baercode.errors import BaerCodeError, NoConsistentGroupError, NonIntegralDegreeError
 from baercode.galois import Field
@@ -87,8 +87,9 @@ def test_zero_message_zero_traffic(ex1_code):
         s.index: s
         for s in encode_all(build_data_matrix([0] * 20, ex1_code, F7), ex1_code, F7)
     }
-    for h in (1, 2, 3):
-        assert component_repair_symbol(shares[h], 5, 1, ex1_code, F7) == 0
+    sent, _ = repair.transmit("concat", {h: shares[h] for h in (1, 2, 3)}, 5, 3,
+                              AdversaryPolicy(), ex1_code, F7)
+    assert all(v == 0 for payload in sent.values() for v in payload)
     got = driver_repair(shares, 5, (1, 2, 3), ex1_code, F7)
     assert got.x == (0,) * 12
 

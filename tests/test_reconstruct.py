@@ -19,6 +19,7 @@ from baercode.reconstruct import (
     reconstruct_estimate,
     testgroup_reconstruct as tg_reconstruct,
 )
+from baercode.repair1 import group_decoder
 
 from reference_scan import MALFORMED, first_consistent, reference_reconstruct
 
@@ -57,7 +58,8 @@ def test_component_matches_built_blocks(ex3_code, ex1_code):
                 segs = []
                 for sh in subset:
                     scale = pow(sh.e, -(i - 1) * code.lam, fld.p)
-                    segs.append((sh.e, [v * scale % fld.p for v in sh.segment(i, code.lam)]))
+                    seg = sh.x[(i - 1) * code.lam : i * code.lam]
+                    segs.append((sh.e, [v * scale % fld.p for v in seg]))
                 got = pm_reconstruct_component(segs, fld, code.lam, code.kappa)
                 assert got == dm.blocks[i - 1]
 
@@ -182,11 +184,11 @@ def test_honest_decode_builds_one_group_decoder(monkeypatch):
     calls = []
     monkeypatch.setattr(reconstruct, "pm_reconstruct_component", lambda *a: calls.append(a))
     monkeypatch.setattr(reconstruct, "extract_message", lambda dm: calls.append(dm))
-    reconstruct._group_decoder.cache_clear()
+    group_decoder.cache_clear()
     reconstruct._node_block.cache_clear()
     msg, access = mid_access(7)
     assert tg_reconstruct(access, MID, F23) == msg
-    assert reconstruct._group_decoder.cache_info().misses == 1
+    assert group_decoder.cache_info().misses == 1
     assert reconstruct._node_block.cache_info().misses == MID.k - MID.b
     assert calls == []
 
@@ -333,7 +335,7 @@ def test_every_group_decoder_is_usable_and_over_the_field(where):
     code, fld, _ = CODES[where]
     f_block = code.f_mbr // code.z
     for group in combinations(range(1, code.n + 1), code.k - code.b):
-        t, null = reconstruct._group_decoder(code, fld, group)
+        t, null = group_decoder(reconstruct._node_block, (code, fld), group, code.b, fld)
         assert len(t) == f_block
         assert len(null) == len(group) * code.lam - f_block
         assert all(0 <= v < fld.p for row in t + null for v in row)

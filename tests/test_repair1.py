@@ -222,7 +222,7 @@ def mid_code():
 
 
 def test_find_field_pins_mid_search(monkeypatch):
-    decoders = repair1._theta_decoder.cache_info()
+    decoders = repair1.group_decoder.cache_info()
     eliminations = []
     echelon = Mat.echelon_transform
     monkeypatch.setattr(Mat, "echelon_transform",
@@ -232,7 +232,7 @@ def test_find_field_pins_mid_search(monkeypatch):
     assert search.rejected == (11, 13, 17, 19)
     assert search.report.ok and search.report.checked == 462
     assert eliminations == []               # certification inverts no Theta
-    assert repair1._theta_decoder.cache_info() == decoders   # nor builds a group decoder
+    assert repair1.group_decoder.cache_info() == decoders   # nor builds a group decoder
 
 
 def test_verify_theta_lists_every_singular_matrix():
@@ -349,7 +349,9 @@ def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
                 if (d, sub) not in full:
                     full[d, sub] = theta(sub, d, cfg).rank() == code.alpha
                 want = want and full[d, sub]
-            assert (repair1._theta_decoder(code, cfg.field, d, group) is not None) == want
+            rows = repair1.group_decoder(repair1._theta_cols, (code, cfg.field, d), group,
+                                         code.b, cfg.field)
+            assert (rows is not None) == want
             bad += not want
     assert bad == unusable
 
@@ -359,7 +361,8 @@ def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_search):
     for d in code.d_set:
         z_d = code.beta_of(d)
         for group in combinations(range(1, code.n + 1), d - code.b):
-            t, null = repair1._theta_decoder(code, cfg.field, d, group)
+            t, null = repair1.group_decoder(repair1._theta_cols, (code, cfg.field, d), group,
+                                            code.b, cfg.field)
             rows, m = t + null, len(group) * z_d
             assert len(t) == code.alpha
             assert len(rows) == m and all(len(r) == m for r in rows)

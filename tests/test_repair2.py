@@ -15,12 +15,12 @@ from baercode.errors import (
 )
 from baercode.galois import Field, Mat, is_prime
 from baercode.params import CodeParams, schedule_scheme2, validate
+from baercode.repair1 import group_decoder
 from baercode.repair2 import (
     ACTIVE,
     INACTIVE,
     KNOWN,
     RepairSession,
-    _group_decoder2,
     _group_matrix,
     _group_matrix_inv,
     _stream_cols,
@@ -86,7 +86,8 @@ def test_merge_reflexivity_identity(a12_code):
         sh, sf = shares[h - 1], shares[f - 1]
 
         def side(e_src, src, e_dst):
-            merged = merge(fld, m, j - i + 1, e_src, src.segment(i, xi), src.segment(j, xi))
+            merged = merge(fld, m, j - i + 1, e_src, src.x[(i - 1) * xi : i * xi],
+                           src.x[(j - 1) * xi : j * xi])
             dot = sum(v * pow(e_dst, t, p) for t, v in enumerate(merged)) % p
             return dot
 
@@ -565,9 +566,36 @@ def test_group_usable_iff_every_subset_system_has_full_rank(name, p, fs, unusabl
             others = [h for h in range(1, code.n + 1) if h != f]
             for group in combinations(others, d - code.b):
                 want = all(full[sub] for sub in combinations(group, span))
-                assert (_group_decoder2(plan, fld, f, group) is not None) == want
+                assert (group_decoder(_stream_cols, (plan, fld, f), group, code.b, fld)
+                        is not None) == want
                 bad += not want
     assert bad == unusable
+
+
+@pytest.mark.parametrize("name, p, singular", [
+    ("a12", 7, 6), ("a12", 11, 0), ("a12", 13, 6), ("a12", 17, 3),
+    ("a12", 19, 0), ("a12", 23, 0), ("a12", 29, 0), ("a12", 31, 0),
+    ("s2", 11, 84), ("s2", 13, 57), ("s2", 17, 20), ("s2", 19, 0),
+])
+def test_stacked_subset_singular_iff_one_of_its_systems_is(name, p, singular):
+    """A (d-2b)-subset S of the nodes other than f fails the stacked check,
+    its rows _stream_cols(f, h) of rank below alpha, exactly when one of its
+    per-group systems is singular.  Only the largest d has singular subsets;
+    their counts pin the small-field minors."""
+    code, fld = CODES[name](), Field(p)
+    f, counts = code.n, {}
+    for d in code.d_set:
+        plan = schedule_scheme2(code, d)
+        span = d - 2 * code.b
+        counts[d] = 0
+        for sub in combinations(range(1, f), span):
+            rows = [c for h in sub for c in _stream_cols(plan, fld, f, h)]
+            stacked = Mat(fld, rows).rank() < code.alpha
+            assert stacked == any(_group_matrix(plan, fld, j, gi, sub).rank() < span
+                                  for j, it in enumerate(plan.iterations, 1)
+                                  for gi in range(it.n_groups))
+            counts[d] += stacked
+    assert counts == {d: singular if d == max(code.d_set) else 0 for d in code.d_set}
 
 
 @pytest.mark.parametrize("p", [65537, 1000003])
@@ -580,7 +608,7 @@ def test_decode_with_symbols_above_16_bits(a12_code, p):
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in helpers}
     streams[1] = tuple(tuple(rng.randrange(p) for _ in r) for r in streams[1])
     assert tg_repair2(streams, f, plan, fld) == shares[f].x
-    t, null = _group_decoder2(plan, fld, f, (2, 3, 4, 5))
+    t, null = group_decoder(_stream_cols, (plan, fld, f), (2, 3, 4, 5), 1, fld)
     assert t[0].itemsize * 8 >= (p - 1).bit_length()
 
 

@@ -2,14 +2,17 @@
 
 import random
 import re
+from itertools import combinations
+from operator import mul
 
 import pytest
 
 from baercode import adversary as adv
-from baercode import repair
+from baercode import concat, repair, repair1, repair2
 from baercode.cli import main
-from baercode.encoder import format_share
+from baercode.encoder import build_data_matrix, encode_all, format_share
 from baercode.galois import Field
+from baercode.params import schedule_scheme2
 from baercode.repair1 import parse_repair_record
 from baercode.repair2 import REPAIR2_MAGIC, parse_round_record
 from baercode.simnet import Event, init_cluster
@@ -89,3 +92,34 @@ def test_cli_and_simulator_repair_alike(request, tmp_path, capsys, scheme, code_
     for h, payload in sent.items():
         text = (recs / f"repair_h{h:02d}.rec").read_text()
         assert _parse_records(scheme, text) == (h, f, d, tuple(payload))
+
+
+# Each scheme's column function, as the decoder stacks it: cols(f->h).
+DECODER_COLS = {
+    "1": lambda code, fld, f, d, helpers, h: repair1._theta_cols(code, fld, d, h),
+    "2": lambda code, fld, f, d, helpers, h: repair2._stream_cols(
+        schedule_scheme2(code, d), fld, f, h),
+    "concat": lambda code, fld, f, d, helpers, h: concat._cols(code, fld, helpers, h),
+}
+
+
+@pytest.mark.parametrize("scheme, code_name", [
+    ("1", "ex3_code"), ("2", "a12_code"), ("concat", "ex1_code"),
+])
+def test_every_honest_payload_is_the_lost_share_times_its_columns(request, scheme, code_name):
+    """x_h @ cols(h->f) == x_f @ cols(f->h): the identity the one group
+    decoder relies on, for every f, d and helper set."""
+    code = request.getfixturevalue(code_name)
+    fld = _field(request, scheme)
+    rng = random.Random(12)
+    dm = build_data_matrix([rng.randrange(fld.p) for _ in range(code.f_mbr)], code, fld)
+    shares = {s.index: s for s in encode_all(dm, code, fld)}
+    for f in shares:
+        for d in code.d_set:
+            for helpers in combinations([h for h in shares if h != f], d):
+                sent, _ = repair.transmit(scheme, {h: shares[h] for h in helpers}, f, d,
+                                          adv.AdversaryPolicy(), code, fld)
+                for h, payload in sent.items():
+                    flat = tuple(v for rnd in payload for v in rnd) if scheme == "2" else payload
+                    cols = DECODER_COLS[scheme](code, fld, f, d, helpers, h)
+                    assert flat == tuple(sum(map(mul, shares[f].x, c)) % fld.p for c in cols)
