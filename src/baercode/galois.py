@@ -9,6 +9,8 @@ pure functions of their inputs.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -231,16 +233,23 @@ class Mat:
         """Rank by forward elimination.
 
         Rows are never scaled and nothing above a pivot is eliminated.  Each
-        row is packed into one integer, `width` bits per entry with the
-        current column in the lowest bits, so a row update is one big-integer
-        multiply-add over the columns right of the pivot.  Only the pivot row
-        is reduced mod p: every update adds less than p*p to an entry and an
-        entry is updated at most `rows` times, so no entry outgrows its bits.
+        row is packed into one integer, one lane per entry with the current
+        column in the lowest lane (see _lane), so a row update is one
+        big-integer multiply-add over the columns right of the pivot.  Only
+        the pivot row is reduced mod p: every update adds less than p*p to an
+        entry and an entry is updated at most `rows` times, so no entry
+        outgrows its lane.  A small problem skips even that: with unreduced
+        pivot rows an update at most multiplies the largest entry by p, so
+        after at most min(rows, cols) updates every entry is below
+        p**(min(rows, cols) + 1), and while that fits a 64-bit lane the pivot
+        row is used as it stands.
         """
         p = self.field.p
-        width = (p * p * (self.rows + 1)).bit_length()
+        grown = p ** (min(self.rows, self.cols) + 1)
+        lazy = grown.bit_length() <= _LANES[-1][0]
+        width, tc = _lane(grown if lazy else p * p * (self.rows + 1))
         mask = (1 << width) - 1
-        rows = [sum(v << (width * k) for k, v in enumerate(row)) for row in self.data]
+        rows = [_pack(row, width, tc) for row in self.data]
         rank = 0
         for col in range(self.cols):
             piv = next((i for i, x in enumerate(rows) if (x & mask) % p), None)
@@ -248,14 +257,13 @@ class Mat:
                 rows = [x >> width for x in rows]
                 continue
             prow = rows.pop(piv)
-            neg_inv = p - pow(prow & mask, -1, p)
-            tail = 0
-            for k in range(1, self.cols - col):
-                tail |= ((prow >> (width * k)) & mask) % p << (width * (k - 1))
-            rows = [(x >> width) + (x & mask) * neg_inv % p * tail for x in rows]
             rank += 1
             if not rows:
                 break
+            neg_inv = p - pow(prow & mask, -1, p)
+            tail = prow >> width if lazy else _pack(
+                [v % p for v in _unpack(prow >> width, self.cols - col - 1, width, tc)], width, tc)
+            rows = [(x >> width) + (x & mask) * neg_inv % p * tail for x in rows]
         return rank
 
     def echelon_transform(self) -> "Mat":
@@ -273,12 +281,9 @@ class Mat:
         """
         p = self.field.p
         n, m = self.cols, self.rows
-        width = (p * p * (n + 1)).bit_length()
+        width, tc = _lane(p * p * (n + 1))
         mask = (1 << width) - 1
-        rest = [
-            sum(v << (width * k) for k, v in enumerate(row)) | 1 << (width * (n + i))
-            for i, row in enumerate(self.data)
-        ]
+        rest = [_pack(row, width, tc) | 1 << (width * (n + i)) for i, row in enumerate(self.data)]
         pivots: list[int] = []
         for col in range(n):
             piv = next((i for i, x in enumerate(rest) if (x & mask) % p), None)
@@ -287,14 +292,49 @@ class Mat:
             prow = rest.pop(piv)
             inv = pow(prow & mask, -1, p)
             # The scaled pivot row without its leading 1; entries reduced mod p.
-            tail = 0
-            for k in range(1, n - col + m):
-                tail |= ((prow >> (width * k)) & mask) * inv % p << (width * (k - 1))
+            tail = _pack([v * inv % p for v in _unpack(prow >> width, n - col - 1 + m, width, tc)],
+                         width, tc)
             rest = [(x >> width) + -(x & mask) % p * tail for x in rest]
             pivots = [(x >> width) + -(x & mask) % p * tail for x in pivots]
             pivots.append(tail)
-        return Mat(
-            self.field,
-            [[(x >> (width * k)) & mask for k in range(m)] for x in pivots + rest],
-            cols=m,
-        )
+        return Mat(self.field, [_unpack(x, m, width, tc) for x in pivots + rest], cols=m)
+
+
+# -- packed rows ---------------------------------------------------------------
+#
+# The kernels above pack a row of entries into one integer, entry k in lane k
+# (bits k*width and up).  A lane of 16, 32 or 64 bits is an array item, so a
+# row packs and unpacks through bytes in one C call each; wider lanes go
+# entry by entry, one shift each.
+
+_LANES = sorted({8 * array(c).itemsize: c for c in "HILQ"
+                 if 8 * array(c).itemsize in (16, 32, 64)}.items())
+_SWAP = sys.byteorder == "big"   # lanes are read little-endian
+
+
+def _lane(bound: int) -> tuple[int, str | None]:
+    """(width, typecode) of the narrowest lane that holds every value below
+    bound; typecode None, past 64 bits, packs entry by entry."""
+    bits = bound.bit_length()
+    return next(((w, tc) for w, tc in _LANES if bits <= w), (bits, None))
+
+
+def _pack(row: Iterable[int], width: int, tc: str | None) -> int:
+    if tc is None:
+        return sum(v << (width * k) for k, v in enumerate(row))
+    lanes = array(tc, row)
+    if _SWAP:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _unpack(x: int, count: int, width: int, tc: str | None) -> Sequence[int]:
+    """The lowest `count` lanes of x."""
+    if tc is None:
+        mask = (1 << width) - 1
+        return [(x >> (width * k)) & mask for k in range(count)]
+    lanes = array(tc)
+    lanes.frombytes(x.to_bytes(count * lanes.itemsize, "little"))
+    if _SWAP:
+        lanes.byteswap()
+    return lanes

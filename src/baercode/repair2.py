@@ -26,8 +26,15 @@ keyed on (plan, field, f), defeating up to b lying helpers; a stream with
 a dropped, extra, short or
 long round is a lie.  It accepts the group and share that the per-subset
 scan of RepairSession estimates accepts; the tests keep that scan as the
-reference.  Certification checks every per-group system by rank, keeping
-no inverse.
+reference.
+
+Certification checks every per-group system by rank, keeping no inverse.
+A system is a generalized Vandermonde e_h^(x_s) over its slot exponents
+x_s, and its rank is unchanged by shifting every exponent by a constant
+(a column scaling) or by reducing them mod p-1.  So each system reduces
+to an exponent class, the exponents less their minimum, mod p-1, sorted,
+and each (class, helper subset) is ranked once per prime: at
+(10,4,{7,8},1,60) over GF(19), 462 ranks decide all 5124 systems.
 """
 
 from __future__ import annotations
@@ -130,22 +137,25 @@ def _group_slots(plan: ScheduleII, j: int, gi: int) -> tuple[tuple, ...]:
     return tuple(slots)
 
 
-def _slot_coeff(fld: Field, plan: ScheduleII, j: int, gi: int, slot: tuple, h: int) -> int:
-    """Coefficient of one unknown in helper h's equation."""
+@lru_cache(maxsize=16384)
+def _slot_exponents(plan: ScheduleII, j: int, gi: int) -> tuple[int, ...]:
+    """Exponent of e_h in each slot's coefficient of helper h's equation.
+
+    Entry t of segment i sits at position (i-1)xi + t-1, merged-vector
+    position q at (a-1)xi + q-1 for the group's second-to-last segment a.
+    """
     xi = plan.xi
-    e_h = fld.point(h)
-    if slot[0] == "seg":
-        _, i, t = slot
-        return pow(e_h, (i - 1) * xi + t - 1, fld.p)
-    _, q, _, _ = slot
-    a = plan.iterations[j - 1].groups[gi][-2]
-    return pow(e_h, (a - 1) * xi + q - 1, fld.p)
+    it = plan.iterations[j - 1]
+    a = it.groups[gi][-2] if it.sigma > 0 else None
+    return tuple((s[1] - 1) * xi + s[2] - 1 if s[0] == "seg" else (a - 1) * xi + s[1] - 1
+                 for s in _group_slots(plan, j, gi))
 
 
 def _group_matrix(plan: ScheduleII, fld: Field, j: int, gi: int, helpers: tuple[int, ...]) -> Mat:
     """The system of group gi at iteration j: one column per helper, one row per slot."""
-    return Mat(fld, [[_slot_coeff(fld, plan, j, gi, s, h) for h in helpers]
-                     for s in _group_slots(plan, j, gi)], cols=len(helpers))
+    points = [fld.point(h) for h in helpers]
+    return Mat(fld, [[pow(e, x, fld.p) for e in points] for x in _slot_exponents(plan, j, gi)],
+               cols=len(helpers))
 
 
 @lru_cache(maxsize=16384)
@@ -337,7 +347,9 @@ class SystemReport:
     and the resulting generalized Vandermonde minors can vanish over very
     small fields even though all evaluation points are distinct.  An empty
     report certifies that every subset of every helper choice decodes for
-    every d in D.
+    every d in D.  `checked` counts every (d, subset, round, group) system
+    and `singular` lists each singular one, though the sweep ranks each
+    exponent class only once per subset (see _singular_systems).
     """
 
     p: int
@@ -364,15 +376,37 @@ def _system_count(code, plans: Sequence[ScheduleII]) -> int:
 def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
     """Yield each (d, subset, j, group) whose system is singular, in sweep order.
 
-    Only the rank of each system is computed; no inverse is kept.
+    A system A[s][h] = e_h^(x_s) keeps its rank when every exponent is
+    shifted by c (column h scales by e_h^c) or reduced mod p-1, so it is
+    ranked as its exponent class: the exponents less their minimum, mod p-1,
+    sorted.  Duplicates stay in the class, since two equal exponents make the
+    system singular.  Each (class, subset) is ranked once per sweep, from
+    per-node power tables no longer than the largest class exponent, and no
+    inverse is kept.
     """
+    order, p = fld.p - 1, fld.p
+    sweeps = []
     for plan in plans:
+        systems = []
+        for j, it in enumerate(plan.iterations, 1):
+            for gi in range(it.n_groups):
+                ex = _slot_exponents(plan, j, gi)
+                lo = min(ex)
+                systems.append((j, gi, tuple(sorted((x - lo) % order for x in ex))))
+        sweeps.append((plan, systems))
+    top = max(x for _, systems in sweeps for *_, cls in systems for x in cls)
+    powers = {h: [pow(fld.point(h), x, p) for x in range(top + 1)] for h in range(1, code.n + 1)}
+    singular = {}
+    for plan, systems in sweeps:
         span = plan.d - 2 * code.b
         for subset in combinations(range(1, code.n + 1), span):
-            for j, it in enumerate(plan.iterations, 1):
-                for gi in range(it.n_groups):
-                    if _group_matrix(plan, fld, j, gi, subset).rank() < span:
-                        yield plan.d, subset, j, gi
+            for j, gi, cls in systems:
+                key = (cls, subset)
+                if key not in singular:
+                    rows = [[powers[h][x] for x in cls] for h in subset]
+                    singular[key] = Mat(fld, rows, cols=span).rank() < span
+                if singular[key]:
+                    yield plan.d, subset, j, gi
 
 
 def verify_systems_all(code, fld: Field) -> SystemReport:

@@ -12,10 +12,10 @@ are ordered events:
 Every repair runs through the driver the CLI uses (repair.transmit, then
 repair.decode), is metered and compared against the minimum total bandwidth
 gamma_mbr(d) = alpha*d/(d-2b); every post-repair share is compared to the
-encoder's ground truth, so error propagation is impossible to miss.  An
-event outside the model (a repair or reconstruction with no consistent
-test-group) is logged as a failed row and the scenario goes on; a node
-whose repair failed stays failed.
+share the encoder gave that node at set-up, so error propagation is
+impossible to miss.  An event outside the model (a repair or reconstruction
+with no consistent test-group) is logged as a failed row and the scenario
+goes on; a node whose repair failed stays failed.
 Wall-clock time is reported per event but never asserted.
 """
 
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import adversary as adv
 from . import repair
-from .encoder import NodeShare, build_data_matrix, encode_all, encode_node
+from .encoder import NodeShare, build_data_matrix, encode_all
 from .errors import (
     BaerCodeError,
     NoConsistentGroupError,
@@ -126,11 +126,9 @@ class Cluster:
         self.field = fld
         self.scheme = scheme
         self.message = tuple(v % fld.p for v in message)
-        dm = build_data_matrix(self.message, code, fld)
-        self._dm = dm
-        self.shares: dict[int, NodeShare | None] = {
-            s.index: s for s in encode_all(dm, code, fld)
-        }
+        encoded = encode_all(build_data_matrix(self.message, code, fld), code, fld)
+        self._encoded = {s.index: s for s in encoded}    # ground truth for repairs
+        self.shares: dict[int, NodeShare | None] = dict(self._encoded)
         self.policy = adv.AdversaryPolicy()
         self.log: list[ReportRow] = []
 
@@ -138,9 +136,6 @@ class Cluster:
 
     def live_nodes(self) -> list[int]:
         return sorted(n for n, s in self.shares.items() if s is not None)
-
-    def ground_truth(self, node: int) -> NodeShare:
-        return encode_node(self._dm, node, self.code, self.field)
 
     def _choose_helpers(self, f: int, d: int, policy: str, rng: random.Random) -> list[int]:
         banned = _banned(policy)
@@ -187,7 +182,7 @@ class Cluster:
             except NoConsistentGroupError:
                 success = False             # outside the model; node f stays failed
             else:
-                success = repaired.x == self.ground_truth(f).x and symbols == gamma_expect
+                success = repaired.x == self._encoded[f].x and symbols == gamma_expect
                 self.shares[f] = repaired
             event = Event(kind="repair", node=f, d=d,
                           helper_policy=",".join(str(h) for h in helpers))

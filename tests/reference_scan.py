@@ -1,4 +1,5 @@
-"""The paper's per-subset test-group scan, the tests' reference decoder.
+"""The paper's per-subset test-group scan, the tests' reference decoder, and
+the per-system sweep, the reference for scheme-2 certification.
 
 The library decides every test-group with one stacked linear system
 (repair1.group_decoder and testgroup_scan).  The scan below decides it as
@@ -7,12 +8,19 @@ a group and accept the first group whose estimates all agree.  The tests run
 it over reconstruct_estimate and over scheme-2 RepairSession estimates as
 the oracle for the stacked decoder; scheme 1's reference scan, over Theta
 inverses, shares its MALFORMED sentinel.
+
+repair2 certifies a field by ranking each (exponent class, helper subset)
+once; reference_singular_systems ranks every (d, subset, round, group)
+system on its own, as the sweep did before the classes.
 """
 
 from itertools import combinations
 
 from baercode.errors import NoConsistentGroupError, StructureViolationError
+from baercode.galois import Field, primes_from
+from baercode.params import schedule_scheme2
 from baercode.reconstruct import reconstruct_estimate
+from baercode.repair2 import _group_matrix
 
 
 class _Malformed:
@@ -78,3 +86,29 @@ def reference_reconstruct(access, code, field):
             f"more than b={code.b} nodes must be corrupted"
         )
     return found
+
+
+def reference_singular_systems(code, fld):
+    """(checked, singular) of repair2.verify_systems_all, by one rank per
+    (d, subset, j, group) system, in the same sweep order."""
+    checked, singular = 0, []
+    for d in code.d_set:
+        plan = schedule_scheme2(code, d)
+        span = d - 2 * code.b
+        for subset in combinations(range(1, code.n + 1), span):
+            for j, it in enumerate(plan.iterations, 1):
+                for gi in range(it.n_groups):
+                    checked += 1
+                    if _group_matrix(plan, fld, j, gi, subset).rank() < span:
+                        singular.append((d, subset, j, gi))
+    return checked, tuple(singular)
+
+
+def reference_find_field_scheme2(code):
+    """(p, rejected) of repair2.find_field_scheme2: the first prime >= n+1
+    whose reference sweep finds no singular system."""
+    rejected = []
+    for p in primes_from(code.n + 1):
+        if not reference_singular_systems(code, Field(p))[1]:
+            return p, tuple(rejected)
+        rejected.append(p)

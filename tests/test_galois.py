@@ -277,3 +277,86 @@ def test_echelon_transform_of_a_tall_matrix_feeds_rank(p):
         for cols in combinations(range(24), 4):
             minor = Mat(fld, [[row[c] for c in cols] for row in null], cols=4)
             assert minor.rank() == reference_rank(minor)
+
+
+# -- packed-row lanes ------------------------------------------------------------
+#
+# rank and echelon_transform pack a row into 16-, 32- or 64-bit array lanes,
+# the narrowest that holds every intermediate entry, or entry by entry past
+# 64 bits.  These primes sit on both sides of 2^8, 2^16, 2^32 and 2^64 for p
+# (p^2 bounds an entry update), so across shapes up to 12 x 12 every lane
+# width and both packings are reached.
+
+LANE_PRIMES = (3, 251, 257, 65521, 65537, 2**31 - 1, 2**61 - 1)
+
+
+def reference_echelon(a):
+    """Gauss-Jordan on [A | I] over lists, pivoting on the first nonzero
+    entry: E, as Mat.echelon_transform returns it, or None below full
+    column rank."""
+    p, n, m = a.field.p, a.cols, a.rows
+    rest = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a.tolist())]
+    pivots = []
+    for col in range(n):
+        piv = next((i for i, row in enumerate(rest) if row[col]), None)
+        if piv is None:
+            return None
+        inv = pow(rest[piv][col], -1, p)
+        prow = [v * inv % p for v in rest.pop(piv)]
+        rest = [[(v - row[col] * w) % p for v, w in zip(row, prow)] for row in rest]
+        pivots = [[(v - row[col] * w) % p for v, w in zip(row, prow)] for row in pivots]
+        pivots.append(prow)
+    return [row[n:] for row in pivots + rest]
+
+
+@st.composite
+def lane_matrices(draw):
+    """rows x cols matrix of rank at most r, as a product L @ R, with entries
+    biased to p-1 so that packed entries grow as far as they can."""
+    fld = Field(draw(st.sampled_from(LANE_PRIMES)))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(rows, cols)))
+    entry = st.one_of(st.just(fld.p - 1), st.integers(0, fld.p - 1))
+    if r == min(rows, cols) and draw(st.booleans()):
+        grid = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        return Mat(fld, grid, cols=cols)
+    left = Mat(fld, [[draw(entry) for _ in range(r)] for _ in range(rows)], cols=r)
+    right = Mat(fld, [[draw(entry) for _ in range(cols)] for _ in range(r)], cols=cols)
+    return left @ right
+
+
+def assert_kernels_match_lists(a):
+    assert a.rank() == reference_rank(a)
+    want = reference_echelon(a)
+    if want is None:
+        with pytest.raises(SingularMatrixError):
+            a.echelon_transform()
+    else:
+        assert a.echelon_transform().tolist() == want
+
+
+@given(lane_matrices())
+@settings(deadline=None, max_examples=300)
+def test_packed_kernels_match_list_elimination_across_lanes(a):
+    assert_kernels_match_lists(a)
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_packed_kernels_at_the_largest_entries(p):
+    """Every entry p-1 but a diagonal of p-2: full rank, the largest values."""
+    fld = Field(p)
+    for rows, cols in ((12, 12), (12, 5), (5, 12), (1, 12), (12, 1)):
+        a = Mat(fld, [[p - 2 if i == j else p - 1 for j in range(cols)] for i in range(rows)],
+                cols=cols)
+        assert_kernels_match_lists(a)
+
+
+def test_packed_kernels_at_60_by_60():
+    rng = random.Random("lanes:197")
+    fld = Field(197)
+    full = Mat(fld, [[rng.randrange(197) for _ in range(60)] for _ in range(60)], cols=60)
+    low = Mat(fld, [[rng.randrange(197) for _ in range(50)] for _ in range(60)], cols=50) @ Mat(
+        fld, [[rng.randrange(197) for _ in range(60)] for _ in range(50)], cols=60)
+    assert full.rank() == 60
+    for a in (full, low):
+        assert_kernels_match_lists(a)

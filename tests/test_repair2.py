@@ -23,6 +23,8 @@ from baercode.repair2 import (
     RepairSession,
     _group_matrix,
     _group_matrix_inv,
+    _group_slots,
+    _slot_exponents,
     _stream_cols,
     find_field_scheme2,
     format_round_record,
@@ -34,7 +36,7 @@ from baercode.repair2 import (
     verify_systems_all,
 )
 
-from reference_scan import first_consistent
+from reference_scan import first_consistent, reference_find_field_scheme2, reference_singular_systems
 from reference_stream import merge, reference_stream
 
 F7 = Field(7)
@@ -351,6 +353,90 @@ def test_verify_systems_lists_every_singular_system():
 def test_find_field_names_last_prime_tried(a12_code):
     with pytest.raises(BaerCodeError, match=r"after 1 candidates \(last tried 7\)$"):
         find_field_scheme2(a12_code, max_candidates=1)
+
+
+def slot_rule_matrix(plan, fld, j, gi, helpers):
+    """A group's system read off its slot layout: entry t of segment i has
+    coefficient e_h^((i-1)xi + t-1), merged-vector position q has
+    e_h^((a-1)xi + q-1) for the group's second-to-last segment a."""
+    xi, p = plan.xi, fld.p
+    group = plan.iterations[j - 1].groups[gi]
+    rows = []
+    for slot in _group_slots(plan, j, gi):
+        if slot[0] == "seg":
+            exp = (slot[1] - 1) * xi + slot[2] - 1
+        else:
+            exp = (group[-2] - 1) * xi + slot[1] - 1
+        rows.append([pow(fld.point(h), exp, p) for h in helpers])
+    return Mat(fld, rows, cols=len(helpers))
+
+
+@pytest.mark.parametrize("name", ["a12", "s2"])
+def test_group_matrix_follows_the_slot_layout(name):
+    code, fld = CODES[name](), Field(19)
+    for d in code.d_set:
+        plan = schedule_scheme2(code, d)
+        span = d - 2 * code.b
+        for subset in list(combinations(range(1, code.n + 1), span))[:5]:
+            for j, it in enumerate(plan.iterations, 1):
+                for gi in range(it.n_groups):
+                    assert max(_slot_exponents(plan, j, gi)) < code.alpha
+                    assert (_group_matrix(plan, fld, j, gi, subset)
+                            == slot_rule_matrix(plan, fld, j, gi, subset))
+
+
+@pytest.mark.parametrize("name, p", [("a12", p) for p in (7, 11, 13, 17, 19, 23, 29, 31)]
+                         + [("s2", p) for p in (11, 13, 17, 19)])
+def test_verify_systems_equals_the_per_system_sweep(name, p):
+    """Ranking each exponent class once reports what ranking every system
+    does: the same count and the same singular systems, in the same order."""
+    code, fld = CODES[name](), Field(p)
+    report = verify_systems_all(code, fld)
+    assert (report.checked, report.singular) == reference_singular_systems(code, fld)
+
+
+@pytest.mark.parametrize("name", ["a12", "s2"])
+def test_find_field_scheme2_equals_the_per_system_search(name):
+    code = CODES[name]()
+    fld, _, rejected = find_field_scheme2(code)
+    assert (fld.p, rejected) == reference_find_field_scheme2(code)
+
+
+def count_rank_calls(monkeypatch, run):
+    calls = []
+    rank = Mat.rank
+    monkeypatch.setattr(Mat, "rank", lambda self: calls.append(1) or rank(self))
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_certification_ranks_each_class_and_subset_once(monkeypatch):
+    """Exact work counts: s2's 5124 systems at GF(19) fall into 462 (class,
+    subset) pairs, and the search over GF(11), GF(13), GF(17) and GF(19)
+    ranks 1232, against 14266 systems."""
+    code = s2_code()
+    assert count_rank_calls(monkeypatch, lambda: verify_systems_all(code, Field(19))) == 462
+    assert count_rank_calls(monkeypatch, lambda: find_field_scheme2(code)) == 1232
+
+
+# The d=8 round-3 system of s2 is a generalized Vandermonde in e_h^20 (its
+# exponents are 15, 16 and 20 and 40 more), so it is singular when
+# gcd(20, p-1) is large; every other system of s2 solves at every prime.
+S2_SINGULAR = {11: 210, 13: 156, 17: 69, 19: 0, 23: 0, 29: 4, 31: 156,
+               37: 6, 41: 210, 43: 10, 47: 4, 53: 0, 59: 2, 61: 156}
+
+
+def test_s2_singular_systems_are_all_in_one_round():
+    code = s2_code()
+    plan = schedule_scheme2(code, 8)
+    assert _slot_exponents(plan, 3, 0) == (15, 16, 35, 36, 55, 56)
+    counts = {}
+    for p in S2_SINGULAR:
+        singular = verify_systems_all(code, Field(p)).singular
+        assert {(d, j, gi) for d, _, j, gi in singular} <= {(8, 3, 0)}
+        counts[p] = len(singular)
+    assert counts == S2_SINGULAR
 
 
 # -- deeper schedules --------------------------------------------------------

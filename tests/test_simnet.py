@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from baercode import encoder
 from baercode.errors import (
     BaerCodeError,
     NodeAlreadyFailedError,
@@ -35,6 +37,27 @@ def test_repair_is_exact_against_ground_truth(ex3_code, ex3_search):
     assert cluster.shares[3] is None
     cluster.run_event(Event(kind="repair", node=3, d=4))
     assert cluster.shares[3] == truth
+
+
+def test_repair_event_encodes_nothing(monkeypatch, ex3_code, ex3_search, a12_code, a12_field2):
+    """A repair is checked against the shares encoded at set-up, not re-encoded."""
+    clusters = [make_cluster(ex3_code, ex3_search.field, "1"),
+                make_cluster(a12_code, a12_field2, "2")]
+    truths = [cluster.shares[2] for cluster in clusters]
+    for cluster in clusters:
+        cluster.run_event(Event(kind="fail", node=2))
+    calls = []
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("baercode.") and hasattr(m, "encode_node")]
+    assert encoder in holders
+    for module in holders:
+        encode = module.encode_node
+        monkeypatch.setattr(module, "encode_node",
+                            lambda *args, encode=encode: calls.append(args) or encode(*args))
+    for cluster, truth in zip(clusters, truths):
+        row = cluster.run_event(Event(kind="repair", node=2, d=max(cluster.code.d_set)))
+        assert row.success and cluster.shares[2] == truth
+    assert calls == []
 
 
 def test_event_errors(ex3_code, ex3_search):
