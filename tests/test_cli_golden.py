@@ -39,6 +39,7 @@ class Cluster(NamedTuple):
     name: str
     scheme: str
     p: int              # the prime find-field certifies
+    start: int          # a find-field --start that skips or rejects primes
     f_mbr: int
     n: int
     k: int
@@ -46,9 +47,9 @@ class Cluster(NamedTuple):
 
 
 CLUSTERS = (
-    Cluster("ex3", "1", 17, 6, 6, 3, (4, 5)),
-    Cluster("a12", "2", 19, 12, 6, 3, (4, 5)),
-    Cluster("ex1", "concat", 7, 20, 5, 2, (3, 4)),
+    Cluster("ex3", "1", 17, 18, 6, 6, 3, (4, 5)),
+    Cluster("a12", "2", 19, 12, 12, 6, 3, (4, 5)),
+    Cluster("ex1", "concat", 7, 8, 20, 5, 2, (3, 4)),
 )
 SCENARIO = (
     "fail 1\nrepair 1 d={hi}\ncorrupt random nodes=3 seed=5\n"
@@ -79,6 +80,8 @@ def _inputs(root: Path):
     # GF(7) loses Omega rank at ex3: scheme 1 is uncertified there.
     (root / "in" / "ex3-p7.params").write_text(RAW["ex3"] + "p=7\n")
     (root / "in" / "ex3-p7.msg").write_text(_message(7, 6, "ex3-p7"))
+    # GF(7) has singular scheme-2 systems at a12, which selftest only reports.
+    (root / "in" / "a12-p7.params").write_text(RAW["a12"] + "p=7\n")
 
 
 def _forge(root: Path):
@@ -103,6 +106,9 @@ def battery():
     for c in CLUSTERS:
         name, scheme, params = c.name, c.scheme, f"{c.name}.params"
         steps += [
+            (f"{name}-bounds", ["bounds", "--params", f"in/{name}.raw"]),
+            (f"{name}-find-field-start", ["find-field", "--params", f"in/{name}.raw",
+                                          "--scheme", scheme, "--start", c.start]),
             (f"{name}-find-field", ["find-field", "--params", f"in/{name}.raw",
                                     "--scheme", scheme, "--out", params]),
             (f"{name}-selftest", ["selftest", "--params", params, "--scheme", scheme]),
@@ -131,6 +137,8 @@ def battery():
         ]
     p7 = "in/ex3-p7.params"
     steps += [
+        ("ex3-p7-selftest", ["selftest", "--params", p7, "--scheme", "1"]),
+        ("a12-p7-selftest", ["selftest", "--params", "in/a12-p7.params", "--scheme", "2"]),
         ("ex3-p7-encode", ["encode", "--params", p7, "--scheme", "1",
                            "--message", "in/ex3-p7.msg", "--out", "ex3-p7"]),
         ("ex3-p7-repair", ["repair", "--params", p7, "--scheme", "1", "--failed", 1,
