@@ -9,7 +9,7 @@ lying helper is caught by test-group consistency.
 
 import random
 
-from baercode import repair1
+from baercode import repair, repair1
 from baercode.adversary import RANDOM, AdversaryPolicy, corrupt_repair_symbols
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.params import CodeParams, validate
@@ -23,7 +23,8 @@ def main():
     for p in search.rejected:
         print(f"  GF({p}): rejected")
     print(f"  {search.report.summary()}")
-    fld, cfg = search.field, search.cfg
+    fld = search.field
+    cfg = repair1.omega_build(code, fld)
 
     rng = random.Random(7)
     message = tuple(rng.randrange(fld.p) for _ in range(code.f_mbr))
@@ -56,7 +57,7 @@ def main():
     print(f"   test-group decoding still rebuilt exactly: {got == shares[f].x}")
 
     print("\nwire record for helper 2 (scheme-1 repair format):")
-    print(repair1.format_repair_record(2, f, d, syms[2]), end="")
+    print(repair.format_records("1", 2, f, d, syms[2]), end="")
 
 
 if __name__ == "__main__":

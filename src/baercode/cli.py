@@ -28,7 +28,7 @@ from .errors import (
     NoConsistentGroupError,
     OmegaRankDeficientError,
 )
-from .galois import Field, primes_from
+from .galois import Field
 from .params import (
     capacity_upper_bound,
     check_field,
@@ -101,26 +101,22 @@ def cmd_bounds(args) -> int:
 
 def cmd_find_field(args) -> int:
     code, _ = _load_params(args.params, need_p=False)
-    if args.scheme == "2":
-        fld, report, rejected = repair2.find_field_scheme2(code, start=args.start)
-        print(report.summary())
-    elif args.scheme == "concat":
+    if args.scheme == "concat":
         if code.b != 0:
             print("concat scheme requires b = 0")
             return EXIT_UNCERTIFIED
-        # only needs n distinct nonzero points: first prime >= n+1
-        p = next(primes_from(max(args.start or 0, code.n + 1)))
-        fld, rejected = Field(p), ()
-        print(f"GF({p}): {code.n} distinct nonzero evaluation points available")
+        # only needs n distinct nonzero points: every prime >= n+1 serves
+        search = repair1.search_field(code, lambda fld: False, lambda p: None, "usable", args.start)
+        print(f"GF({search.field.p}): {code.n} distinct nonzero evaluation points available")
     else:
-        search = repair1.find_field(code, start=args.start)
-        fld, rejected = search.field, search.rejected
+        find = repair1.find_field if args.scheme == "1" else repair2.find_field_scheme2
+        search = find(code, start=args.start)
         print(search.report.summary())
-    if rejected:
-        print("rejected primes:", ", ".join(str(p) for p in rejected))
-    print(f"p={fld.p}")
+    if search.rejected:
+        print("rejected primes:", ", ".join(str(p) for p in search.rejected))
+    print(f"p={search.field.p}")
     if args.out:
-        Path(args.out).write_text(format_params_text(code.params, fld.p))
+        Path(args.out).write_text(format_params_text(code.params, search.field.p))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -167,9 +163,9 @@ def cmd_repair(args) -> int:
         rec_dir = Path(args.records)
         rec_dir.mkdir(parents=True, exist_ok=True)
         if args.scheme != "concat":         # concat helpers send no wire records
-            fmt = repair1.format_repair_record if args.scheme == "1" else repair2.format_stream_records
             for h, payload in sent.items():
-                (rec_dir / f"repair_h{h:02d}.rec").write_text(fmt(h, f, d, payload))
+                (rec_dir / f"repair_h{h:02d}.rec").write_text(
+                    repair.format_records(args.scheme, h, f, d, payload))
     print(
         f"bandwidth: d={d} per_helper={code.beta_of(d)} total={moved} "
         f"(gamma_mbr={code.gamma_of(d)})"
@@ -329,10 +325,7 @@ def main(argv=None) -> int:
     except OmegaRankDeficientError as exc:
         print(f"configuration uncertified: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except BaerCodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (BaerCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -17,10 +17,6 @@ class NotPrimeError(BaerCodeError):
     """Field modulus is not a prime >= 3."""
 
 
-class NoPrimitiveElementError(BaerCodeError):
-    """No generator of the multiplicative group was found (unreachable for a prime modulus)."""
-
-
 class ZeroToNegativePowerError(BaerCodeError):
     """Inverse of zero requested (zero raised to a negative power)."""
 

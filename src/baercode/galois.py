@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import count
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatchError,
     DuplicatePointError,
-    NoPrimitiveElementError,
     NotPrimeError,
     SingularMatrixError,
     ZeroPointError,
@@ -59,17 +60,45 @@ def primes_from(n: int) -> Iterator[int]:
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
+    """The distinct prime factors of n >= 1, ascending.
+
+    Trial division stops once the cofactor is prime, and a composite cofactor
+    with no factor below 1000 is split by _rho, so p-1 of a large safe prime
+    p = 2q+1 factors at once where trial division to its square root would
+    take minutes.
+    """
+    out, d = set(), 2
+    while d < 1000 and d * d <= n:
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
+            if is_prime(n):
+                break
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    if is_prime(n):
+        out.add(n)
+    elif n > 1:
+        q = _rho(n)
+        out.update(_prime_factors(q) + _prime_factors(n // q))
+    return tuple(sorted(out))
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n, which has no factor below 1000:
+    Pollard's rho with Brent's cycle search, one gcd per step."""
+    for c in count(1):
+        y, g, r = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(y - x, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 class Field:
@@ -91,10 +120,8 @@ class Field:
     def _find_generator(self) -> int:
         p = self.p
         factors = _prime_factors(p - 1)
-        for cand in range(2, p):
-            if all(pow(cand, (p - 1) // q, p) != 1 for q in factors):
-                return cand
-        raise NoPrimitiveElementError(f"no generator mod {p}")  # unreachable for prime p
+        return next(cand for cand in count(2)
+                    if all(pow(cand, (p - 1) // q, p) != 1 for q in factors))
 
     def pow(self, e: int, k: int) -> int:
         """e**k with negative k meaning powers of the inverse; pow(e, 0) == 1."""

@@ -28,11 +28,11 @@ concat._cols through repair_scan, and reconstruct._node_block.
 Theta_H is provably invertible only over impractically large alphabets, so
 a configuration is instead certified empirically, by rank alone (no
 inverse is kept).  verify_theta_all checks every (d, H) pair and lists
-every singular one.  find_field searches successive primes p >= n+1: it
-refuses a prime whose Omega truncations lose rank before building any
-Theta, and otherwise stops at the first singular Theta.  Omega's exponents
-are fixed, i_j = alpha*n*(j-1) + 1, so Omega is a function of (params,
-field) alone and every party derives it independently.
+every singular one.  find_field runs search_field, every scheme's prime
+search, over p >= n+1: it refuses a prime whose Omega truncations lose rank
+before building any Theta, and otherwise stops at the first singular Theta.
+Omega's exponents are fixed, i_j = alpha*n*(j-1) + 1, so Omega is a function
+of (params, field) alone and every party derives it independently.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .encoder import NodeShare, coeff_segment
 from .errors import (
@@ -55,8 +55,6 @@ from .errors import (
 from .galois import Field, Mat, primes_from
 from .params import Derived, check_field
 
-REPAIR1_MAGIC = "BAERR1"
-
 
 @dataclass(frozen=True)
 class OmegaConfig:
@@ -64,9 +62,8 @@ class OmegaConfig:
 
     code: Derived
     field: Field
-    exponents: tuple[int, ...]         # i_j = alpha*n*(j-1) + 1
     omega: Mat                         # z x z
-    rank_ok: bool                      # every Omega_{z_d} has full column rank
+    deficient: tuple[int, ...]         # d in D whose Omega_{z_d} loses column rank
 
     def theta_inv(self, helpers: tuple[int, ...], d: int) -> Mat | None:
         """Inverse of Theta_H for sorted helper indices, or None if singular."""
@@ -103,29 +100,22 @@ def omega_build(code: Derived, fld: Field, *, check: bool = True) -> OmegaConfig
     the reduced exponents collide, which this catches).
     """
     check_field(code, fld)
-    exps = tuple(code.alpha * code.n * j + 1 for j in range(code.z))
     p = fld.p
     rows = []
-    for x in (pow(fld.g, e % (p - 1), p) for e in exps):
+    for x in (pow(fld.g, (code.alpha * code.n * j + 1) % (p - 1), p) for j in range(code.z)):
         row, acc = [], 1
         for _ in range(code.z):
             row.append(acc)
             acc = acc * x % p
         rows.append(row)
     omega = Mat(fld, rows, cols=code.z)
-    rank_ok = all(
-        omega_rank_ok(omega, code.beta_of(d)) for d in code.d_set
-    )
-    if check and not rank_ok:
+    deficient = tuple(d for d in code.d_set for z_d in [code.beta_of(d)]
+                      if Mat(fld, [row[:z_d] for row in rows], cols=z_d).rank() < z_d)
+    if check and deficient:
         raise OmegaRankDeficientError(
             f"Omega truncation rank-deficient over GF({p}); pick a larger prime"
         )
-    return OmegaConfig(code=code, field=fld, exponents=exps, omega=omega, rank_ok=rank_ok)
-
-
-def omega_rank_ok(omega: Mat, z_d: int) -> bool:
-    cols = Mat(omega.field, [row[:z_d] for row in omega.data], cols=z_d)
-    return cols.rank() == z_d
+    return OmegaConfig(code=code, field=fld, omega=omega, deficient=deficient)
 
 
 def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) -> tuple[int, ...]:
@@ -244,8 +234,8 @@ class ThetaReport:
 
     p: int
     checked: int
-    omega_deficient: tuple[int, ...]          # d values whose Omega truncation lost rank
-    singular: tuple[tuple[int, tuple[int, ...]], ...]   # (d, helper subset)
+    singular: tuple[tuple, ...]               # (d, helper subset), scheme 2 adds (j, group)
+    omega_deficient: tuple[int, ...] = ()     # d values whose Omega truncation lost rank
 
     @property
     def ok(self) -> bool:
@@ -286,62 +276,36 @@ def verify_theta_all(code: Derived, fld: Field) -> ThetaReport:
     can display them.
     """
     cfg = omega_build(code, fld, check=False)
-    omega_bad = tuple(
-        d for d in code.d_set if not omega_rank_ok(cfg.omega, code.beta_of(d))
-    )
-    return ThetaReport(
-        p=fld.p, checked=_theta_count(code),
-        omega_deficient=omega_bad, singular=tuple(_singular_thetas(code, cfg)),
-    )
+    return ThetaReport(p=fld.p, checked=_theta_count(code), omega_deficient=cfg.deficient,
+                       singular=tuple(_singular_thetas(code, cfg)))
 
 
-@dataclass(frozen=True)
-class FieldSearch:
+class FieldSearch(NamedTuple):
     field: Field
-    cfg: OmegaConfig
-    report: ThetaReport
+    report: ThetaReport | None     # the found prime's report; None for concat
     rejected: tuple[int, ...]      # primes tried and refused before the hit
 
 
-def find_field(code: Derived, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:
-    """Try successive primes p >= n+1 and return the first certified one.
-
-    A prime is refused as soon as an Omega truncation loses rank or the
-    first singular Theta turns up, so only the certified prime is swept in
-    full.
-    """
+def search_field(code: Derived, refuses, report, noun: str, start: int | None = None,
+                 max_candidates: int = 2000) -> FieldSearch:
+    """The first of max_candidates successive primes p >= max(start, n+1) that
+    refuses(Field(p)) lets through, with report(p).  refuses stops at a prime's
+    first failure, so only the returned prime is swept in full."""
     rejected: list[int] = []
     for p in islice(primes_from(max(start or 0, code.n + 1)), max_candidates):
         fld = Field(p)
-        cfg = omega_build(code, fld, check=False)
-        if cfg.rank_ok and next(_singular_thetas(code, cfg), None) is None:
-            report = ThetaReport(p=p, checked=_theta_count(code),
-                                 omega_deficient=(), singular=())
-            return FieldSearch(field=fld, cfg=cfg, report=report, rejected=tuple(rejected))
+        if not refuses(fld):
+            return FieldSearch(fld, report(p), tuple(rejected))
         rejected.append(p)
     last = f" (last tried {rejected[-1]})" if rejected else ""
-    raise BaerCodeError(f"no certified prime found after {max_candidates} candidates{last}")
+    raise BaerCodeError(f"no {noun} prime found after {max_candidates} candidates{last}")
 
 
-# -- repair wire records ----------------------------------------------------
-#
-# One helper's transmission:  header `BAERR1 d=<d> f=<f> h=<h>` followed by
-# z_d decimal symbols, LF separated.
+def find_field(code: Derived, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:
+    """The first prime p >= n+1 whose Omega truncations and Thetas all have full rank."""
+    def refuses(fld):
+        cfg = omega_build(code, fld, check=False)
+        return bool(cfg.deficient) or next(_singular_thetas(code, cfg), None) is not None
+    return search_field(code, refuses, lambda p: ThetaReport(p, _theta_count(code), ()),
+                        "certified", start, max_candidates)
 
-def format_repair_record(h: int, f: int, d: int, symbols: Sequence[int]) -> str:
-    header = f"{REPAIR1_MAGIC} d={d} f={f} h={h}"
-    return header + "\n" + "\n".join(str(v) for v in symbols) + "\n"
-
-
-def parse_repair_record(text: str) -> tuple[int, int, int, tuple[int, ...]]:
-    """Returns (h, f, d, symbols)."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(REPAIR1_MAGIC + " "):
-        raise BaerCodeError("not a scheme-1 repair record")
-    fields = dict(tok.partition("=")[::2] for tok in lines[0].split()[1:])
-    try:
-        d, f, h = int(fields["d"]), int(fields["f"]), int(fields["h"])
-        symbols = tuple(int(v) for v in lines[1:] if v.strip())
-    except (KeyError, ValueError) as exc:
-        raise BaerCodeError(f"malformed repair record: {exc}") from exc
-    return h, f, d, symbols

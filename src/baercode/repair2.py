@@ -39,7 +39,6 @@ and each (class, helper subset) is ranked once per prime: at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
@@ -48,17 +47,14 @@ from typing import Mapping, Sequence
 
 from .encoder import NodeShare
 from .errors import (
-    BaerCodeError,
     PlanMismatchError,
     SingularMatrixError,
     SingularReducedSystemError,
     UnresolvedEntriesError,
 )
-from .galois import Field, Mat, primes_from
+from .galois import Field, Mat
 from .params import ScheduleII, schedule_scheme2
-from .repair1 import repair_scan
-
-REPAIR2_MAGIC = "BAERR2"
+from .repair1 import FieldSearch, ThetaReport, repair_scan, search_field
 
 ACTIVE, INACTIVE, KNOWN = 0, 1, 2
 
@@ -339,8 +335,7 @@ def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,
                        _stream_cols, (plan, fld, f))
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(ThetaReport):
     """Outcome of the exhaustive per-group solvability sweep for one field.
 
     Iterations after the first select non-consecutive coefficient exponents,
@@ -348,17 +343,10 @@ class SystemReport:
     small fields even though all evaluation points are distinct.  An empty
     report certifies that every subset of every helper choice decodes for
     every d in D.  `checked` counts every (d, subset, round, group) system
-    and `singular` lists each singular one, though the sweep ranks each
-    exponent class only once per subset (see _singular_systems).
+    and `singular` lists each singular one as (d, subset, j, group), though
+    the sweep ranks each exponent class only once per subset (see
+    _singular_systems).
     """
-
-    p: int
-    checked: int
-    singular: tuple[tuple[int, tuple[int, ...], int, int], ...]   # (d, subset, j, group)
-
-    @property
-    def ok(self) -> bool:
-        return not self.singular
 
     def summary(self) -> str:
         if self.ok:
@@ -419,50 +407,9 @@ def verify_systems_all(code, fld: Field) -> SystemReport:
                         singular=tuple(_singular_systems(code, fld, plans)))
 
 
-def find_field_scheme2(code, start: int | None = None, max_candidates: int = 2000):
-    """First prime p >= n+1 whose per-group systems all solve (see SystemReport).
-
-    A prime is refused at its first singular system, so only the returned
-    prime is swept in full.
-    """
+def find_field_scheme2(code, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:
+    """First prime p >= n+1 whose per-group systems all solve (see SystemReport)."""
     plans = [schedule_scheme2(code, d) for d in code.d_set]
-    rejected = []
-    for p in islice(primes_from(max(start or 0, code.n + 1)), max_candidates):
-        fld = Field(p)
-        if next(_singular_systems(code, fld, plans), None) is None:
-            report = SystemReport(p=p, checked=_system_count(code, plans), singular=())
-            return fld, report, tuple(rejected)
-        rejected.append(p)
-    last = f" (last tried {rejected[-1]})" if rejected else ""
-    raise BaerCodeError(f"no solvable prime found after {max_candidates} candidates{last}")
-
-
-# -- repair wire records ----------------------------------------------------
-#
-# One helper round:  header `BAERR2 d=<d> f=<f> h=<h> j=<iter>` followed by
-# one decimal symbol per group, LF separated.  Rounds are self-delimited by
-# the shared schedule.
-
-def format_round_record(h: int, f: int, d: int, j: int, symbols: Sequence[int]) -> str:
-    header = f"{REPAIR2_MAGIC} d={d} f={f} h={h} j={j}"
-    return header + "\n" + "\n".join(str(v) for v in symbols) + "\n"
-
-
-def parse_round_record(text: str) -> tuple[int, int, int, int, tuple[int, ...]]:
-    """Returns (h, f, d, j, symbols)."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(REPAIR2_MAGIC + " "):
-        raise BaerCodeError("not a scheme-2 repair record")
-    fields = dict(tok.partition("=")[::2] for tok in lines[0].split()[1:])
-    try:
-        d, f, h, j = (int(fields[k]) for k in ("d", "f", "h", "j"))
-        symbols = tuple(int(v) for v in lines[1:] if v.strip())
-    except (KeyError, ValueError) as exc:
-        raise BaerCodeError(f"malformed repair record: {exc}") from exc
-    return h, f, d, j, symbols
-
-
-def format_stream_records(h: int, f: int, d: int, stream: Sequence[Sequence[int]]) -> str:
-    return "".join(
-        format_round_record(h, f, d, j, syms) for j, syms in enumerate(stream, 1)
-    )
+    refuses = lambda fld: next(_singular_systems(code, fld, plans), None) is not None
+    return search_field(code, refuses, lambda p: SystemReport(p, _system_count(code, plans), ()),
+                        "solvable", start, max_candidates)

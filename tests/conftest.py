@@ -24,8 +24,14 @@ def a12_code():
 
 @pytest.fixture(scope="session")
 def ex3_search(ex3_code):
-    """Certified field + Omega config for scheme 1 at ex3 scale (search result)."""
+    """Scheme 1's prime search at ex3 scale: certified field, report, rejected primes."""
     return repair1.find_field(ex3_code)
+
+
+@pytest.fixture(scope="session")
+def ex3_cfg(ex3_code, ex3_search):
+    """Omega config of ex3 over its certified field."""
+    return repair1.omega_build(ex3_code, ex3_search.field)
 
 
 @pytest.fixture(scope="session")

@@ -63,8 +63,8 @@ def test_c03_bound_consistency():
     _pass(3, "capacity bound at gamma_mbr equals f_mbr on 50 random valid parameter sets")
 
 
-def test_c04_scheme1_exact_repair(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_c04_scheme1_exact_repair(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     code = ex3_code
     trials = 0
     for seed in range(SEEDS):
@@ -185,8 +185,8 @@ def test_c07_merge_identity(a12_code):
     _pass(7, "merge reflexivity identity exact on 1000 randomized instances")
 
 
-def test_c08_projection_identity(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_c08_projection_identity(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     _, shares = seeded_cluster(ex3_code, fld, 3000)
     checks = 0
     for h in range(1, 7):

@@ -74,15 +74,15 @@ def test_liar_shares_encode_one_fake_message(ex3_code):
     assert est1 == est2
 
 
-def test_liar_repair_symbols_are_protocol_conformant(monkeypatch, ex3_code, ex3_search,
+def test_liar_repair_symbols_are_protocol_conformant(monkeypatch, ex3_code, ex3_cfg,
                                                      a12_code, a12_field2):
     """A liar sends the helper's output on its fake share, computed once:
     transmit makes exactly d helper calls, one per helper."""
     f, d = 1, 4
     plan = schedule_scheme2(a12_code, d)
     cases = (
-        ("1", ex3_code, ex3_search.field, repair1, "helper_repair_symbols",
-         lambda sh: repair1.helper_repair_symbols(sh, f, d, ex3_search.cfg)),
+        ("1", ex3_code, ex3_cfg.field, repair1, "helper_repair_symbols",
+         lambda sh: repair1.helper_repair_symbols(sh, f, d, ex3_cfg)),
         ("2", a12_code, a12_field2, repair2, "helper_stream",
          lambda sh: repair2.helper_stream(sh, plan, f, a12_field2)),
     )

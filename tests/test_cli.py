@@ -6,7 +6,7 @@ from baercode import repair1
 from baercode.cli import main
 from baercode.galois import Field
 from baercode.params import CodeParams, validate
-from baercode.repair1 import parse_repair_record
+from baercode.repair import parse_records
 
 
 @pytest.fixture()
@@ -61,8 +61,8 @@ def test_encode_repair_reconstruct_round_trip(capsys, workspace, ex3_search):
     assert "bandwidth: d=4 per_helper=3 total=12 (gamma_mbr=12)" in out
     assert repaired.read_bytes() == (shares_dir / "node02.share").read_bytes()
     rec = (tmp / "recs" / "repair_h01.rec").read_text()
-    h, f, d, syms = parse_repair_record(rec)
-    assert (h, f, d) == (1, 2, 4) and len(syms) == 3
+    scheme, h, f, d, syms = parse_records(rec)
+    assert (scheme, h, f, d) == ("1", 1, 2, 4) and len(syms) == 3
 
     # reconstruct through a consistent liar; message must round-trip exactly
     out_msg = tmp / "decoded.txt"
@@ -165,6 +165,22 @@ def test_find_field_per_scheme(capsys, tmp_path, a12_field2):
     concat_params.write_text("n=5\nk=2\nb=0\nalpha=12\nD=3,4\n")
     assert run("find-field", "--params", concat_params, "--scheme", "concat") == 0
     assert "p=7" in capsys.readouterr().out    # first prime >= n+1 = 6
+
+
+@pytest.mark.parametrize("scheme, raw, start, want", [
+    ("1", "n=6\nk=3\nb=1\nalpha=6\nD=4,5\n", 18, "rejected primes: 19\np=23\n"),
+    ("2", "n=6\nk=3\nb=1\nalpha=12\nD=4,5\n", 12, "rejected primes: 13, 17\np=19\n"),
+    ("concat", "n=5\nk=2\nb=0\nalpha=12\nD=3,4\n", 8, "available\np=11\n"),
+], ids=("scheme1", "scheme2", "concat"))
+def test_find_field_walks_one_prime_search_from_start(monkeypatch, capsys, tmp_path,
+                                                      scheme, raw, start, want):
+    """Every scheme's --start reaches repair1's one prime walk."""
+    starts, walk = [], repair1.primes_from
+    monkeypatch.setattr(repair1, "primes_from", lambda n: starts.append(n) or walk(n))
+    params = tmp_path / "raw.params"
+    params.write_text(raw)
+    assert run("find-field", "--params", params, "--scheme", scheme, "--start", start) == 0
+    assert starts == [start] and capsys.readouterr().out.endswith(want)
 
 
 def test_find_field_concat_refuses_b_above_zero(capsys, tmp_path):

@@ -12,7 +12,7 @@ from baercode.errors import (
     ZeroPointError,
     ZeroToNegativePowerError,
 )
-from baercode.galois import Field, Mat
+from baercode.galois import Field, Mat, _prime_factors, is_prime
 
 
 def brute_force_order(x, p):
@@ -35,6 +35,45 @@ def test_generator_is_smallest_full_order():
 def test_known_generators():
     assert Field(7).g == 3
     assert Field(13).g == 2
+
+
+def trial_division_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return tuple(out + [n] if n > 1 else out)
+
+
+def test_prime_factors_match_trial_division():
+    rng = random.Random(28)
+    big = (1009, 4999, 65537)                  # above the trial-division bound
+    cases = [*range(1, 3000), *(rng.randrange(1 << 28) for _ in range(100)),
+             *(a * b for a in big for b in big), 1009 ** 3, 8 * 1009 ** 2 * 4999]
+    for n in cases:
+        assert _prime_factors(n) == trial_division_factors(n), n
+
+
+@pytest.mark.parametrize("p, factors", [
+    (6917529027641083883, (2, 3458764513820541941)),    # 63-bit safe prime 2q+1
+    (1297038953983218263, (2, 805306457, 805307683)),   # 61 bits, 2*q1*q2 + 1
+])
+def test_generator_of_a_large_prime_has_full_order(p, factors):
+    """p-1 with huge prime factors: trial division up to its square root
+    would take minutes, and g must still be the smallest primitive root."""
+    assert all(map(is_prime, (p, *factors)))
+    rest = p - 1
+    for q in factors:
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1                           # the factor set is complete
+    assert _prime_factors(p - 1) == factors
+    g = Field(p).g
+    assert all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    assert all(any(pow(c, (p - 1) // q, p) == 1 for q in factors) for c in range(2, g))
 
 
 def test_rejects_non_primes_and_tiny_moduli():

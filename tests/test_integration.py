@@ -38,8 +38,8 @@ def test_round_trip_and_reconstruction():
 
 
 def test_all_three_repair_paths():
-    search = repair1.find_field(CODE)
-    fld, cfg = search.field, search.cfg
+    fld = repair1.find_field(CODE).field
+    cfg = repair1.omega_build(CODE, fld)
     rng = random.Random(52)
     msg = tuple(rng.randrange(fld.p) for _ in range(CODE.f_mbr))
     dm = build_data_matrix(msg, CODE, fld)

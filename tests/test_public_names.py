@@ -26,8 +26,7 @@ ALLOWED = {
     "encoder.DataMatrix.full": "the tests' oracle for the symmetric data matrix",
     "galois.Mat.identity": "the tests' oracle for inverses",
     "galois.Mat.transpose": "the tests' oracle for ranks and for Theta_G^T in decoder checks",
-    "repair1.parse_repair_record": "reads back the scheme-1 wire records the CLI writes",
-    "repair2.parse_round_record": "reads back the scheme-2 wire records the CLI writes",
+    "repair.parse_records": "reads back the wire records the CLI writes",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

@@ -13,12 +13,12 @@ from baercode.errors import (
 )
 from baercode.galois import Field, Mat
 from baercode.params import CodeParams, validate
+from baercode.repair import format_records, parse_records
 from baercode.repair1 import (
+    FieldSearch,
     find_field,
-    format_repair_record,
     helper_repair_symbols,
     omega_build,
-    parse_repair_record,
     theta,
     testgroup_repair as tg_repair,
     verify_theta_all,
@@ -34,10 +34,26 @@ def encoded_cluster(code, fld, seed):
     return msg, {s.index: s for s in encode_all(dm, code, fld)}
 
 
-def test_default_exponents_and_truncation(ex3_code, ex3_search):
-    cfg = ex3_search.cfg
-    assert cfg.exponents == (1, 37, 73)        # alpha*n*(j-1) + 1
+def test_default_exponents_and_truncation(ex3_code, ex3_cfg):
+    cfg, p = ex3_cfg, ex3_cfg.field.p
     assert cfg.omega.shape == (3, 3)
+    for row, e in zip(cfg.omega.tolist(), (1, 37, 73)):     # alpha*n*(j-1) + 1
+        x = pow(cfg.field.g, e % (p - 1), p)
+        assert row == [pow(x, i, p) for i in range(3)]
+
+
+def omega_truncation_rank(cfg, d):
+    z_d = cfg.code.beta_of(d)
+    return Mat(cfg.field, [row[:z_d] for row in cfg.omega.tolist()], cols=z_d).rank()
+
+
+@pytest.mark.parametrize("where, p, deficient", [("ex3", 7, (4, 5)), ("mid", 19, ())])
+def test_omega_verdict_lists_every_rank_deficient_truncation(where, p, deficient, ex3_code):
+    code = ex3_code if where == "ex3" else mid_code()
+    cfg = omega_build(code, Field(p), check=False)
+    assert cfg.deficient == deficient
+    assert cfg.deficient == tuple(d for d in code.d_set
+                                  if omega_truncation_rank(cfg, d) < code.beta_of(d))
 
 
 def test_single_component_omega_is_trivial():
@@ -51,11 +67,11 @@ def test_small_field_rank_deficiency(ex3_code):
     with pytest.raises(OmegaRankDeficientError):
         omega_build(ex3_code, Field(7))
     cfg = omega_build(ex3_code, Field(7), check=False)
-    assert not cfg.rank_ok
+    assert cfg.deficient
 
 
-def test_repair_vector_shapes_and_zero(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_repair_vector_shapes_and_zero(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     _, shares = encoded_cluster(ex3_code, fld, 1)
     assert len(helper_repair_symbols(shares[2], 1, 4, cfg)) == 3
     assert len(helper_repair_symbols(shares[2], 1, 5, cfg)) == 2
@@ -69,9 +85,9 @@ def test_repair_vector_shapes_and_zero(ex3_code, ex3_search):
     assert helper_repair_symbols(zero_shares[2], 1, 4, cfg) == (0, 0, 0)
 
 
-def test_projection_reflexivity_exhaustive(ex3_code, ex3_search):
+def test_projection_reflexivity_exhaustive(ex3_code, ex3_cfg):
     # the compressed projection of h's share onto f equals f's onto h
-    fld, cfg = ex3_search.field, ex3_search.cfg
+    fld, cfg = ex3_cfg.field, ex3_cfg
     _, shares = encoded_cluster(ex3_code, fld, 2)
     for h in range(1, 7):
         for f in range(1, 7):
@@ -82,8 +98,8 @@ def test_projection_reflexivity_exhaustive(ex3_code, ex3_search):
                     helper_repair_symbols(shares[f], h, d, cfg)
 
 
-def test_theta_shape_and_column_structure(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_theta_shape_and_column_structure(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     th = theta((1, 2, 3), 5, cfg)
     assert th.shape == (6, 6)
     columns = th.transpose().tolist()
@@ -98,10 +114,10 @@ def test_theta_shape_and_column_structure(ex3_code, ex3_search):
             assert columns[t * 2 + j] == col
 
 
-def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_search):
+def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_cfg):
     # at d = d_min (z_d = z) the columns are a permutation of the stacked
     # [omega_row x helper-segment] construction
-    fld, cfg = ex3_search.field, ex3_search.cfg
+    fld, cfg = ex3_cfg.field, ex3_cfg
     from baercode.encoder import coeff_segment
     helpers = (2, 4)
     th = theta(helpers, 4, cfg)
@@ -118,8 +134,8 @@ def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_search):
     assert set(theta_cols) == set(xi_cols)
 
 
-def test_estimate_exact_for_honest_subsets(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_estimate_exact_for_honest_subsets(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     _, shares = encoded_cluster(ex3_code, fld, 3)
     for f in range(1, 7):
         others = [h for h in range(1, 7) if h != f]
@@ -135,8 +151,8 @@ def test_estimate_exact_for_honest_subsets(ex3_code, ex3_search):
                 assert tuple(rho) == theta(subset, d, cfg).left_mul(shares[f].x)
 
 
-def test_estimate_zero_message(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_estimate_zero_message(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     zeros = encode_all(build_data_matrix([0] * 6, ex3_code, fld), ex3_code, fld)
     rho = []
     for h in (1, 2, 3):
@@ -144,8 +160,8 @@ def test_estimate_zero_message(ex3_code, ex3_search):
     assert theta((1, 2, 3), 5, cfg).inv().left_mul(rho) == (0,) * 6
 
 
-def test_testgroup_repair_honest_and_corrupted(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_testgroup_repair_honest_and_corrupted(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     rng = random.Random(5)
     _, shares = encoded_cluster(ex3_code, fld, 5)
     for f in range(1, 7):
@@ -160,9 +176,9 @@ def test_testgroup_repair_honest_and_corrupted(ex3_code, ex3_search):
                     assert tg_repair(poisoned, f, d, cfg) == shares[f].x
 
 
-def test_testgroup_combinatorics(ex3_code, ex3_search):
+def test_testgroup_combinatorics(ex3_code, ex3_cfg):
     # d=5, b=1: test-groups of size 4, estimate subsets of size 3
-    fld, cfg = ex3_search.field, ex3_search.cfg
+    fld, cfg = ex3_cfg.field, ex3_cfg
     _, shares = encoded_cluster(ex3_code, fld, 6)
     helpers = [h for h in range(1, 7) if h != 6][:5]
     assert len(list(combinations(helpers, 5 - 1))) == 5
@@ -171,8 +187,8 @@ def test_testgroup_combinatorics(ex3_code, ex3_search):
     assert tg_repair(syms, 6, 5, cfg) == shares[6].x
 
 
-def test_testgroup_rejects_bad_inputs(ex3_code, ex3_search):
-    fld, cfg = ex3_search.field, ex3_search.cfg
+def test_testgroup_rejects_bad_inputs(ex3_code, ex3_cfg):
+    fld, cfg = ex3_cfg.field, ex3_cfg
     _, shares = encoded_cluster(ex3_code, fld, 7)
     syms = {h: helper_repair_symbols(shares[h], 1, 4, cfg) for h in (2, 3, 4)}
     with pytest.raises(BaerCodeError):
@@ -182,9 +198,9 @@ def test_testgroup_rejects_bad_inputs(ex3_code, ex3_search):
         tg_repair(syms, 1, 4, cfg)       # helper equals failed node
 
 
-def test_beyond_model_corruption_raises(ex3_code, ex3_search):
+def test_beyond_model_corruption_raises(ex3_code, ex3_cfg):
     # 2 = b+1 garbage helpers out of d=4: every test-group disagrees
-    fld, cfg = ex3_search.field, ex3_search.cfg
+    fld, cfg = ex3_cfg.field, ex3_cfg
     rng = random.Random(8)
     _, shares = encoded_cluster(ex3_code, fld, 8)
     helpers = (2, 3, 4, 5)
@@ -211,6 +227,7 @@ def test_verify_trivial_single_component():
 
 
 def test_find_field_rejects_small_primes(ex3_code, ex3_search):
+    assert isinstance(ex3_search, FieldSearch) and ex3_search.rejected == ex3_search[2]
     assert 7 in ex3_search.rejected
     assert ex3_search.report.ok
     assert ex3_search.field.p >= ex3_code.n + 1
@@ -249,11 +266,13 @@ def test_find_field_names_last_prime_tried(ex3_code):
 
 
 def test_repair_record_round_trip():
-    text = format_repair_record(3, 1, 4, (7, 0, 12))
+    text = format_records("1", 3, 1, 4, (7, 0, 12))
     assert text == "BAERR1 d=4 f=1 h=3\n7\n0\n12\n"
-    assert parse_repair_record(text) == (3, 1, 4, (7, 0, 12))
-    with pytest.raises(BaerCodeError):
-        parse_repair_record("BOGUS\n1\n")
+    assert parse_records(text) == ("1", 3, 1, 4, (7, 0, 12))
+    for bad in ("BOGUS\n1\n", "BAERR1 d=4 f=1\n7\n", "BAERR1 d=4 f=1 h=x\n7\n",
+                "BAERR1 ", text + text):
+        with pytest.raises(BaerCodeError):
+            parse_records(bad)
 
 
 # -- the stacked group decoder against the paper's per-subset scan ---------------
@@ -309,9 +328,9 @@ def adversarial_symbols(code, cfg, shares, f, d, helpers, policy):
 
 
 @pytest.mark.parametrize("where", ["ex3", "mid23", "mid19"])
-def test_testgroup_repair_equals_per_subset_scan(where, ex3_code, ex3_search, mid_cfgs):
+def test_testgroup_repair_equals_per_subset_scan(where, ex3_code, ex3_cfg, mid_cfgs):
     if where == "ex3":
-        code, cfg = ex3_code, ex3_search.cfg
+        code, cfg = ex3_code, ex3_cfg
     else:
         code, cfg = mid_code(), mid_cfgs[int(where[3:])]
     rng = random.Random(f"equiv:{where}")
@@ -356,8 +375,8 @@ def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
     assert bad == unusable
 
 
-def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_search):
-    code, cfg = ex3_code, ex3_search.cfg
+def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_cfg):
+    code, cfg = ex3_code, ex3_cfg
     for d in code.d_set:
         z_d = code.beta_of(d)
         for group in combinations(range(1, code.n + 1), d - code.b):
@@ -378,8 +397,8 @@ def wrong_length(vec, kind):
 
 @pytest.mark.parametrize("kind", ["short", "long", "empty"])
 @pytest.mark.parametrize("where", ["ex3", "mid"])
-def test_wrong_length_helper_is_absorbed_as_a_lie(kind, where, ex3_code, ex3_search, mid_cfgs):
-    code, cfg = (ex3_code, ex3_search.cfg) if where == "ex3" else (mid_code(), mid_cfgs[23])
+def test_wrong_length_helper_is_absorbed_as_a_lie(kind, where, ex3_code, ex3_cfg, mid_cfgs):
+    code, cfg = (ex3_code, ex3_cfg) if where == "ex3" else (mid_code(), mid_cfgs[23])
     _, shares = encoded_cluster(code, cfg.field, 9)
     f = code.n
     for d in code.d_set:

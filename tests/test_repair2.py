@@ -15,7 +15,8 @@ from baercode.errors import (
 )
 from baercode.galois import Field, Mat, is_prime
 from baercode.params import CodeParams, schedule_scheme2, validate
-from baercode.repair1 import group_decoder
+from baercode.repair import format_records, parse_records
+from baercode.repair1 import FieldSearch, group_decoder
 from baercode.repair2 import (
     ACTIVE,
     INACTIVE,
@@ -27,10 +28,7 @@ from baercode.repair2 import (
     _slot_exponents,
     _stream_cols,
     find_field_scheme2,
-    format_round_record,
-    format_stream_records,
     helper_stream,
-    parse_round_record,
     repair_estimate,
     testgroup_repair2 as tg_repair2,
     verify_systems_all,
@@ -325,7 +323,9 @@ def test_verify_systems_reports(a12_code, a12_field2):
 
 
 def test_find_field_rejects_small_primes(a12_code, a12_field2):
-    _, report, rejected = find_field_scheme2(a12_code)
+    search = find_field_scheme2(a12_code)
+    assert isinstance(search, FieldSearch) and search.rejected == search[2]
+    _, report, rejected = search
     assert 7 in rejected
     assert report.ok
 
@@ -701,10 +701,11 @@ def test_decode_with_symbols_above_16_bits(a12_code, p):
 # -- wire records ------------------------------------------------------------
 
 def test_round_record_round_trip():
-    text = format_round_record(2, 6, 5, 1, (4, 0, 6))
-    assert text == "BAERR2 d=5 f=6 h=2 j=1\n4\n0\n6\n"
-    assert parse_round_record(text) == (2, 6, 5, 1, (4, 0, 6))
-    multi = format_stream_records(2, 6, 5, ((4, 0, 6), (3,)))
-    assert "BAERR2 d=5 f=6 h=2 j=1" in multi and "BAERR2 d=5 f=6 h=2 j=2" in multi
-    with pytest.raises(BaerCodeError):
-        parse_round_record("junk")
+    text = format_records("2", 2, 6, 5, ((4, 0, 6), (3,)))
+    assert text == "BAERR2 d=5 f=6 h=2 j=1\n4\n0\n6\nBAERR2 d=5 f=6 h=2 j=2\n3\n"
+    assert parse_records(text) == ("2", 2, 6, 5, ((4, 0, 6), (3,)))
+    second = text.index("BAERR2", 1)
+    for bad in ("junk", text[second:], text.replace("h=2 j=2", "h=3 j=2"),
+                text.replace("j=2", "j=x")):
+        with pytest.raises(BaerCodeError):
+            parse_records(bad)

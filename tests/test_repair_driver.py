@@ -13,8 +13,7 @@ from baercode.cli import main
 from baercode.encoder import build_data_matrix, encode_all, format_share
 from baercode.galois import Field
 from baercode.params import schedule_scheme2
-from baercode.repair1 import parse_repair_record
-from baercode.repair2 import REPAIR2_MAGIC, parse_round_record
+from baercode.repair import parse_records
 from baercode.simnet import Event, init_cluster
 
 CLI_STRATEGY = {adv.HONEST: "honest", adv.RANDOM: "random", adv.LIAR: "liar"}
@@ -36,17 +35,6 @@ def _field(request, scheme):
     if scheme == "2":
         return request.getfixturevalue("a12_field2")
     return Field(7)
-
-
-def _parse_records(scheme, text):
-    """(h, f, d, payload) of one helper's record file."""
-    if scheme == "1":
-        return parse_repair_record(text)
-    rounds = [parse_round_record(REPAIR2_MAGIC + part)
-              for part in text.split(REPAIR2_MAGIC)[1:]]
-    (h, f, d), = {r[:3] for r in rounds}       # one helper, one repair
-    assert [r[3] for r in rounds] == list(range(1, len(rounds) + 1))
-    return h, f, d, tuple(r[4] for r in rounds)
 
 
 @pytest.mark.parametrize("scheme, code_name, strategy", CASES)
@@ -91,7 +79,7 @@ def test_cli_and_simulator_repair_alike(request, tmp_path, capsys, scheme, code_
         return
     for h, payload in sent.items():
         text = (recs / f"repair_h{h:02d}.rec").read_text()
-        assert _parse_records(scheme, text) == (h, f, d, tuple(payload))
+        assert parse_records(text) == (scheme, h, f, d, tuple(payload))
 
 
 # Each scheme's column function, as the decoder stacks it: cols(f->h).
