@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .encoder import coeff_segment
-from .errors import BaerCodeError, NonIntegralDegreeError
+from .errors import BaerCodeError
 from .galois import Field
 from .params import Derived
 from .repair1 import repair_scan
@@ -65,10 +65,10 @@ def assign_bipartite(n_components: int, helpers: Sequence[int], d_min: int) -> A
     helpers = tuple(sorted(helpers))
     d = len(helpers)
     if d < d_min:
-        raise NonIntegralDegreeError(f"need at least d_min={d_min} helpers, got {d}")
+        raise BaerCodeError(f"need at least d_min={d_min} helpers, got {d}")
     total = n_components * d_min
     if total % d != 0:
-        raise NonIntegralDegreeError(
+        raise BaerCodeError(
             f"{n_components} components x {d_min} cannot split evenly over {d} helpers"
         )
     degree = {u: 0 for u in helpers}

@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadNodeIndexError,
-    BaerCodeError,
-    StructureViolationError,
-    WrongMessageLengthError,
-)
+from .errors import BaerCodeError, StructureViolationError
 from .galois import Field, Mat
 from .params import CodeParams, Derived, check_field
 
@@ -95,9 +90,7 @@ def build_data_matrix(message: Sequence[int], code: Derived, field: Field) -> Da
     """Arrange f_mbr source symbols into the z symmetric blocks."""
     msg = [v % field.p for v in message]
     if len(msg) != code.f_mbr:
-        raise WrongMessageLengthError(
-            f"message has {len(msg)} symbols, capacity is {code.f_mbr}"
-        )
+        raise BaerCodeError(f"message has {len(msg)} symbols, capacity is {code.f_mbr}")
     lam, kappa = code.lam, code.kappa
     blocks = []
     it = iter(msg)
@@ -146,7 +139,7 @@ def extract_message(dm: DataMatrix) -> tuple[int, ...]:
 def encode_node(dm: DataMatrix, node: int, code: Derived, field: Field) -> NodeShare:
     """x_node(i) = psi_node(i) @ M_i for every block, concatenated."""
     if not 1 <= node <= code.n:
-        raise BadNodeIndexError(f"node index {node} outside 1..{code.n}")
+        raise BaerCodeError(f"node index {node} outside 1..{code.n}")
     x: list[int] = []
     for i, blk in enumerate(dm.blocks, 1):
         seg = coeff_segment(field, node, i, dm.lam)
@@ -219,7 +212,7 @@ def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str]
     if not all(0 <= v < p for v in x):
         x = ()
     if not 1 <= node <= params.n:
-        raise BadNodeIndexError(f"node index {node} outside 1..{params.n}")
+        raise BaerCodeError(f"node index {node} outside 1..{params.n}")
     return NodeShare(index=node, e=field.point(node), x=x), scheme
 
 
@@ -231,9 +224,7 @@ def parse_message_text(text: str, expected_len: int, p: int) -> tuple[int, ...]:
     except ValueError as exc:
         raise BaerCodeError(f"non-decimal message symbol: {exc}") from exc
     if len(vals) != expected_len:
-        raise WrongMessageLengthError(
-            f"message file has {len(vals)} symbols, capacity is {expected_len}"
-        )
+        raise BaerCodeError(f"message file has {len(vals)} symbols, capacity is {expected_len}")
     if any(not 0 <= v < p for v in vals):
         raise BaerCodeError(f"message symbol outside GF({p})")
     return vals

@@ -15,14 +15,7 @@ from itertools import count
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicatePointError,
-    NotPrimeError,
-    SingularMatrixError,
-    ZeroPointError,
-    ZeroToNegativePowerError,
-)
+from .errors import BaerCodeError, SingularMatrixError
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -113,7 +106,7 @@ class Field:
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool) or p < 3 or not is_prime(p):
-            raise NotPrimeError(f"modulus must be a prime >= 3, got {p!r}")
+            raise BaerCodeError(f"modulus must be a prime >= 3, got {p!r}")
         self.p = p
         self.g = self._find_generator()
 
@@ -128,7 +121,7 @@ class Field:
         e %= self.p
         if e == 0:
             if k < 0:
-                raise ZeroToNegativePowerError("zero to a negative power")
+                raise BaerCodeError("zero to a negative power")
             return 0 if k > 0 else 1
         return pow(e, k, self.p)
 
@@ -157,12 +150,12 @@ class Mat:
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
-                raise DimensionMismatchError("ragged rows")
+                raise BaerCodeError("ragged rows")
         else:
             width = 0
         if cols is not None:
             if data and width != cols:
-                raise DimensionMismatchError(f"expected {cols} columns, got {width}")
+                raise BaerCodeError(f"expected {cols} columns, got {width}")
             width = cols
         self.field = field
         self.rows = len(data)
@@ -180,9 +173,9 @@ class Mat:
         """Row i = [points[i]^0, ..., points[i]^(cols-1)].  Points must be distinct and nonzero."""
         pts = [x % field.p for x in points]
         if any(x == 0 for x in pts):
-            raise ZeroPointError("vandermonde points must be nonzero")
+            raise BaerCodeError("vandermonde points must be nonzero")
         if len(set(pts)) != len(pts):
-            raise DuplicatePointError(f"duplicate vandermonde points in {pts}")
+            raise BaerCodeError(f"duplicate vandermonde points in {pts}")
         p = field.p
         rows = []
         for x in pts:
@@ -225,9 +218,9 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         if self.field != other.field:
-            raise DimensionMismatchError("fields differ")
+            raise BaerCodeError("fields differ")
         if self.cols != other.rows:
-            raise DimensionMismatchError(f"{self.shape} @ {other.shape}")
+            raise BaerCodeError(f"{self.shape} @ {other.shape}")
         p = self.field.p
         # Columns of other; zip yields none when other has no rows.
         bt = list(zip(*other.data)) or [()] * other.cols
@@ -243,7 +236,7 @@ class Mat:
     def left_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix: vec @ self."""
         if len(vec) != self.rows:
-            raise DimensionMismatchError(f"vector of {len(vec)} vs {self.shape}")
+            raise BaerCodeError(f"vector of {len(vec)} vs {self.shape}")
         p = self.field.p
         return tuple(
             sum(v * row[j] for v, row in zip(vec, self.data)) % p
@@ -253,7 +246,7 @@ class Mat:
     def inv(self) -> "Mat":
         """Inverse of a square matrix: its echelon transform, as E @ self == I."""
         if self.rows != self.cols:
-            raise DimensionMismatchError("inverse of a non-square matrix")
+            raise BaerCodeError("inverse of a non-square matrix")
         return self.echelon_transform()
 
     def rank(self) -> int:

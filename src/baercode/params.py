@@ -20,16 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import (
-    AlphaNotMultipleError,
-    BaerCodeError,
-    DivisibilityViolationError,
-    DNotInDError,
-    DTooLargeError,
-    FieldTooSmallError,
-    GammaMissingDError,
-    OrderingViolationError,
-)
+from .errors import BaerCodeError, DivisibilityViolationError
 from .galois import Field
 
 
@@ -84,18 +75,18 @@ class Derived:
         for dd, v in self.beta:
             if dd == d:
                 return v
-        raise DNotInDError(f"d={d} not in D={self.d_set}")
+        raise BaerCodeError(f"d={d} not in D={self.d_set}")
 
     def gamma_of(self, d: int) -> int:
         for dd, v in self.gamma:
             if dd == d:
                 return v
-        raise DNotInDError(f"d={d} not in D={self.d_set}")
+        raise BaerCodeError(f"d={d} not in D={self.d_set}")
 
 
 def _check_int(name: str, v, minimum: int) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise OrderingViolationError(f"{name} must be an integer >= {minimum}, got {v!r}")
+        raise BaerCodeError(f"{name} must be an integer >= {minimum}, got {v!r}")
     return v
 
 
@@ -106,22 +97,18 @@ def validate(params: CodeParams) -> Derived:
     b = _check_int("b", params.b, 0)
     alpha = _check_int("alpha", params.alpha, 1)
     if not params.d_set:
-        raise OrderingViolationError("D must be non-empty")
+        raise BaerCodeError("D must be non-empty")
     for d in params.d_set:
         _check_int("d", d, 1)
     d_min = params.d_set[0]
     d_max = params.d_set[-1]
     if not (2 * b < k <= d_min):
-        raise OrderingViolationError(
-            f"need 2b < k <= d_min, got b={b}, k={k}, d_min={d_min}"
-        )
+        raise BaerCodeError(f"need 2b < k <= d_min, got b={b}, k={k}, d_min={d_min}")
     if d_max > n - 1:
-        raise DTooLargeError(f"d={d_max} exceeds n-1={n - 1}; helpers must be surviving nodes")
+        raise BaerCodeError(f"d={d_max} exceeds n-1={n - 1}; helpers must be surviving nodes")
     base = math.lcm(*(d - 2 * b for d in params.d_set))
     if alpha % base != 0:
-        raise AlphaNotMultipleError(
-            f"alpha={alpha} is not a multiple of lcm(d-2b for d in D)={base}"
-        )
+        raise BaerCodeError(f"alpha={alpha} is not a multiple of lcm(d-2b for d in D)={base}")
 
     lam = d_min - 2 * b
     kappa = k - 2 * b
@@ -138,21 +125,11 @@ def validate(params: CodeParams) -> Derived:
     )
 
 
-def gamma_mbr(code: Derived, d: int) -> int:
-    """Minimum total repair bandwidth alpha*d/(d-2b) for helper count d."""
-    return code.gamma_of(d)
-
-
-def f_mbr(code: Derived) -> int:
-    """Storage capacity in symbols."""
-    return code.f_mbr
-
-
 def capacity_upper_bound(code: Derived, gamma: Mapping[int, int | Fraction]) -> Fraction:
     """Capacity bound sum_{j=0}^{k-2b-1} min(alpha, min_d (d-2b-j) * gamma(d)/d)."""
     for d in code.d_set:
         if d not in gamma:
-            raise GammaMissingDError(f"gamma map missing d={d}")
+            raise BaerCodeError(f"gamma map missing d={d}")
     total = Fraction(0)
     for j in range(code.kappa):
         inner = min(
@@ -168,7 +145,7 @@ def classical_bound(k: int, d: int, alpha: int, gamma: int | Fraction) -> Fracti
     _check_int("d", d, 1)
     _check_int("alpha", alpha, 1)
     if gamma < 0:
-        raise OrderingViolationError("gamma must be non-negative")
+        raise BaerCodeError("gamma must be non-negative")
     total = Fraction(0)
     for i in range(min(k, d)):
         total += min(Fraction(alpha), Fraction(d - i) * Fraction(gamma) / d)
@@ -182,7 +159,7 @@ def err_resilient_bound(k: int, d: int, b: int, alpha: int, gamma: int | Fractio
     _check_int("b", b, 0)
     _check_int("alpha", alpha, 1)
     if gamma < 0:
-        raise OrderingViolationError("gamma must be non-negative")
+        raise BaerCodeError("gamma must be non-negative")
     total = Fraction(0)
     for i in range(2 * b, k):
         total += min(Fraction(alpha), Fraction(d - i) * Fraction(gamma) / d)
@@ -229,7 +206,7 @@ def schedule_scheme2(code: Derived, d: int) -> ScheduleII:
     the group size, otherwise this d is unusable at this alpha.
     """
     if d not in code.d_set:
-        raise DNotInDError(f"d={d} not in D={code.d_set}")
+        raise BaerCodeError(f"d={d} not in D={code.d_set}")
     span = d - 2 * code.b
     xi = (span // code.lam) * code.lam
     if code.alpha % xi != 0:
@@ -276,7 +253,7 @@ def schedule_scheme2(code: Derived, d: int) -> ScheduleII:
 def check_field(code: Derived, field: Field) -> None:
     """The field must supply n distinct nonzero evaluation points: p-1 >= n."""
     if field.p - 1 < code.n:
-        raise FieldTooSmallError(
+        raise BaerCodeError(
             f"GF({field.p}) has only {field.p - 1} nonzero points, need n={code.n}"
         )
 
@@ -285,7 +262,8 @@ def check_field(code: Derived, field: Field) -> None:
 
 def parse_params_text(text: str) -> tuple[CodeParams, int | None]:
     """Parse `key=value` lines with keys n,k,b,alpha,D (comma separated) and
-    optionally p.  Blank lines and #-comments are ignored."""
+    optionally p, below 2**64: there is_prime is a proof and Field(p) builds
+    fast.  Blank lines and #-comments are ignored."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -307,6 +285,8 @@ def parse_params_text(text: str) -> tuple[CodeParams, int | None]:
         p = int(values["p"]) if "p" in values else None
     except ValueError as exc:
         raise BaerCodeError(f"params file: {exc}") from exc
+    if p is not None and p >= 2**64:
+        raise BaerCodeError(f"params file: p={p} is not below 2**64")
     return params, p
 
 

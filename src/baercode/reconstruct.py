@@ -29,11 +29,7 @@ from operator import mul
 from typing import Sequence
 
 from .encoder import DataMatrix, NodeShare, build_data_matrix, coeff_segment, extract_message
-from .errors import (
-    DimensionMismatchError,
-    NoConsistentGroupError,
-    StructureViolationError,
-)
+from .errors import BaerCodeError, NoConsistentGroupError, StructureViolationError
 from .galois import Field, Mat
 from .params import Derived
 from .repair1 import testgroup_scan
@@ -60,7 +56,7 @@ def pm_reconstruct_component(
         raise StructureViolationError(f"need {kappa} segments, got {len(segments)}")
     y = Mat(field, [seg for _, seg in segments])
     if y.cols % lam:
-        raise DimensionMismatchError(f"segments of {y.cols} symbols, not a multiple of lam={lam}")
+        raise BaerCodeError(f"segments of {y.cols} symbols, not a multiple of lam={lam}")
     p = field.p
     z, m = y.cols // lam, lam - kappa
     offs = range(0, z * lam, lam)

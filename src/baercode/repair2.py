@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 from .encoder import NodeShare
 from .errors import (
-    PlanMismatchError,
+    BaerCodeError,
     SingularMatrixError,
     SingularReducedSystemError,
     UnresolvedEntriesError,
@@ -89,7 +89,7 @@ def _stream_cols(plan: ScheduleII, fld: Field, src: int, dst: int) -> tuple[tupl
 def helper_stream(share: NodeShare, plan: ScheduleII, f: int, fld: Field) -> tuple[tuple[int, ...], ...]:
     """All rounds of one helper's transmission, one symbol per group; beta(d) in total."""
     if share.index == f:
-        raise PlanMismatchError("failed node cannot help repair itself")
+        raise BaerCodeError("failed node cannot help repair itself")
     p = fld.p
     flat = iter([sum(map(mul, share.x, col)) % p
                  for col in _stream_cols(plan, fld, share.index, f)])
@@ -186,15 +186,15 @@ class RepairSession:
         """Consume one iteration's symbols from a size-(d-2b) helper subset."""
         plan, fld = self.plan, self.field
         if j != self.next_j:
-            raise PlanMismatchError(f"expected iteration {self.next_j}, got {j}")
+            raise BaerCodeError(f"expected iteration {self.next_j}, got {j}")
         it = plan.iterations[j - 1]
         span = plan.d - 2 * plan.code.b
         helpers = tuple(sorted(symbols))
         if len(helpers) != span:
-            raise PlanMismatchError(f"need {span} helpers per subset, got {len(helpers)}")
+            raise BaerCodeError(f"need {span} helpers per subset, got {len(helpers)}")
         for h in helpers:
             if len(symbols[h]) != it.n_groups:
-                raise PlanMismatchError(
+                raise BaerCodeError(
                     f"helper {h} sent {len(symbols[h])} symbols for iteration {j}, "
                     f"expected {it.n_groups}"
                 )

@@ -29,13 +29,7 @@ from typing import Sequence
 from . import adversary as adv
 from . import repair
 from .encoder import NodeShare, build_data_matrix, encode_all
-from .errors import (
-    BaerCodeError,
-    NoConsistentGroupError,
-    NodeAlreadyFailedError,
-    NotEnoughHelpersError,
-    RepairOfLiveNodeError,
-)
+from .errors import BaerCodeError, NoConsistentGroupError
 from .galois import Field
 from .params import Derived, check_field
 from .reconstruct import testgroup_reconstruct
@@ -141,7 +135,7 @@ class Cluster:
         banned = _banned(policy)
         candidates = [n for n in self.live_nodes() if n != f and n not in banned]
         if len(candidates) < d:
-            raise NotEnoughHelpersError(
+            raise BaerCodeError(
                 f"{len(candidates)} candidate helpers for d={d} repair of node {f}"
             )
         if policy == "random":
@@ -162,7 +156,7 @@ class Cluster:
             if event.node not in self.shares:
                 raise BaerCodeError(f"unknown node {event.node}")
             if self.shares[event.node] is None:
-                raise NodeAlreadyFailedError(f"node {event.node} already failed")
+                raise BaerCodeError(f"node {event.node} already failed")
             self.shares[event.node] = None
 
         elif event.kind == "repair":
@@ -170,7 +164,7 @@ class Cluster:
             if f not in self.shares:
                 raise BaerCodeError(f"unknown node {f}")
             if self.shares[f] is not None:
-                raise RepairOfLiveNodeError(f"node {f} is live; fail it first")
+                raise BaerCodeError(f"node {f} is live; fail it first")
             if d not in code.d_set:
                 raise BaerCodeError(f"repair d={d} not in D={code.d_set}")
             helpers = self._choose_helpers(f, d, event.helper_policy, rng)

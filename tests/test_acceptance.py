@@ -17,8 +17,6 @@ from baercode.errors import NoConsistentGroupError
 from baercode.galois import Field
 from baercode.params import (
     capacity_upper_bound,
-    f_mbr,
-    gamma_mbr,
     schedule_scheme2,
     validate,
 )
@@ -42,16 +40,16 @@ def seeded_cluster(code, fld, seed):
 
 
 def test_c01_capacity_formulas(ex1_code, ex3_code):
-    assert f_mbr(ex1_code) == 20
-    assert f_mbr(ex3_code) == 6
+    assert ex1_code.f_mbr == 20
+    assert ex3_code.f_mbr == 6
     _pass(1, "f_mbr = 20 at (n=5,k=2,D={3,4},b=0,alpha=12) and 6 at (n=6,k=3,D={4,5},b=1,alpha=6)")
 
 
 def test_c02_bandwidth_formulas(ex1_code, ex3_code):
-    assert gamma_mbr(ex3_code, 4) == 12
-    assert gamma_mbr(ex3_code, 5) == 10
+    assert ex3_code.gamma_of(4) == 12
+    assert ex3_code.gamma_of(5) == 10
     for d in ex1_code.d_set:
-        assert gamma_mbr(ex1_code, d) == ex1_code.alpha
+        assert ex1_code.gamma_of(d) == ex1_code.alpha
     _pass(2, "gamma_mbr(4)=12, gamma_mbr(5)=10 at (alpha=6,b=1); gamma=alpha for b=0")
 
 

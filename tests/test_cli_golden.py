@@ -57,6 +57,19 @@ SCENARIO = (
     "corrupt consistent_liar nodes=4 seed=7\nreconstruct {access}\n"
     "fail 5\nrepair 5 d={lo} helpers=exclude:1\n"
 )
+# Inputs that each reach one refusal: bad parameters, fields, messages, scenarios.
+REFUSED = {
+    "k2.raw": "n=6\nk=2\nb=1\nalpha=6\nD=4,5\n",
+    "d6.raw": "n=6\nk=3\nb=1\nalpha=6\nD=4,6\n",
+    "alpha5.raw": "n=6\nk=3\nb=1\nalpha=5\nD=4,5\n",
+    "ex3-p5.params": RAW["ex3"] + "p=5\n",
+    "ex3-p15.params": RAW["ex3"] + "p=15\n",
+    "ex3-p2e64.params": RAW["ex3"] + "p=18446744073709551629\n",     # 2**64 + 13
+    "short.msg": "1\n2\n3\n",
+    "fail-twice.scn": "fail 1\nfail 1\n",
+    "repair-live.scn": "repair 1 d=4\n",
+    "few-helpers.scn": "fail 1\nfail 2\nfail 3\nrepair 1 d=4\n",
+}
 # The repair sweep's adversaries: (case suffix, strategy, controlled helpers).
 ADVERSARIES = (("honest", "honest", ""), ("random", "random", "3"),
                ("liar", "liar", "4"), ("liar2", "liar", "3,4"))
@@ -82,6 +95,8 @@ def _inputs(root: Path):
     (root / "in" / "ex3-p7.msg").write_text(_message(7, 6, "ex3-p7"))
     # GF(7) has singular scheme-2 systems at a12, which selftest only reports.
     (root / "in" / "a12-p7.params").write_text(RAW["a12"] + "p=7\n")
+    for name, text in REFUSED.items():
+        (root / "in" / name).write_text(text)
 
 
 def _forge(root: Path):
@@ -161,6 +176,21 @@ def battery():
         ("concat-b1-selftest", ["selftest", "--params", "ex3.params", "--scheme", "concat"]),
         ("concat-b1-encode", ["encode", "--params", "ex3.params", "--scheme", "concat",
                               "--message", "in/ex3.msg", "--out", "concat-b1"]),
+        ("k2-bounds", ["bounds", "--params", "in/k2.raw"]),
+        ("d6-bounds", ["bounds", "--params", "in/d6.raw"]),
+        ("alpha5-bounds", ["bounds", "--params", "in/alpha5.raw"]),
+        ("ex3-p5-selftest", ["selftest", "--params", "in/ex3-p5.params"]),
+        ("ex3-p15-selftest", ["selftest", "--params", "in/ex3-p15.params"]),
+        ("ex3-p2e64-selftest", ["selftest", "--params", "in/ex3-p2e64.params"]),
+        ("ex3-short-encode", ["encode", "--params", "ex3.params", "--message", "in/short.msg",
+                              "--out", "ex3-short"]),
+        ("ex3-fail-twice", ["simulate", "--params", "ex3.params", "--scenario",
+                            "in/fail-twice.scn"]),
+        ("ex3-repair-live", ["simulate", "--params", "ex3.params", "--scenario",
+                             "in/repair-live.scn"]),
+        ("ex3-few-helpers", ["simulate", "--params", "ex3.params", "--scenario",
+                             "in/few-helpers.scn"]),
+        ("ex3-scheme2-selftest", ["selftest", "--params", "ex3.params", "--scheme", "2"]),
     ]
     return steps
 

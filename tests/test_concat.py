@@ -8,7 +8,7 @@ from baercode import repair
 from baercode.adversary import AdversaryPolicy
 from baercode.concat import assign_bipartite
 from baercode.encoder import NodeShare, build_data_matrix, encode_all
-from baercode.errors import BaerCodeError, NoConsistentGroupError, NonIntegralDegreeError
+from baercode.errors import BaerCodeError, NoConsistentGroupError
 from baercode.galois import Field
 from baercode.params import CodeParams, validate
 
@@ -45,9 +45,10 @@ def test_single_component_takes_lowest_indices():
 
 
 def test_non_integral_degree_rejected():
-    with pytest.raises(NonIntegralDegreeError):
+    with pytest.raises(BaerCodeError,
+                       match="^4 components x 3 cannot split evenly over 5 helpers$"):
         assign_bipartite(4, [1, 2, 3, 4, 5], 3)    # 12 edges over 5 helpers
-    with pytest.raises(NonIntegralDegreeError):
+    with pytest.raises(BaerCodeError, match="^need at least d_min=3 helpers, got 2$"):
         assign_bipartite(4, [1, 2], 3)             # fewer helpers than d_min
 
 

@@ -1,28 +1,19 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from baercode.errors import (
-    AlphaNotMultipleError,
-    DivisibilityViolationError,
-    DNotInDError,
-    DTooLargeError,
-    FieldTooSmallError,
-    GammaMissingDError,
-    OrderingViolationError,
-)
-from baercode.galois import Field
+from baercode.errors import BaerCodeError, DivisibilityViolationError
+from baercode.galois import Field, is_prime
 from baercode.params import (
     CodeParams,
     capacity_upper_bound,
     check_field,
     classical_bound,
     err_resilient_bound,
-    f_mbr,
     format_params_text,
-    gamma_mbr,
     parse_params_text,
     schedule_scheme2,
     validate,
@@ -59,32 +50,33 @@ def test_validate_adversary_free_cluster(ex1_code):
 
 
 def test_validate_rejections():
-    with pytest.raises(AlphaNotMultipleError):
+    with pytest.raises(BaerCodeError,
+                       match=re.escape("alpha=5 is not a multiple of lcm(d-2b for d in D)=6")):
         validate(CodeParams(n=6, k=3, d_set=(4, 5), b=1, alpha=5))   # lcm(2,3)=6
-    with pytest.raises(OrderingViolationError):
+    with pytest.raises(BaerCodeError, match="^need 2b < k <= d_min, got b=1, k=2, d_min=4$"):
         validate(CodeParams(n=6, k=2, d_set=(4, 5), b=1, alpha=6))   # 2b == k
-    with pytest.raises(OrderingViolationError):
+    with pytest.raises(BaerCodeError, match="^need 2b < k <= d_min, got b=1, k=5, d_min=4$"):
         validate(CodeParams(n=6, k=5, d_set=(4, 5), b=1, alpha=6))   # k > d_min
-    with pytest.raises(DTooLargeError):
+    with pytest.raises(BaerCodeError, match="^d=5 exceeds n-1=4; helpers must be surviving nodes$"):
         validate(CodeParams(n=5, k=3, d_set=(4, 5), b=1, alpha=6))   # d=5 > n-1
-    with pytest.raises(OrderingViolationError):
+    with pytest.raises(BaerCodeError, match="^D must be non-empty$"):
         validate(CodeParams(n=6, k=3, d_set=(), b=1, alpha=6))
 
 
 def test_gamma_mbr_values(ex3_code, ex1_code):
-    assert gamma_mbr(ex3_code, 5) == 10
-    assert gamma_mbr(ex3_code, 4) == 12
+    assert ex3_code.gamma_of(5) == 10
+    assert ex3_code.gamma_of(4) == 12
     for d in ex1_code.d_set:            # b = 0: total repair traffic is alpha
-        assert gamma_mbr(ex1_code, d) == ex1_code.alpha
-    with pytest.raises(DNotInDError):
-        gamma_mbr(ex3_code, 6)
+        assert ex1_code.gamma_of(d) == ex1_code.alpha
+    with pytest.raises(BaerCodeError, match=re.escape("d=6 not in D=(4, 5)")):
+        ex3_code.gamma_of(6)
 
 
 def test_f_mbr_values(ex3_code, ex1_code):
-    assert f_mbr(ex3_code) == 6
-    assert f_mbr(ex1_code) == 20
+    assert ex3_code.f_mbr == 6
+    assert ex1_code.f_mbr == 20
     tiny = validate(CodeParams(n=3, k=1, d_set=(1,), b=0, alpha=1))
-    assert f_mbr(tiny) == 1
+    assert tiny.f_mbr == 1
 
 
 def test_capacity_upper_bound(ex3_code, ex1_code):
@@ -98,7 +90,7 @@ def test_capacity_upper_bound(ex3_code, ex1_code):
     assert capacity_upper_bound(ex1_code, dict(ex1_code.gamma)) == 20
     doubled = {d: 2 * g for d, g in ex3_code.gamma}
     assert capacity_upper_bound(ex3_code, doubled) == ex3_code.alpha * ex3_code.kappa
-    with pytest.raises(GammaMissingDError):
+    with pytest.raises(BaerCodeError, match="^gamma map missing d=5$"):
         capacity_upper_bound(ex3_code, {4: 12})
 
 
@@ -129,9 +121,9 @@ def test_classical_and_err_resilient_bounds():
         alpha = rng.randrange(1, 10)
         gamma = rng.randrange(0, 30)
         assert err_resilient_bound(k, d, 0, alpha, gamma) == classical_bound(k, d, alpha, gamma)
-    with pytest.raises(OrderingViolationError):
+    with pytest.raises(BaerCodeError, match="^k must be an integer >= 1, got 0$"):
         classical_bound(0, 3, 3, 3)
-    with pytest.raises(OrderingViolationError):
+    with pytest.raises(BaerCodeError, match="^b must be an integer >= 0, got -1$"):
         err_resilient_bound(2, 3, -1, 3, 3)
 
 
@@ -179,7 +171,7 @@ def test_schedule_bandwidth_identities_randomized():
 
 def test_check_field_boundary(ex3_code):
     check_field(ex3_code, Field(7))      # p-1 == n boundary accepted
-    with pytest.raises(FieldTooSmallError):
+    with pytest.raises(BaerCodeError, match=re.escape("GF(5) has only 4 nonzero points, need n=6")):
         check_field(ex3_code, Field(5))
 
 
@@ -189,3 +181,15 @@ def test_params_file_round_trip(ex3_code):
     assert params == ex3_code.params and p == 17
     params2, p2 = parse_params_text("n=6\nk=3\nb=1\nalpha=6\nD=4,5\n# comment\n")
     assert params2 == ex3_code.params and p2 is None
+
+
+def test_params_file_p_is_below_2_64(ex3_code):
+    largest = 18446744073709551557          # 2**64 - 59, the largest prime below 2**64
+    assert largest == 2**64 - 59 and is_prime(largest)
+    assert parse_params_text(format_params_text(ex3_code.params, largest))[1] == largest
+    assert Field(largest).p == largest
+    above = 2**64 + 13                      # the smallest prime above 2**64
+    assert is_prime(above)
+    with pytest.raises(BaerCodeError,
+                       match=re.escape(f"params file: p={above} is not below 2**64")):
+        parse_params_text(format_params_text(ex3_code.params, above))

@@ -10,6 +10,11 @@ also a method of a builtin type (`set.add`, `dict.get`, `str.split`, ...),
 whose calls cannot be told apart from C's without types.  A local variable
 that happens to share its name does not count.  Names that only the tests
 need are listed in ALLOWED, each with the reason it stays.
+
+An error class of errors.py exists only where some caller tells it apart: an
+`except` clause in src/ or tests/ names it, or a reference scan of the tests
+counts it as a failure (the failures argument of `first_consistent`).
+Every other refusal raises BaerCodeError with its message.
 """
 
 import ast
@@ -19,9 +24,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "baercode"
 CALLERS = (ROOT / "src", ROOT / "demos", ROOT / "bench")
+TELLERS = (ROOT / "src", ROOT / "tests")
 
 ALLOWED = {
-    "params.gamma_mbr": "the paper's repair bandwidth as a function; the tests check it",
     "encoder.coeff_vector": "the tests' oracle for a node's full coefficient vector",
     "encoder.DataMatrix.full": "the tests' oracle for the symmetric data matrix",
     "galois.Mat.identity": "the tests' oracle for inverses",
@@ -149,3 +154,50 @@ def test_a_dead_method_sharing_a_builtin_or_self_name_is_flagged(tmp_path):
         "seen.add(Field().point(1))\n"
     )
     assert unused_public_names(package, (package, callers)) == ["field.Field.add"]
+
+
+def _told_apart(tree):
+    """Names in the `except` clauses, and in the failures argument of the
+    first_consistent calls, of one file."""
+    caught = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught.append(node.type)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "first_consistent"
+              and len(node.args) == 5):
+            caught.append(node.args[4])
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for expr in caught for sub in ast.walk(expr)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def untold_error_classes(errors=PACKAGE / "errors.py", tellers=TELLERS):
+    """Classes of `errors` that no file under `tellers` tells apart."""
+    told = set()
+    for top in tellers:
+        for path in sorted(top.rglob("*.py")):
+            told |= _told_apart(ast.parse(path.read_text()))
+    tree = ast.parse(errors.read_text())
+    return [node.name for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name not in told]
+
+
+def test_every_error_class_is_told_apart_by_some_caller():
+    assert untold_error_classes() == []
+
+
+def test_an_error_class_nothing_catches_is_flagged(tmp_path):
+    errors, caller = tmp_path / "errors.py", tmp_path / "caller.py"
+    errors.write_text(
+        "class Base(Exception):\n    pass\n"
+        "class Caught(Base):\n    pass\n"
+        "class Scanned(Base):\n    pass\n"
+        "class Raised(Base):\n    pass\n"
+    )
+    caller.write_text(
+        "import errors\n"
+        "try:\n    raise errors.Raised('x')\n"
+        "except (errors.Caught, Base):\n    pass\n"
+        "first_consistent([1, 2], 2, 1, len, Scanned)\n"
+    )
+    assert untold_error_classes(errors, (tmp_path,)) == ["Raised"]

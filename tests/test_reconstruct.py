@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -7,11 +8,7 @@ from hypothesis import given, settings, strategies as st
 from baercode import adversary as adv
 from baercode import reconstruct
 from baercode.encoder import NodeShare, build_data_matrix, encode_all
-from baercode.errors import (
-    DimensionMismatchError,
-    NoConsistentGroupError,
-    StructureViolationError,
-)
+from baercode.errors import BaerCodeError, NoConsistentGroupError, StructureViolationError
 from baercode.galois import Field, Mat
 from baercode.params import CodeParams, validate
 from baercode.reconstruct import (
@@ -224,7 +221,8 @@ def test_two_malformed_shares_exceed_b():
 
 
 def test_component_rejects_partial_blocks():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(BaerCodeError,
+                       match=re.escape("segments of 3 symbols, not a multiple of lam=2")):
         pm_reconstruct_component([(3, (1, 2, 3))], F17, lam=2, kappa=1)
 
 

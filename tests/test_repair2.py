@@ -8,7 +8,6 @@ from baercode.encoder import NodeShare, build_data_matrix, encode_all, encode_no
 from baercode.errors import (
     BaerCodeError,
     NoConsistentGroupError,
-    PlanMismatchError,
     SingularMatrixError,
     SingularReducedSystemError,
     UnresolvedEntriesError,
@@ -144,7 +143,7 @@ def test_helper_stream_length_is_beta(a12_code):
 def test_helper_plan_mismatches(a12_code):
     _, shares = encoded_cluster(a12_code, F7, 5)
     plan = schedule_scheme2(a12_code, 5)
-    with pytest.raises(PlanMismatchError):
+    with pytest.raises(BaerCodeError, match="^failed node cannot help repair itself$"):
         helper_stream(shares[6], plan, 6, F7)      # the failed node cannot help
 
 
@@ -208,11 +207,12 @@ def test_decoder_round_plan_mismatches(a12_code):
     plan = schedule_scheme2(a12_code, 5)
     streams = {h: helper_stream(shares[h], plan, 6, F7) for h in (1, 2, 3)}
     sess = RepairSession(plan, 6, F7)
-    with pytest.raises(PlanMismatchError):
+    with pytest.raises(BaerCodeError, match="^expected iteration 1, got 2$"):
         sess.decoder_round(2, {h: streams[h][1] for h in (1, 2, 3)})
-    with pytest.raises(PlanMismatchError):
+    with pytest.raises(BaerCodeError, match="^need 3 helpers per subset, got 2$"):
         sess.decoder_round(1, {h: streams[h][0] for h in (1, 2)})
-    with pytest.raises(PlanMismatchError):
+    with pytest.raises(BaerCodeError,
+                       match="^helper 1 sent 1 symbols for iteration 1, expected 3$"):
         sess.decoder_round(1, {1: streams[1][1], 2: streams[2][0], 3: streams[3][0]})
 
 
