@@ -1,36 +1,37 @@
 #!/usr/bin/env python3
-"""Iterative merge-based repair over a small field (scheme 2).
+"""Merge-based repair over a small field (scheme 2).
 
-With alpha=12 and d=5 the lost share is recovered in two rounds: helpers
-first merge segment pairs through the overlap-add operator and send one
-symbol per pair, the decoder labels entries known / inactive / active, and
-a second round of plain projections settles the rest.  Runs over GF(7),
-the smallest field with six distinct nonzero evaluation points.
+With alpha=12 and d=5 the lost share is split into segments that helpers
+merge pairwise through the overlap-add operator in a first round, then
+project plainly in a second.  Every round symbol is linear in the helper's
+share, so a helper's rounds are x_h @ C(h, f) for one closed-form matrix
+C(h, f), and a subset of d-2b helpers gives one square system for the lost
+share.  The prime search shows which small fields solve every such system.
 """
 
 import random
 
+from baercode import adversary as adv
 from baercode.encoder import build_data_matrix, encode_all
-from baercode.galois import Field
 from baercode.params import CodeParams, schedule_scheme2, validate
-from baercode.repair2 import ACTIVE, INACTIVE, KNOWN, RepairSession, helper_stream
-
-LABEL = {ACTIVE: "active", INACTIVE: "inactive", KNOWN: "known"}
-
-
-def label_map(session):
-    out = {}
-    for name in ("known", "inactive", "active"):
-        out[name] = [i + 1 for i, l in enumerate(session.labels) if LABEL[l] == name]
-    return out
+from baercode.repair2 import (
+    _stream_cols,
+    find_field_scheme2,
+    helper_stream,
+    repair_estimate,
+    testgroup_repair2,
+)
 
 
 def main():
     code = validate(CodeParams(n=6, k=3, d_set=(4, 5), b=1, alpha=12))
-    fld = Field(7)
+    search = find_field_scheme2(code)
+    fld = search.field
+    print(f"rejected primes {list(search.rejected)}; {search.report.summary()}")
+
     d = 5
     plan = schedule_scheme2(code, d)
-    print(f"schedule for d={d}: segments of xi={plan.xi}, zeta={plan.zeta} segments")
+    print(f"\nschedule for d={d}: segments of xi={plan.xi}, zeta={plan.zeta} segments")
     for it in plan.iterations:
         print(f"  iteration {it.j}: tau={it.tau} mu={it.mu} sigma={it.sigma} "
               f"-> {it.n_groups} groups of {it.group_size}: {list(it.groups)}")
@@ -42,36 +43,30 @@ def main():
     dm = build_data_matrix(message, code, fld)
     shares = {s.index: s for s in encode_all(dm, code, fld)}
 
-    f, subset = 6, (1, 2, 3)
-    print(f"\nnode {f} fails; decoding from helper subset {list(subset)} over GF(7)")
-    print(f"lost share: {list(shares[f].x)}")
-    streams = {h: helper_stream(shares[h], plan, f, fld) for h in subset}
-    for h in subset:
-        print(f"  helper {h} rounds: {[list(r) for r in streams[h]]}")
+    f, h = 6, 2
+    cols = _stream_cols(plan, fld, h, f)
+    rounds = helper_stream(shares[h], plan, f, fld)
+    flat = tuple(sum(x * c for x, c in zip(shares[h].x, col)) % fld.p for col in cols)
+    assert flat == tuple(v for rnd in rounds for v in rnd)
+    print(f"\nnode {f} fails; helper {h} holds {list(shares[h].x)}")
+    print(f"  C({h}, {f}) has {len(cols)} columns, one per (round, group)")
+    print(f"  x_{h} @ C({h}, {f}) = {list(flat)}, sent as rounds {[list(r) for r in rounds]}")
 
-    session = RepairSession(plan, f, fld)
-    session.decoder_round(1, {h: streams[h][0] for h in subset})
-    labels = label_map(session)
-    print("\nafter round 1:")
-    print(f"  known    entries {labels['known']}")
-    print(f"  inactive entries {labels['inactive']} (parked: value = combo - scale*partner)")
-    print(f"  active   entries {labels['active']}")
+    subset = (1, 2, 3)
+    streams = {i: helper_stream(shares[i], plan, f, fld) for i in range(1, d + 1)}
+    got = repair_estimate(streams, subset, f, plan, fld)
+    assert got == shares[f].x
+    print(f"\nhelper subset {list(subset)} solves its square system:")
+    print(f"  rebuilt share {list(got)}, exact")
 
-    session.decoder_round(2, {h: streams[h][1] for h in subset})
-    got = session.finalize()
-    print("\nafter round 2 + back-substitution:")
-    print(f"  rebuilt share: {list(got)}")
-    print(f"  exact: {got == shares[f].x}")
-
-    print("\nfor comparison, d=4 finishes in a single round of projections:")
-    plan4 = schedule_scheme2(code, 4)
-    st4 = {h: helper_stream(shares[h], plan4, f, fld) for h in (1, 2)}
-    s4 = RepairSession(plan4, f, fld)
-    s4.decoder_round(1, {h: st4[h][0] for h in (1, 2)})
-    print(f"  all entries known after one round: {set(s4.labels) == {KNOWN}}")
-    print(f"  exact: {s4.finalize() == shares[f].x}")
-    print(f"  but traffic per helper is {plan4.symbols_per_helper} symbols "
-          f"instead of {plan.symbols_per_helper}")
+    # A consistent liar sends honest rounds computed from a fake share.
+    policy = adv.AdversaryPolicy((4,), adv.LIAR, 7)
+    sent = {i: helper_stream(policy.effective_share(shares[i], code, fld), plan, f, fld)
+            for i in range(1, d + 1)}
+    assert sent[4] != streams[4]
+    got = testgroup_repair2(sent, f, plan, fld)
+    assert got == shares[f].x
+    print(f"\nd={d} helpers, helper 4 lying: the test-group scan still rebuilds {list(got)}, exact")
 
 
 if __name__ == "__main__":

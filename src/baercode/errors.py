@@ -32,13 +32,5 @@ class StructureViolationError(BaerCodeError):
     """Data matrix violates the symmetric / zero-corner block structure."""
 
 
-class SingularReducedSystemError(BaerCodeError):
-    """Reduced per-group linear system could not be solved."""
-
-
-class UnresolvedEntriesError(BaerCodeError):
-    """Repair session finalized while some entries are still unresolved."""
-
-
 class DivisibilityViolationError(BaerCodeError):
     """alpha fails the iterative-repair grouping divisibility requirement for this d."""

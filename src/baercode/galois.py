@@ -116,15 +116,6 @@ class Field:
         return next(cand for cand in count(2)
                     if all(pow(cand, (p - 1) // q, p) != 1 for q in factors))
 
-    def pow(self, e: int, k: int) -> int:
-        """e**k with negative k meaning powers of the inverse; pow(e, 0) == 1."""
-        e %= self.p
-        if e == 0:
-            if k < 0:
-                raise BaerCodeError("zero to a negative power")
-            return 0 if k > 0 else 1
-        return pow(e, k, self.p)
-
     def point(self, node: int) -> int:
         """Evaluation point g**node for a node index (1-based)."""
         return pow(self.g, node, self.p)

@@ -260,10 +260,14 @@ def check_field(code: Derived, field: Field) -> None:
 
 # -- flat key-value parameter files ---------------------------------------
 
+# Every p, read or searched, is below this: there is_prime is a proof and
+# Field(p) builds fast.
+P_LIMIT = 2**64
+
+
 def parse_params_text(text: str) -> tuple[CodeParams, int | None]:
     """Parse `key=value` lines with keys n,k,b,alpha,D (comma separated) and
-    optionally p, below 2**64: there is_prime is a proof and Field(p) builds
-    fast.  Blank lines and #-comments are ignored."""
+    optionally p, below P_LIMIT.  Blank lines and #-comments are ignored."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -285,7 +289,7 @@ def parse_params_text(text: str) -> tuple[CodeParams, int | None]:
         p = int(values["p"]) if "p" in values else None
     except ValueError as exc:
         raise BaerCodeError(f"params file: {exc}") from exc
-    if p is not None and p >= 2**64:
+    if p is not None and p >= P_LIMIT:
         raise BaerCodeError(f"params file: p={p} is not below 2**64")
     return params, p
 

@@ -53,7 +53,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .galois import Field, Mat, primes_from
-from .params import Derived, check_field
+from .params import P_LIMIT, Derived, check_field
 
 
 @dataclass(frozen=True)
@@ -288,17 +288,22 @@ class FieldSearch(NamedTuple):
 
 def search_field(code: Derived, refuses, report, noun: str, start: int | None = None,
                  max_candidates: int = 2000) -> FieldSearch:
-    """The first of max_candidates successive primes p >= max(start, n+1) that
-    refuses(Field(p)) lets through, with report(p).  refuses stops at a prime's
-    first failure, so only the returned prime is swept in full."""
+    """The first of max_candidates successive primes max(start, n+1) <= p <
+    P_LIMIT that refuses(Field(p)) lets through, with report(p).  refuses
+    stops at a prime's first failure, so only the returned prime is swept in
+    full."""
     rejected: list[int] = []
-    for p in islice(primes_from(max(start or 0, code.n + 1)), max_candidates):
+    bound = f"after {max_candidates} candidates"
+    for p in islice(primes_from(min(max(start or 0, code.n + 1), P_LIMIT)), max_candidates):
+        if p >= P_LIMIT:
+            bound = "below 2**64"
+            break
         fld = Field(p)
         if not refuses(fld):
             return FieldSearch(fld, report(p), tuple(rejected))
         rejected.append(p)
     last = f" (last tried {rejected[-1]})" if rejected else ""
-    raise BaerCodeError(f"no {noun} prime found after {max_candidates} candidates{last}")
+    raise BaerCodeError(f"no {noun} prime found {bound}{last}")
 
 
 def find_field(code: Derived, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:

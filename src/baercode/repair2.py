@@ -1,4 +1,4 @@
-"""Adaptive repair scheme 2: iterative merge-based decoding over small fields.
+"""Adaptive repair scheme 2: merge-based rounds over small fields.
 
 Works over any prime field with p >= n+1.  The share of the failed node is
 split into zeta segments of length xi = floor((d-2b)/lam)*lam.  When
@@ -8,25 +8,24 @@ the overlap-add operator
 
     merge(m, eps, e, v, u) = [v, 0..0] + e^(m - eps*xi) [0..0, u]
 
-and send one inner product per group.  Every round symbol is linear in the
-helper's share, so a helper sends x_h @ _stream_cols(h, f), the columns of
-one closed-form alpha x beta(d) matrix per (helper, failed node): scheme
-2's column function (see repair1).  The tests keep the paper's
-segment-by-segment arithmetic as its reference.  A RepairSession
-decodes one size-(d-2b) helper subset: each round it solves one
-(d-2b) x (d-2b) system per group, after which entries of the lost share
-are labelled known (value recovered), inactive (expressed through one
-remaining active entry), or still active.  The iteration schedule comes
-from params.schedule_scheme2 and is shared verbatim by helpers and decoder.
+and send one inner product per group.  The iteration schedule comes from
+params.schedule_scheme2 and is shared verbatim by helpers and decoder.
+Every round symbol is linear in the helper's share, so a helper sends
+x_h @ _stream_cols(h, f), the columns of one closed-form alpha x beta(d)
+matrix per (helper, failed node): scheme 2's column function (see
+repair1).  The tests keep the paper's segment-by-segment arithmetic as
+its reference.
 
 By symmetry an honest stream is also linear in the lost share,
 x_f @ _stream_cols(f, h), so testgroup_repair2 runs repair1.repair_scan on
 the flattened streams, its group decoders stacking _stream_cols(f, h) and
 keyed on (plan, field, f), defeating up to b lying helpers; a stream with
-a dropped, extra, short or
-long round is a lie.  It accepts the group and share that the per-subset
-scan of RepairSession estimates accepts; the tests keep that scan as the
-reference.
+a dropped, extra, short or long round is a lie.  repair_estimate solves
+one size-(d-2b) subset's square alpha x alpha system the same way.  The
+paper decodes that system one round at a time, solving a (d-2b) x (d-2b)
+system per group (_group_matrix); the tests keep that round-by-round
+decoder and its per-subset scan as the reference, and testgroup_repair2
+accepts the group and share that scan accepts.
 
 Certification checks every per-group system by rank, keeping no inverse.
 A system is a generalized Vandermonde e_h^(x_s) over its slot exponents
@@ -46,17 +45,10 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare
-from .errors import (
-    BaerCodeError,
-    SingularMatrixError,
-    SingularReducedSystemError,
-    UnresolvedEntriesError,
-)
+from .errors import BaerCodeError, SingularMatrixError
 from .galois import Field, Mat
 from .params import ScheduleII, schedule_scheme2
-from .repair1 import FieldSearch, ThetaReport, repair_scan, search_field
-
-ACTIVE, INACTIVE, KNOWN = 0, 1, 2
+from .repair1 import FieldSearch, ThetaReport, repair_scan, search_field, testgroup_scan
 
 
 @lru_cache(maxsize=16384)
@@ -96,55 +88,26 @@ def helper_stream(share: NodeShare, plan: ScheduleII, f: int, fld: Field) -> tup
     return tuple(tuple(islice(flat, it.n_groups)) for it in plan.iterations)
 
 
-# -- per-group linear systems (index data only, so cacheable) ---------------
-#
-# Slot layout for a group at iteration j: the unknowns are, in order, the
-# active entries of every unmerged segment (ascending segment, ascending
-# position) followed by the not-fully-known entries of the merged vector.
-# Slot kinds:
-#   ("seg", i, t)            entry t of segment i (1-based)
-#   ("phi", q, v_t, u_t)     merged-vector position q; v_t/u_t are the
-#                            contributing positions in the two merged
-#                            segments (None where out of range)
-
-@lru_cache(maxsize=16384)
-def _group_slots(plan: ScheduleII, j: int, gi: int) -> tuple[tuple, ...]:
-    it = plan.iterations[j - 1]
-    group = it.groups[gi]
-    xi, tau, sigma = plan.xi, it.tau, it.sigma
-    slots: list[tuple] = []
-    if sigma > 0:
-        for i in group[:-2]:
-            for t in range(1, tau + 1):
-                slots.append(("seg", i, t))
-        for q in range(1, it.m + 1):
-            v_t = q if q <= xi else None
-            u_t = q - sigma if q - sigma >= 1 else None
-            active_v = v_t is not None and v_t <= tau
-            active_u = u_t is not None and u_t <= tau
-            if active_v or active_u:
-                slots.append(("phi", q, v_t, u_t))
-    else:
-        for i in group:
-            for t in range(1, tau + 1):
-                slots.append(("seg", i, t))
-    span = plan.d - 2 * plan.code.b
-    assert len(slots) == span, f"group system is {len(slots)} unknowns, expected {span}"
-    return tuple(slots)
-
-
 @lru_cache(maxsize=16384)
 def _slot_exponents(plan: ScheduleII, j: int, gi: int) -> tuple[int, ...]:
-    """Exponent of e_h in each slot's coefficient of helper h's equation.
+    """Exponent of e_h in each unknown's coefficient of helper h's equation
+    for group gi at iteration j.
 
-    Entry t of segment i sits at position (i-1)xi + t-1, merged-vector
-    position q at (a-1)xi + q-1 for the group's second-to-last segment a.
+    Positions count from 0.  The unknowns are the tau active entries t of
+    each unmerged segment i, at (i-1)xi + t, then each merged-vector
+    position q < m whose entry from the second-to-last segment a (q < tau)
+    or from the last segment (0 <= q - sigma < tau) is still active, at
+    (a-1)xi + q.  There are d-2b of them.
     """
-    xi = plan.xi
-    it = plan.iterations[j - 1]
-    a = it.groups[gi][-2] if it.sigma > 0 else None
-    return tuple((s[1] - 1) * xi + s[2] - 1 if s[0] == "seg" else (a - 1) * xi + s[1] - 1
-                 for s in _group_slots(plan, j, gi))
+    xi, it = plan.xi, plan.iterations[j - 1]
+    group = it.groups[gi]
+    plain = group[:-2] if it.sigma > 0 else group
+    ex = [(i - 1) * xi + t for i in plain for t in range(it.tau)]
+    if it.sigma > 0:
+        base = (group[-2] - 1) * xi
+        ex += [base + q for q in range(it.m) if q < it.tau or 0 <= q - it.sigma < it.tau]
+    assert len(ex) == plan.d - 2 * plan.code.b, f"group system is {len(ex)} unknowns"
+    return tuple(ex)
 
 
 def _group_matrix(plan: ScheduleII, fld: Field, j: int, gi: int, helpers: tuple[int, ...]) -> Mat:
@@ -156,158 +119,16 @@ def _group_matrix(plan: ScheduleII, fld: Field, j: int, gi: int, helpers: tuple[
 
 @lru_cache(maxsize=16384)
 def _group_matrix_inv(plan: ScheduleII, fld: Field, j: int, gi: int, helpers: tuple[int, ...]) -> Mat:
-    try:
-        return _group_matrix(plan, fld, j, gi, helpers).inv()
-    except SingularMatrixError as exc:
-        raise SingularReducedSystemError(str(exc)) from exc
+    # A singular system raises SingularMatrixError.
+    return _group_matrix(plan, fld, j, gi, helpers).inv()
 
 
-class RepairSession:
-    """Decoder state for one helper subset: labels, values, pending relations.
-
-    Labels move only active -> known or active -> inactive; an inactive
-    entry resolves exactly once at finalize, through its stored relation
-    value = combined - scale * partner.
-    """
-
-    def __init__(self, plan: ScheduleII, f: int, fld: Field):
-        self.plan = plan
-        self.f = f
-        self.field = fld
-        self.labels = [ACTIVE] * plan.code.alpha
-        self.values: list[int | None] = [None] * plan.code.alpha
-        self.pending: list[tuple[int, int, int, int]] = []   # (pos, combined, scale, partner)
-        self.next_j = 1
-
-    def _pos(self, seg: int, t: int) -> int:
-        return (seg - 1) * self.plan.xi + t - 1
-
-    def decoder_round(self, j: int, symbols: Mapping[int, Sequence[int]]) -> "RepairSession":
-        """Consume one iteration's symbols from a size-(d-2b) helper subset."""
-        plan, fld = self.plan, self.field
-        if j != self.next_j:
-            raise BaerCodeError(f"expected iteration {self.next_j}, got {j}")
-        it = plan.iterations[j - 1]
-        span = plan.d - 2 * plan.code.b
-        helpers = tuple(sorted(symbols))
-        if len(helpers) != span:
-            raise BaerCodeError(f"need {span} helpers per subset, got {len(helpers)}")
-        for h in helpers:
-            if len(symbols[h]) != it.n_groups:
-                raise BaerCodeError(
-                    f"helper {h} sent {len(symbols[h])} symbols for iteration {j}, "
-                    f"expected {it.n_groups}"
-                )
-        p = fld.p
-        xi = plan.xi
-        e_f = fld.point(self.f)
-        for gi, group in enumerate(it.groups):
-            slots = _group_slots(plan, j, gi)
-            inv = _group_matrix_inv(plan, fld, j, gi, helpers)
-            if it.sigma > 0:
-                a, bseg = group[-2], group[-1]
-                scale = fld.pow(e_f, it.m - (bseg - a + 1) * xi)
-            else:
-                a = bseg = scale = None
-            # Move the known entries of [chi(i_1), ..., phi] onto the left side.
-            rhs = []
-            for h in helpers:
-                r = symbols[h][gi] % p
-                e_h = fld.point(h)
-                for i in (group[:-2] if it.sigma > 0 else group):
-                    for t in range(it.tau + 1, xi + 1):
-                        r -= self.values[self._pos(i, t)] * pow(e_h, (i - 1) * xi + t - 1, p)
-                if it.sigma > 0:
-                    base = (a - 1) * xi
-                    for q in range(1, it.m + 1):
-                        v_t = q if q <= xi else None
-                        u_t = q - it.sigma if q - it.sigma >= 1 else None
-                        if (v_t is None or v_t > it.tau) and (u_t is None or u_t > it.tau):
-                            val = 0
-                            if v_t is not None:
-                                val = self.values[self._pos(a, v_t)]
-                            if u_t is not None:
-                                val = (val + scale * self.values[self._pos(bseg, u_t)]) % p
-                            r -= val * pow(e_h, base + q - 1, p)
-                rhs.append(r % p)
-            solved = inv.left_mul(rhs)
-            for slot, val in zip(slots, solved):
-                if slot[0] == "seg":
-                    _, i, t = slot
-                    pos = self._pos(i, t)
-                    self.values[pos] = val
-                    self.labels[pos] = KNOWN
-                else:
-                    _, q, v_t, u_t = slot
-                    active_v = v_t is not None and v_t <= it.tau
-                    active_u = u_t is not None and u_t <= it.tau
-                    if active_v and active_u:
-                        # One equation, two unknowns: park the left entry.
-                        pos_v, pos_u = self._pos(a, v_t), self._pos(bseg, u_t)
-                        self.labels[pos_v] = INACTIVE
-                        self.pending.append((pos_v, val, scale, pos_u))
-                    elif active_v:
-                        known_u = self.values[self._pos(bseg, u_t)] if u_t is not None else 0
-                        pos = self._pos(a, v_t)
-                        self.values[pos] = (val - scale * known_u) % p
-                        self.labels[pos] = KNOWN
-                    else:
-                        known_v = self.values[self._pos(a, v_t)] if v_t is not None else 0
-                        pos = self._pos(bseg, u_t)
-                        self.values[pos] = (val - known_v) * pow(scale, -1, p) % p
-                        self.labels[pos] = KNOWN
-        self.next_j += 1
-        self._check_invariants()
-        return self
-
-    def _check_invariants(self):
-        """Active segments all hold the same count of actives, at the lowest
-        indices, and never contain an inactive entry."""
-        plan = self.plan
-        xi = plan.xi
-        done = self.next_j > len(plan.iterations)
-        next_active: set[int] = set()
-        tau_next = 0
-        if not done:
-            it = plan.iterations[self.next_j - 1]
-            next_active = {i for g in it.groups for i in g}
-            tau_next = it.tau
-        for seg in range(1, plan.zeta + 1):
-            base = (seg - 1) * xi
-            lbls = self.labels[base : base + xi]
-            if seg in next_active:
-                assert lbls[:tau_next] == [ACTIVE] * tau_next, f"segment {seg} actives not leftmost"
-                assert all(l == KNOWN for l in lbls[tau_next:]), f"segment {seg} holds an inactive entry"
-            else:
-                assert ACTIVE not in lbls, f"segment {seg} should be settled"
-
-    def finalize(self) -> tuple[int, ...]:
-        """Back-substitute pending relations and return the full alpha-vector."""
-        if self.next_j <= len(self.plan.iterations):
-            raise UnresolvedEntriesError(
-                f"{len(self.plan.iterations) - self.next_j + 1} iterations not yet decoded"
-            )
-        if ACTIVE in self.labels:
-            raise UnresolvedEntriesError("active entries remain")
-        p = self.field.p
-        unresolved = list(self.pending)
-        while unresolved:
-            progressed = False
-            still = []
-            for pos, combined, scale, partner in unresolved:
-                pv = self.values[partner]
-                if pv is None:
-                    still.append((pos, combined, scale, partner))
-                    continue
-                self.values[pos] = (combined - scale * pv) % p
-                self.labels[pos] = KNOWN
-                progressed = True
-            if not progressed:
-                raise UnresolvedEntriesError("pending relations form an unresolvable chain")
-            unresolved = still
-        if any(v is None for v in self.values):
-            raise UnresolvedEntriesError("some entries were never estimated")
-        return tuple(self.values)
+def _flat_streams(streams: Mapping[int, Sequence[Sequence[int]]],
+                  plan: ScheduleII) -> dict[int, Sequence[int]]:
+    """Each stream's rounds end to end; () for one whose round lengths differ from the plan."""
+    rounds = [it.n_groups for it in plan.iterations]
+    return {h: [v for rnd in st for v in rnd] if list(map(len, st)) == rounds else ()
+            for h, st in streams.items()}
 
 
 def repair_estimate(
@@ -317,22 +138,24 @@ def repair_estimate(
     plan: ScheduleII,
     fld: Field,
 ) -> tuple[int, ...]:
-    """Run a full session on one size-(d-2b) helper subset."""
-    session = RepairSession(plan, f, fld)
-    for j in range(1, len(plan.iterations) + 1):
-        session.decoder_round(j, {h: streams[h][j - 1] for h in subset})
-    return session.finalize()
+    """x_f from one size-(d-2b) helper subset, by one stacked solve of its
+    square system; SingularMatrixError when that system is singular."""
+    flat = _flat_streams({h: streams[h] for h in subset}, plan)
+    if () in flat.values():
+        raise BaerCodeError("a stream's round lengths differ from the plan")
+    x = testgroup_scan(flat, len(subset), plan.symbols_per_helper, 1, 0, fld,
+                       _stream_cols, (plan, fld, f))
+    if x is None:
+        raise SingularMatrixError(f"helper subset {tuple(subset)} does not determine node {f}")
+    return x
 
 
 def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,
                       plan: ScheduleII, fld: Field) -> tuple[int, ...]:
     """Recover x_f from d helpers' round streams, at most b of them lying, by
     repair1.repair_scan; a stream whose round lengths differ from the plan is a lie."""
-    rounds = [it.n_groups for it in plan.iterations]
-    flat = {h: [v for rnd in st for v in rnd] if list(map(len, st)) == rounds else ()
-            for h, st in streams.items()}
-    return repair_scan(flat, f, plan.d, plan.symbols_per_helper, plan.code, fld,
-                       _stream_cols, (plan, fld, f))
+    return repair_scan(_flat_streams(streams, plan), f, plan.d, plan.symbols_per_helper,
+                       plan.code, fld, _stream_cols, (plan, fld, f))
 
 
 class SystemReport(ThetaReport):

@@ -5,8 +5,9 @@ The library decides every test-group with one stacked linear system
 (repair1.group_decoder and testgroup_scan).  The scan below decides it as
 the paper states the rule: estimate from every size-`subset_size` subset of
 a group and accept the first group whose estimates all agree.  The tests run
-it over reconstruct_estimate and over scheme-2 RepairSession estimates as
-the oracle for the stacked decoder; scheme 1's reference scan, over Theta
+it over reconstruct_estimate and over the scheme-2 estimates of
+reference_stream.RepairSession, the paper's round-by-round decoder, as the
+oracle for the stacked decoder; scheme 1's reference scan, over Theta
 inverses, shares its MALFORMED sentinel.
 
 repair2 certifies a field by ranking each (exponent class, helper subset)

@@ -40,8 +40,9 @@ def test_every_traced_name_resolves_on_the_library():
 
 
 
-# Spans no library path reaches: the paper-form decoders and estimates that
-# only the tests' references run.
+# Spans no library path reaches: per-subset inverses and estimates (Theta
+# inverses, reconstruct components, repair2.repair_estimate's stacked subset
+# solve) that only the tests and the demos call.
 SILENT = {"galois.inv", "galois.matmul", "reconstruct.component", "repair1.theta",
           "repair2.estimate"}
 

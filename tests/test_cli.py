@@ -183,6 +183,24 @@ def test_find_field_walks_one_prime_search_from_start(monkeypatch, capsys, tmp_p
     assert starts == [start] and capsys.readouterr().out.endswith(want)
 
 
+@pytest.mark.parametrize("scheme, raw, noun", [
+    ("1", "n=6\nk=3\nb=1\nalpha=6\nD=4,5\n", "certified"),
+    ("2", "n=6\nk=3\nb=1\nalpha=12\nD=4,5\n", "solvable"),
+    ("concat", "n=5\nk=2\nb=0\nalpha=12\nD=3,4\n", "usable"),
+], ids=("scheme1", "scheme2", "concat"))
+def test_find_field_stops_below_2_64(monkeypatch, capsys, tmp_path, scheme, raw, noun):
+    """2**64 - 58 has no prime above it and below 2**64: the search refuses
+    without building a field at or above 2**64, and writes no params file."""
+    built, field = [], repair1.Field
+    monkeypatch.setattr(repair1, "Field", lambda p: built.append(p) or field(p))
+    params, out_file = tmp_path / "raw.params", tmp_path / "big.params"
+    params.write_text(raw)
+    assert run("find-field", "--params", params, "--scheme", scheme,
+               "--start", 2**64 - 58, "--out", out_file) == 2
+    assert capsys.readouterr().err == f"error: no {noun} prime found below 2**64\n"
+    assert built == [] and not out_file.exists()
+
+
 def test_find_field_concat_refuses_b_above_zero(capsys, tmp_path):
     params = tmp_path / "b1.params"
     params.write_text("n=6\nk=3\nb=1\nalpha=12\nD=4,5\n")

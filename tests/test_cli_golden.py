@@ -182,6 +182,8 @@ def battery():
         ("ex3-p5-selftest", ["selftest", "--params", "in/ex3-p5.params"]),
         ("ex3-p15-selftest", ["selftest", "--params", "in/ex3-p15.params"]),
         ("ex3-p2e64-selftest", ["selftest", "--params", "in/ex3-p2e64.params"]),
+        ("ex3-find-field-2e64", ["find-field", "--params", "in/ex3.raw",
+                                 "--start", 2**64, "--out", "big.params"]),
         ("ex3-short-encode", ["encode", "--params", "ex3.params", "--message", "in/short.msg",
                               "--out", "ex3-short"]),
         ("ex3-fail-twice", ["simulate", "--params", "ex3.params", "--scenario",

@@ -5,25 +5,14 @@ import pytest
 
 from baercode import adversary as adv
 from baercode.encoder import NodeShare, build_data_matrix, encode_all, encode_node
-from baercode.errors import (
-    BaerCodeError,
-    NoConsistentGroupError,
-    SingularMatrixError,
-    SingularReducedSystemError,
-    UnresolvedEntriesError,
-)
+from baercode.errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
 from baercode.galois import Field, Mat, is_prime
 from baercode.params import CodeParams, schedule_scheme2, validate
 from baercode.repair import format_records, parse_records
 from baercode.repair1 import FieldSearch, group_decoder
 from baercode.repair2 import (
-    ACTIVE,
-    INACTIVE,
-    KNOWN,
-    RepairSession,
     _group_matrix,
     _group_matrix_inv,
-    _group_slots,
     _slot_exponents,
     _stream_cols,
     find_field_scheme2,
@@ -34,7 +23,18 @@ from baercode.repair2 import (
 )
 
 from reference_scan import first_consistent, reference_find_field_scheme2, reference_singular_systems
-from reference_stream import merge, reference_stream
+from reference_stream import (
+    ACTIVE,
+    INACTIVE,
+    KNOWN,
+    RepairSession,
+    SingularReducedSystemError,
+    UnresolvedEntriesError,
+    merge,
+    reference_estimate,
+    reference_stream,
+    slot_exponents,
+)
 
 F7 = Field(7)
 
@@ -183,11 +183,11 @@ def test_full_session_and_finalize(a12_code):
     plan = schedule_scheme2(a12_code, 5)
     f = 6
     streams = {h: helper_stream(shares[h], plan, f, F7) for h in (1, 2, 3)}
-    assert repair_estimate(streams, (1, 2, 3), f, plan, F7) == shares[f].x
+    assert reference_estimate(streams, (1, 2, 3), f, plan, F7) == shares[f].x
     zeros = {s.index: s for s in
              encode_all(build_data_matrix([0] * 12, a12_code, F7), a12_code, F7)}
     zstream = {h: helper_stream(zeros[h], plan, f, F7) for h in (1, 2, 3)}
-    assert repair_estimate(zstream, (1, 2, 3), f, plan, F7) == (0,) * 12
+    assert reference_estimate(zstream, (1, 2, 3), f, plan, F7) == (0,) * 12
 
 
 def test_finalize_rejects_unfinished(a12_code):
@@ -214,6 +214,15 @@ def test_decoder_round_plan_mismatches(a12_code):
     with pytest.raises(BaerCodeError,
                        match="^helper 1 sent 1 symbols for iteration 1, expected 3$"):
         sess.decoder_round(1, {1: streams[1][1], 2: streams[2][0], 3: streams[3][0]})
+
+
+def test_repair_estimate_refuses_a_stream_off_the_plan(a12_code):
+    _, shares = encoded_cluster(a12_code, F7, 10)
+    plan = schedule_scheme2(a12_code, 5)
+    streams = {h: helper_stream(shares[h], plan, 6, F7) for h in (1, 2, 3)}
+    for shape in MALFORMED_STREAMS.values():
+        with pytest.raises(BaerCodeError, match="^a stream's round lengths differ from the plan$"):
+            repair_estimate({**streams, 2: shape(streams[2])}, (1, 2, 3), 6, plan, F7)
 
 
 # -- test-group decoding -----------------------------------------------------
@@ -356,19 +365,24 @@ def test_find_field_names_last_prime_tried(a12_code):
 
 
 def slot_rule_matrix(plan, fld, j, gi, helpers):
-    """A group's system read off its slot layout: entry t of segment i has
-    coefficient e_h^((i-1)xi + t-1), merged-vector position q has
-    e_h^((a-1)xi + q-1) for the group's second-to-last segment a."""
-    xi, p = plan.xi, fld.p
-    group = plan.iterations[j - 1].groups[gi]
-    rows = []
-    for slot in _group_slots(plan, j, gi):
-        if slot[0] == "seg":
-            exp = (slot[1] - 1) * xi + slot[2] - 1
-        else:
-            exp = (group[-2] - 1) * xi + slot[1] - 1
-        rows.append([pow(fld.point(h), exp, p) for h in helpers])
-    return Mat(fld, rows, cols=len(helpers))
+    """A group's system read off the reference session's slot layout."""
+    return Mat(fld, [[pow(fld.point(h), x, fld.p) for h in helpers]
+                     for x in slot_exponents(plan, j, gi)], cols=len(helpers))
+
+
+@pytest.mark.parametrize("params", [
+    (6, 3, (4, 5), 1, 12), (10, 4, (7, 8), 1, 60), (10, 3, (7, 9), 1, 1680),
+], ids=("a12", "s2", "alpha1680"))
+def test_slot_exponents_follow_the_session_slots(params):
+    """The library's exponents, computed from the schedule alone, are the
+    reference session's slot exponents, in the same order."""
+    n, k, d_set, b, alpha = params
+    code = validate(CodeParams(n=n, k=k, d_set=d_set, b=b, alpha=alpha))
+    for d in d_set:
+        plan = schedule_scheme2(code, d)
+        for j, it in enumerate(plan.iterations, 1):
+            for gi in range(it.n_groups):
+                assert _slot_exponents(plan, j, gi) == slot_exponents(plan, j, gi)
 
 
 @pytest.mark.parametrize("name", ["a12", "s2"])
@@ -485,7 +499,6 @@ def test_four_iteration_with_unmerged_segments():
 
     subset = (1, 2, 3, 5, 6, 8, 9)
     p = 1009
-    from baercode.repair2 import _group_matrix_inv
     while True:
         while not is_prime(p):
             p += 1
@@ -495,7 +508,7 @@ def test_four_iteration_with_unmerged_segments():
                 for gi in range(it.n_groups):
                     _group_matrix_inv(plan, fld, j, gi, subset)
             break
-        except BaerCodeError:
+        except SingularMatrixError:
             p += 1
     rng = random.Random(16)
     msg = [rng.randrange(fld.p) for _ in range(code.f_mbr)]
@@ -506,7 +519,7 @@ def test_four_iteration_with_unmerged_segments():
         shares[h] = encode_node(dm, h, code, fld)
     truth = encode_node(dm, f, code, fld)
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in subset}
-    assert repair_estimate(streams, subset, f, plan, fld) == truth.x
+    assert reference_estimate(streams, subset, f, plan, fld) == truth.x
 
 
 # -- the stacked group decoder against the per-subset scan ------------------
@@ -527,7 +540,7 @@ def reference_repair2(streams, f, plan, fld):
     sound = [h for h in sorted(streams) if list(map(len, streams[h])) == rounds]
     x = first_consistent(
         sound, plan.d - b, plan.d - 2 * b,
-        lambda subset: repair_estimate(streams, subset, f, plan, fld),
+        lambda subset: reference_estimate(streams, subset, f, plan, fld),
         (SingularReducedSystemError, UnresolvedEntriesError, SingularMatrixError),
     )
     if x is None:
@@ -540,6 +553,44 @@ def outcome(decode, *args):
         return decode(*args)
     except NoConsistentGroupError:
         return NoConsistentGroupError
+
+
+def estimate_outcome(estimate, *args):
+    try:
+        return estimate(*args)
+    except (SingularMatrixError, SingularReducedSystemError, UnresolvedEntriesError):
+        return "refused"
+
+
+@pytest.mark.parametrize("name, p", [("a12", 7), ("a12", 19), ("s2", 19)])
+def test_repair_estimate_equals_the_session(name, p):
+    """The stacked solve of a subset's square system returns the session's
+    estimate on honest and on uniformly random streams, and refuses exactly
+    the subsets the session refuses: every subset at a12, ten per (d, f) at
+    s2."""
+    code, fld = CODES[name](), Field(p)
+    rng = random.Random(f"estimate:{name}:{p}")
+    _, shares = encoded_cluster(code, fld, 23)
+    nodes = range(1, code.n + 1)
+    refused = 0
+    for d in code.d_set:
+        plan = schedule_scheme2(code, d)
+        for f in nodes:
+            others = [h for h in nodes if h != f]
+            subsets = list(combinations(others, d - 2 * code.b))
+            if name == "s2":
+                subsets = rng.sample(subsets, 10)
+            honest = {h: helper_stream(shares[h], plan, f, fld) for h in others}
+            noise = {h: tuple(tuple(rng.randrange(p) for _ in r) for r in st)
+                     for h, st in honest.items()}
+            for subset in subsets:
+                want = estimate_outcome(reference_estimate, honest, subset, f, plan, fld)
+                assert want in ("refused", shares[f].x)
+                assert estimate_outcome(repair_estimate, honest, subset, f, plan, fld) == want
+                assert (estimate_outcome(repair_estimate, noise, subset, f, plan, fld)
+                        == estimate_outcome(reference_estimate, noise, subset, f, plan, fld))
+                refused += want == "refused"
+    assert (refused > 0) == (p == 7)        # GF(7) has singular subsets at a12, d=5
 
 
 def adversarial_streams(code, plan, fld, shares, f, helpers, policy):
