@@ -57,7 +57,7 @@ def main():
     print(f"   test-group decoding still rebuilt exactly: {got == shares[f].x}")
 
     print("\nwire record for helper 2 (scheme-1 repair format):")
-    print(repair.format_records("1", 2, f, d, syms[2]), end="")
+    print(repair.format_records("1", 2, f, d, syms[2], code), end="")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@
 With alpha=12 and d=5 the lost share is split into segments that helpers
 merge pairwise through the overlap-add operator in a first round, then
 project plainly in a second.  Every round symbol is linear in the helper's
-share, so a helper's rounds are x_h @ C(h, f) for one closed-form matrix
-C(h, f), and a subset of d-2b helpers gives one square system for the lost
-share.  The prime search shows which small fields solve every such system.
+share, so a helper sends one flat payload x_h @ C(h, f), its rounds end to
+end, for one closed-form matrix C(h, f), and a subset of d-2b helpers gives
+one square system for the lost share.  The prime search shows which small
+fields solve every such system.
 """
 
 import random
@@ -45,9 +46,10 @@ def main():
 
     f, h = 6, 2
     cols = _stream_cols(plan, fld, h, f)
-    rounds = helper_stream(shares[h], plan, f, fld)
-    flat = tuple(sum(x * c for x, c in zip(shares[h].x, col)) % fld.p for col in cols)
-    assert flat == tuple(v for rnd in rounds for v in rnd)
+    flat = helper_stream(shares[h], plan, f, fld)
+    assert flat == tuple(sum(x * c for x, c in zip(shares[h].x, col)) % fld.p for col in cols)
+    symbols = iter(flat)                # the rounds are framing: one symbol per group
+    rounds = [[next(symbols) for _ in range(it.n_groups)] for it in plan.iterations]
     print(f"\nnode {f} fails; helper {h} holds {list(shares[h].x)}")
     print(f"  C({h}, {f}) has {len(cols)} columns, one per (round, group)")
     print(f"  x_{h} @ C({h}, {f}) = {list(flat)}, sent as rounds {[list(r) for r in rounds]}")

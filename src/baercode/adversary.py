@@ -104,16 +104,10 @@ def corrupt_access(
 def corrupt_repair_symbols(policy: AdversaryPolicy, node: int, symbols: Sequence[int], fld: Field):
     """Repair symbols as emitted by this helper, computed from its effective share.
 
-    A `random` helper replaces them with uniforms of the same shape; every
-    other helper sends them unchanged.
+    A `random` helper replaces them with as many uniform symbols; every other
+    helper sends them unchanged.
     """
     if policy.controls(node) and policy.strategy == RANDOM:
-        return _replace_uniform(symbols, policy._node_rng(node, salt=1), fld)
+        rng = policy._node_rng(node, salt=1)
+        return tuple(rng.randrange(fld.p) for _ in symbols)
     return symbols
-
-
-def _replace_uniform(symbols, rng: random.Random, fld: Field):
-    """Uniform garbage with the same nesting shape (vector or per-round lists)."""
-    if symbols and isinstance(symbols[0], (list, tuple)):
-        return tuple(tuple(rng.randrange(fld.p) for _ in row) for row in symbols)
-    return tuple(rng.randrange(fld.p) for _ in symbols)

@@ -165,7 +165,7 @@ def cmd_repair(args) -> int:
         if args.scheme != "concat":         # concat helpers send no wire records
             for h, payload in sent.items():
                 (rec_dir / f"repair_h{h:02d}.rec").write_text(
-                    repair.format_records(args.scheme, h, f, d, payload))
+                    repair.format_records(args.scheme, h, f, d, payload, code))
     print(
         f"bandwidth: d={d} per_helper={code.beta_of(d)} total={moved} "
         f"(gamma_mbr={code.gamma_of(d)})"

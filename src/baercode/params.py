@@ -141,19 +141,11 @@ def capacity_upper_bound(code: Derived, gamma: Mapping[int, int | Fraction]) -> 
 
 def classical_bound(k: int, d: int, alpha: int, gamma: int | Fraction) -> Fraction:
     """Capacity bound for a conventional regenerating code (no adversaries)."""
-    _check_int("k", k, 1)
-    _check_int("d", d, 1)
-    _check_int("alpha", alpha, 1)
-    if gamma < 0:
-        raise BaerCodeError("gamma must be non-negative")
-    total = Fraction(0)
-    for i in range(min(k, d)):
-        total += min(Fraction(alpha), Fraction(d - i) * Fraction(gamma) / d)
-    return total
+    return err_resilient_bound(k, d, 0, alpha, gamma)
 
 
 def err_resilient_bound(k: int, d: int, b: int, alpha: int, gamma: int | Fraction) -> Fraction:
-    """Capacity bound with up to b adversarial nodes: the sum runs i = 2b .. k-1."""
+    """Capacity bound with up to b adversarial nodes: the sum runs i = 2b .. min(k, d)-1."""
     _check_int("k", k, 1)
     _check_int("d", d, 1)
     _check_int("b", b, 0)
@@ -161,7 +153,7 @@ def err_resilient_bound(k: int, d: int, b: int, alpha: int, gamma: int | Fractio
     if gamma < 0:
         raise BaerCodeError("gamma must be non-negative")
     total = Fraction(0)
-    for i in range(2 * b, k):
+    for i in range(2 * b, min(k, d)):
         total += min(Fraction(alpha), Fraction(d - i) * Fraction(gamma) / d)
     return total
 

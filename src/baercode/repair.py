@@ -1,29 +1,38 @@
 """One repair driver for every scheme, shared by the CLI and the simulator.
 
 transmit() reads each helper's share as the adversary policy serves it,
-computes what the helper sends (a scheme-1 vector, a scheme-2 round stream
-or concat's component scalars; nothing from a share that is not alpha
-long), lets a `random` helper replace it, and counts the symbols moved.
-Each scheme has one column function cols (repair1._theta_cols,
+computes the flat vector the helper sends (nothing from a share that is
+not alpha long), lets a `random` helper replace it, and counts the symbols
+moved.  Each scheme has one column function cols (repair1._theta_cols,
 repair2._stream_cols, concat._cols): helper h sends x_h @ cols(h->f), and
 by the symmetry of the product-matrix code that is x_f @ cols(f->h).  So
 decode() runs scheme 1's stacked test-group decoder (repair1.repair_scan)
 for all three schemes, through the one decoder cache repair1.group_decoder.
-It raises NoConsistentGroupError once the symbols have moved.
-format_records and parse_records carry a helper's payload as wire records.
+It raises NoConsistentGroupError once the symbols have moved.  Wire records
+(format_records, parse_records) alone frame scheme 2's payload in rounds.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, count
 from operator import mul
 from typing import Mapping
 
 from . import adversary as adv
 from . import concat, repair1, repair2
 from .encoder import NodeShare
-from .errors import BaerCodeError
+from .errors import BaerCodeError, OmegaRankDeficientError
 from .galois import Field
 from .params import Derived, schedule_scheme2
+
+
+def _omega(code: Derived, fld: Field) -> repair1.OmegaConfig:
+    """Scheme 1's Omega, refused when a truncation loses rank."""
+    cfg = repair1.omega_build(code, fld)
+    if cfg.deficient:
+        raise OmegaRankDeficientError(
+            f"Omega truncation rank-deficient over GF({fld.p}); pick a larger prime")
+    return cfg
 
 
 def check(scheme: str, code: Derived, fld: Field) -> None:
@@ -32,37 +41,35 @@ def check(scheme: str, code: Derived, fld: Field) -> None:
     if scheme == "concat":
         concat.require_b0(code)
     elif scheme == "1":
-        repair1.omega_build(code, fld)
+        _omega(code, fld)
     else:
         for d in code.d_set:
             schedule_scheme2(code, d)
 
 
 def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
-             policy: adv.AdversaryPolicy, code: Derived, fld: Field) -> tuple[dict[int, object], int]:
+             policy: adv.AdversaryPolicy, code: Derived, fld: Field) -> tuple[dict[int, tuple], int]:
     """({helper: payload sent}, symbols moved) for the helpers' live shares."""
-    size = len
     if scheme == "concat":
         concat.require_b0(code)
         helpers = tuple(sorted(shares))
         send = lambda sh: tuple(sum(map(mul, sh.x, col)) % fld.p
                                 for col in concat._cols(code, fld, helpers, sh.index, f))
     elif scheme == "1":
-        cfg = repair1.omega_build(code, fld)
+        cfg = _omega(code, fld)
         send = lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg)
     else:
         plan = schedule_scheme2(code, d)
         send = lambda sh: repair2.helper_stream(sh, plan, f, fld)
-        size = lambda stream: sum(map(len, stream))
     stored = {h: policy.effective_share(sh, code, fld) for h, sh in shares.items()}
     sent = {
         h: adv.corrupt_repair_symbols(policy, h, send(sh) if len(sh.x) == code.alpha else (), fld)
         for h, sh in stored.items()
     }
-    return sent, sum(map(size, sent.values()))
+    return sent, sum(map(len, sent.values()))
 
 
-def decode(scheme: str, sent: Mapping[int, object], f: int, d: int, code: Derived,
+def decode(scheme: str, sent: Mapping[int, tuple[int, ...]], f: int, d: int, code: Derived,
            fld: Field) -> NodeShare:
     """The repaired share of node f from the payloads transmit() returned."""
     if scheme == "concat":
@@ -78,33 +85,37 @@ def decode(scheme: str, sent: Mapping[int, object], f: int, d: int, code: Derive
 #
 # A record is a header `<magic> d=<d> f=<f> h=<h>`, then one decimal symbol
 # per line, LF separated.  A scheme-1 helper sends one BAERR1 record; a
-# scheme-2 helper one BAERR2 record per round, its header ending in j=<round>
-# (rounds are self-delimited by the shared schedule).  Concat sends none.
+# scheme-2 helper one BAERR2 record per round of schedule_scheme2(code, d),
+# its header ending in j=<round>: the flat payload cut at the plan's round
+# boundaries, the last record taking the rest.  Concat sends none.
 
 RECORD_MAGIC = {"1": "BAERR1", "2": "BAERR2"}
 
 
-def format_records(scheme: str, h: int, f: int, d: int, payload) -> str:
+def format_records(scheme: str, h: int, f: int, d: int, payload: tuple[int, ...],
+                   code: Derived) -> str:
     """Helper h's payload for failed node f as wire records."""
     head = f"{RECORD_MAGIC[scheme]} d={d} f={f} h={h}"
-    records = [(head, payload)] if scheme == "1" else [
-        (f"{head} j={j}", rnd) for j, rnd in enumerate(payload, 1)]
+    records = [(head, payload)]
+    if scheme == "2":
+        ends = list(accumulate(it.n_groups for it in schedule_scheme2(code, d).iterations))
+        records = [(f"{head} j={j}", payload[a:b])
+                   for j, a, b in zip(count(1), [0] + ends, ends[:-1] + [None])]
     return "".join(hd + "\n" + "\n".join(map(str, syms)) + "\n" for hd, syms in records)
 
 
-def parse_records(text: str) -> tuple[str, int, int, int, tuple]:
-    """(scheme, h, f, d, payload) of one helper's wire records, which must
-    read exactly as format_records writes them."""
+def parse_records(text: str, code: Derived) -> tuple[str, int, int, int, tuple[int, ...]]:
+    """(scheme, h, f, d, flat payload) of one helper's wire records, which must
+    read exactly as format_records writes them, scheme 2's in the plan's rounds."""
     scheme = next((s for s, m in RECORD_MAGIC.items() if text.startswith(m + " ")), None)
     if scheme is None:
         raise BaerCodeError("not a repair record")
     try:
         parts = [part.splitlines() for part in text.split(RECORD_MAGIC[scheme] + " ")[1:]]
         d, f, h = (int(tok.partition("=")[2]) for tok in parts[0][0].split()[:3])
-        rounds = tuple(tuple(int(v) for v in body if v) for _, *body in parts)
+        payload = tuple(int(v) for _, *body in parts for v in body if v)
     except (IndexError, ValueError) as exc:
         raise BaerCodeError(f"malformed repair record: {exc}") from exc
-    payload = rounds[0] if scheme == "1" else rounds
-    if format_records(scheme, h, f, d, payload) != text:
+    if format_records(scheme, h, f, d, payload, code) != text:
         raise BaerCodeError("malformed repair record")
     return scheme, h, f, d, payload

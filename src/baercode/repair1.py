@@ -46,12 +46,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .encoder import NodeShare, coeff_segment
-from .errors import (
-    BaerCodeError,
-    NoConsistentGroupError,
-    OmegaRankDeficientError,
-    SingularMatrixError,
-)
+from .errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
 from .galois import Field, Mat, primes_from
 from .params import P_LIMIT, Derived, check_field
 
@@ -81,7 +76,7 @@ def _theta_cols(code: Derived, fld: Field, d: int, h: int) -> tuple[tuple[int, .
     x_f @ _theta_cols(h); every Theta_H with h in H holds h's block, so it is
     built once per (params, field, d, h) and shared by all of them.
     """
-    omega, p = omega_build(code, fld, check=False).omega, fld.p
+    omega, p = omega_build(code, fld).omega, fld.p
     segs = [coeff_segment(fld, h, i, code.lam) for i in range(1, code.z + 1)]
     return tuple(
         tuple(v * orow[j] % p for orow, seg in zip(omega.data, segs) for v in seg)
@@ -90,14 +85,14 @@ def _theta_cols(code: Derived, fld: Field, d: int, h: int) -> tuple[tuple[int, .
 
 
 @lru_cache(maxsize=256)
-def omega_build(code: Derived, fld: Field, *, check: bool = True) -> OmegaConfig:
+def omega_build(code: Derived, fld: Field) -> OmegaConfig:
     """Build Omega for this configuration, cached per (params, field).
 
     Row j is the Vandermonde row of g**i_j for the fixed exponents
     i_j = alpha*n*(j-1) + 1, reduced mod p-1 before exponentiation; gaps of
-    alpha*n keep the dominant determinant term unique.  With check=True the
-    truncation for every d in D must have full column rank (small fields make
-    the reduced exponents collide, which this catches).
+    alpha*n keep the dominant determinant term unique.  `deficient` lists
+    every d in D whose truncation loses column rank (small fields make the
+    reduced exponents collide); repair refuses such a configuration.
     """
     check_field(code, fld)
     p = fld.p
@@ -111,10 +106,6 @@ def omega_build(code: Derived, fld: Field, *, check: bool = True) -> OmegaConfig
     omega = Mat(fld, rows, cols=code.z)
     deficient = tuple(d for d in code.d_set for z_d in [code.beta_of(d)]
                       if Mat(fld, [row[:z_d] for row in rows], cols=z_d).rank() < z_d)
-    if check and deficient:
-        raise OmegaRankDeficientError(
-            f"Omega truncation rank-deficient over GF({p}); pick a larger prime"
-        )
     return OmegaConfig(code=code, field=fld, omega=omega, deficient=deficient)
 
 
@@ -275,7 +266,7 @@ def verify_theta_all(code: Derived, fld: Field) -> ThetaReport:
     choice; rank failures are reported as data rather than raised so callers
     can display them.
     """
-    cfg = omega_build(code, fld, check=False)
+    cfg = omega_build(code, fld)
     return ThetaReport(p=fld.p, checked=_theta_count(code), omega_deficient=cfg.deficient,
                        singular=tuple(_singular_thetas(code, cfg)))
 
@@ -309,7 +300,7 @@ def search_field(code: Derived, refuses, report, noun: str, start: int | None = 
 def find_field(code: Derived, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:
     """The first prime p >= n+1 whose Omega truncations and Thetas all have full rank."""
     def refuses(fld):
-        cfg = omega_build(code, fld, check=False)
+        cfg = omega_build(code, fld)
         return bool(cfg.deficient) or next(_singular_thetas(code, cfg), None) is not None
     return search_field(code, refuses, lambda p: ThetaReport(p, _theta_count(code), ()),
                         "certified", start, max_candidates)

@@ -10,22 +10,22 @@ the overlap-add operator
 
 and send one inner product per group.  The iteration schedule comes from
 params.schedule_scheme2 and is shared verbatim by helpers and decoder.
-Every round symbol is linear in the helper's share, so a helper sends
-x_h @ _stream_cols(h, f), the columns of one closed-form alpha x beta(d)
-matrix per (helper, failed node): scheme 2's column function (see
-repair1).  The tests keep the paper's segment-by-segment arithmetic as
-its reference.
+Every round symbol is linear in the helper's share, so a helper's payload
+is one flat vector x_h @ _stream_cols(h, f) of beta(d) symbols, its rounds
+end to end, through one closed-form alpha x beta(d) matrix per (helper,
+failed node): scheme 2's column function (see repair1).  The rounds are
+framing only: repair.format_records splits a payload into them on the wire.
+The tests keep the paper's segment-by-segment arithmetic as its reference.
 
-By symmetry an honest stream is also linear in the lost share,
-x_f @ _stream_cols(f, h), so testgroup_repair2 runs repair1.repair_scan on
-the flattened streams, its group decoders stacking _stream_cols(f, h) and
-keyed on (plan, field, f), defeating up to b lying helpers; a stream with
-a dropped, extra, short or long round is a lie.  repair_estimate solves
-one size-(d-2b) subset's square alpha x alpha system the same way.  The
-paper decodes that system one round at a time, solving a (d-2b) x (d-2b)
-system per group (_group_matrix); the tests keep that round-by-round
-decoder and its per-subset scan as the reference, and testgroup_repair2
-accepts the group and share that scan accepts.
+By symmetry an honest payload is also x_f @ _stream_cols(f, h), so
+testgroup_repair2 runs repair1.repair_scan on the payloads, its group
+decoders stacking _stream_cols(f, h) and keyed on (plan, field, f),
+defeating up to b lying helpers; a payload of the wrong length is a lie.
+repair_estimate solves one size-(d-2b) subset's square alpha x alpha
+system the same way.  The paper decodes that system one round at a time,
+solving a (d-2b) x (d-2b) system per group (_group_matrix); the tests keep
+that round-by-round decoder and its per-subset scan as the reference, and
+testgroup_repair2 accepts the group and share that scan accepts.
 
 Certification checks every per-group system by rank, keeping no inverse.
 A system is a generalized Vandermonde e_h^(x_s) over its slot exponents
@@ -39,7 +39,7 @@ and each (class, helper subset) is ranked once per prime: at
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from operator import mul
 from typing import Mapping, Sequence
@@ -53,7 +53,7 @@ from .repair1 import FieldSearch, ThetaReport, repair_scan, search_field, testgr
 
 @lru_cache(maxsize=16384)
 def _stream_cols(plan: ScheduleII, fld: Field, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
-    """Columns of the alpha x beta(d) matrix C: src's flattened stream to dst is x_src @ C.
+    """Columns of the alpha x beta(d) matrix C: src's payload to dst is x_src @ C.
 
     Column (round, group) projects each segment i of the group onto
     phi_dst(i), putting e_dst^pos on every entry pos of i.  A merged round
@@ -78,14 +78,12 @@ def _stream_cols(plan: ScheduleII, fld: Field, src: int, dst: int) -> tuple[tupl
     return tuple(cols)
 
 
-def helper_stream(share: NodeShare, plan: ScheduleII, f: int, fld: Field) -> tuple[tuple[int, ...], ...]:
-    """All rounds of one helper's transmission, one symbol per group; beta(d) in total."""
+def helper_stream(share: NodeShare, plan: ScheduleII, f: int, fld: Field) -> tuple[int, ...]:
+    """x_h @ _stream_cols(h, f): one helper's beta(d) symbols, rounds end to end."""
     if share.index == f:
         raise BaerCodeError("failed node cannot help repair itself")
     p = fld.p
-    flat = iter([sum(map(mul, share.x, col)) % p
-                 for col in _stream_cols(plan, fld, share.index, f)])
-    return tuple(tuple(islice(flat, it.n_groups)) for it in plan.iterations)
+    return tuple(sum(map(mul, share.x, col)) % p for col in _stream_cols(plan, fld, share.index, f))
 
 
 @lru_cache(maxsize=16384)
@@ -123,16 +121,8 @@ def _group_matrix_inv(plan: ScheduleII, fld: Field, j: int, gi: int, helpers: tu
     return _group_matrix(plan, fld, j, gi, helpers).inv()
 
 
-def _flat_streams(streams: Mapping[int, Sequence[Sequence[int]]],
-                  plan: ScheduleII) -> dict[int, Sequence[int]]:
-    """Each stream's rounds end to end; () for one whose round lengths differ from the plan."""
-    rounds = [it.n_groups for it in plan.iterations]
-    return {h: [v for rnd in st for v in rnd] if list(map(len, st)) == rounds else ()
-            for h, st in streams.items()}
-
-
 def repair_estimate(
-    streams: Mapping[int, Sequence[Sequence[int]]],
+    payloads: Mapping[int, Sequence[int]],
     subset: Sequence[int],
     f: int,
     plan: ScheduleII,
@@ -140,21 +130,21 @@ def repair_estimate(
 ) -> tuple[int, ...]:
     """x_f from one size-(d-2b) helper subset, by one stacked solve of its
     square system; SingularMatrixError when that system is singular."""
-    flat = _flat_streams({h: streams[h] for h in subset}, plan)
-    if () in flat.values():
-        raise BaerCodeError("a stream's round lengths differ from the plan")
-    x = testgroup_scan(flat, len(subset), plan.symbols_per_helper, 1, 0, fld,
+    beta = plan.symbols_per_helper
+    if any(len(payloads[h]) != beta for h in subset):
+        raise BaerCodeError(f"a payload is not beta(d) = {beta} symbols long")
+    x = testgroup_scan({h: payloads[h] for h in subset}, len(subset), beta, 1, 0, fld,
                        _stream_cols, (plan, fld, f))
     if x is None:
         raise SingularMatrixError(f"helper subset {tuple(subset)} does not determine node {f}")
     return x
 
 
-def testgroup_repair2(streams: Mapping[int, Sequence[Sequence[int]]], f: int,
+def testgroup_repair2(payloads: Mapping[int, Sequence[int]], f: int,
                       plan: ScheduleII, fld: Field) -> tuple[int, ...]:
-    """Recover x_f from d helpers' round streams, at most b of them lying, by
-    repair1.repair_scan; a stream whose round lengths differ from the plan is a lie."""
-    return repair_scan(_flat_streams(streams, plan), f, plan.d, plan.symbols_per_helper,
+    """Recover x_f from d helpers' payloads, at most b of them lying, by
+    repair1.repair_scan; a payload of the wrong length is a lie."""
+    return repair_scan(payloads, f, plan.d, plan.symbols_per_helper,
                        plan.code, fld, _stream_cols, (plan, fld, f))
 
 

@@ -7,6 +7,10 @@ one inner product per group, projecting its unmerged segments onto
 phi_f(i) and overlap-adding the group's last two segments through `merge`
 in a merged round.
 
+The library sends each helper's rounds end to end, as one flat payload;
+`rounds` splits one back into the plan's rounds, as the paper's decoder
+reads them.
+
 The library decodes a size-(d-2b) helper subset with one stacked solve of
 its alpha x alpha system (repair2.repair_estimate).  RepairSession decodes
 it as the paper does (PM-MBR, Rashmi-Shah-Kumar, extended with merges), one
@@ -16,6 +20,7 @@ recovered), inactive (expressed through one remaining active entry), or
 still active.
 """
 
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from baercode.errors import BaerCodeError, SingularMatrixError
@@ -80,6 +85,15 @@ def reference_stream(share, plan, f: int, fld: Field) -> tuple[tuple[int, ...], 
     """All rounds of one helper's transmission to failed node f."""
     return tuple(round_symbols(share, plan, j, f, fld)
                  for j in range(1, len(plan.iterations) + 1))
+
+
+def rounds(plan, payload: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """A flat payload of the plan's length split into its rounds, one symbol per group."""
+    sizes = [it.n_groups for it in plan.iterations]
+    if len(payload) != sum(sizes):
+        raise BaerCodeError(f"a payload of {len(payload)} symbols, the plan sends {sum(sizes)}")
+    cuts = [0, *accumulate(sizes)]
+    return tuple(tuple(payload[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 # -- the round-by-round decoder ----------------------------------------------
@@ -280,10 +294,11 @@ class RepairSession:
         return tuple(self.values)
 
 
-def reference_estimate(streams, subset, f: int, plan, fld: Field) -> tuple[int, ...]:
-    """A full session on one size-(d-2b) helper subset: the oracle for
-    repair2.repair_estimate."""
+def reference_estimate(payloads, subset, f: int, plan, fld: Field) -> tuple[int, ...]:
+    """A full session on one size-(d-2b) helper subset's flat payloads: the
+    oracle for repair2.repair_estimate."""
     session = RepairSession(plan, f, fld)
+    split = {h: rounds(plan, payloads[h]) for h in subset}
     for j in range(1, len(plan.iterations) + 1):
-        session.decoder_round(j, {h: streams[h][j - 1] for h in subset})
+        session.decoder_round(j, {h: split[h][j - 1] for h in subset})
     return session.finalize()

@@ -111,10 +111,7 @@ def test_c05_scheme2_exact_repair(a12_code, a12_field2):
                             h: repair2.helper_stream(shares[h], plan, f, fld)
                             for h in helpers
                         }
-                        assert all(
-                            sum(len(r) for r in st) == code.beta_of(d)
-                            for st in honest.values()
-                        )
+                        assert all(len(st) == code.beta_of(d) for st in honest.values())
                         for bad in helpers:
                             policy = adv.AdversaryPolicy(
                                 controlled=(bad,), strategy=strategy, seed=seed

@@ -54,8 +54,9 @@ def test_random_repair_symbols_preserve_shape(ex3_code):
     pol = AdversaryPolicy(controlled=(2,), strategy=RANDOM, seed=9)
     flat = corrupt_repair_symbols(pol, 2, (1, 2, 3), F17)
     assert len(flat) == 3 and flat != (1, 2, 3)
-    nested = corrupt_repair_symbols(pol, 2, ((1, 2), (3,)), F17)
-    assert len(nested) == 2 and len(nested[0]) == 2 and len(nested[1]) == 1
+    longer = corrupt_repair_symbols(pol, 2, (1, 2, 3, 4), F17)
+    assert len(longer) == 4 and longer[:3] == flat       # one draw per symbol, in order
+    assert corrupt_repair_symbols(pol, 2, (), F17) == ()
     untouched = corrupt_repair_symbols(pol, 4, (1, 2, 3), F17)
     assert untouched == (1, 2, 3)
 

@@ -41,7 +41,7 @@ def test_bounds_rejects_invalid_params(capsys, tmp_path):
     assert "alpha=5" in capsys.readouterr().err
 
 
-def test_encode_repair_reconstruct_round_trip(capsys, workspace, ex3_search):
+def test_encode_repair_reconstruct_round_trip(capsys, workspace, ex3_code, ex3_search):
     tmp, params, msg = workspace
     shares_dir = tmp / "shares"
     assert run("encode", "--params", params, "--scheme", "1",
@@ -61,7 +61,7 @@ def test_encode_repair_reconstruct_round_trip(capsys, workspace, ex3_search):
     assert "bandwidth: d=4 per_helper=3 total=12 (gamma_mbr=12)" in out
     assert repaired.read_bytes() == (shares_dir / "node02.share").read_bytes()
     rec = (tmp / "recs" / "repair_h01.rec").read_text()
-    scheme, h, f, d, syms = parse_records(rec)
+    scheme, h, f, d, syms = parse_records(rec, ex3_code)
     assert (scheme, h, f, d) == ("1", 1, 2, 4) and len(syms) == 3
 
     # reconstruct through a consistent liar; message must round-trip exactly

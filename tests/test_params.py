@@ -113,14 +113,18 @@ def test_per_helper_bandwidth_is_exact_division():
 def test_classical_and_err_resilient_bounds():
     assert classical_bound(2, 3, 3, 3) == 5              # min(3,3) + min(3,2)
     assert err_resilient_bound(3, 4, 1, 6, 12) == 6      # single i=2 term
-    # with b = 0 the resilient sum equals the classical one for k <= d
+    # k > d: nodes i >= d bring nothing, so no term is negative
+    assert err_resilient_bound(5, 3, 0, 6, 6) == classical_bound(5, 3, 6, 6) == 12   # 6 + 4 + 2
+    assert err_resilient_bound(5, 3, 1, 6, 6) == 2                                   # single i=2 term
+    # with b = 0 the resilient sum is the classical one, for any k and d
     rng = random.Random(3)
     for _ in range(30):
         k = rng.randrange(1, 6)
-        d = k + rng.randrange(0, 4)
+        d = rng.randrange(1, 9)
         alpha = rng.randrange(1, 10)
         gamma = rng.randrange(0, 30)
-        assert err_resilient_bound(k, d, 0, alpha, gamma) == classical_bound(k, d, alpha, gamma)
+        direct = sum(min(Fraction(alpha), Fraction((d - i) * gamma, d)) for i in range(min(k, d)))
+        assert err_resilient_bound(k, d, 0, alpha, gamma) == classical_bound(k, d, alpha, gamma) == direct
     with pytest.raises(BaerCodeError, match="^k must be an integer >= 1, got 0$"):
         classical_bound(0, 3, 3, 3)
     with pytest.raises(BaerCodeError, match="^b must be an integer >= 0, got -1$"):

@@ -3,13 +3,16 @@
 A public module-level function or class counts as used when its name
 appears in src/ (other than as its own definition), demos/ or bench/: as a
 name, an attribute, an import or a dotted string such as bench/spans.py's
-"Mat.inv".  A public method or property of class C counts only when it is
-reached through a receiver that can be C: `self.m` or `cls.m` inside C,
-`C.m`, a dotted string "C.m", or `x.m` on any other receiver unless m is
-also a method of a builtin type (`set.add`, `dict.get`, `str.split`, ...),
-whose calls cannot be told apart from C's without types.  A local variable
-that happens to share its name does not count.  Names that only the tests
-need are listed in ALLOWED, each with the reason it stays.
+"repair1.omega_build".  A public method or property of class C counts only
+when it is reached through a receiver that can be C: `self.m` or `cls.m`
+inside C, `C.m`, a dotted string "C.m", `f(...).m` where f is C or a
+library function whose return annotation is C, or `x.m` on any other
+receiver unless m is also a method of a builtin type (`set.add`,
+`dict.get`, `str.split`, ...), whose calls cannot be told apart from C's
+without types.  A dotted string names no bare attribute: "galois.inv" keeps
+no `inv` alive.  A local variable that happens to share its name does not
+count.  Names that only the tests need are listed in ALLOWED, each with the
+reason it stays.
 
 An error class of errors.py exists only where some caller tells it apart: an
 `except` clause in src/ or tests/ names it, or a reference scan of the tests
@@ -54,10 +57,11 @@ def _docstrings(tree):
 
 class _Uses(ast.NodeVisitor):
     """names, attrs (on receivers of unknown type) and typed (class, attribute)
-    pairs that one caller file mentions."""
+    pairs that one caller file mentions; `returns` maps each library class,
+    and each library function returning one, to that class."""
 
-    def __init__(self, docs, classes):
-        self.docs, self.classes, self.enclosing = docs, classes, []
+    def __init__(self, docs, classes, returns):
+        self.docs, self.classes, self.returns, self.enclosing = docs, classes, returns, []
         self.names, self.attrs, self.typed = set(), set(), set()
 
     def visit_ClassDef(self, node):
@@ -73,13 +77,17 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         recv = node.value
-        recv_name = recv.id if isinstance(recv, ast.Name) else getattr(recv, "attr", None)
-        if recv_name in ("self", "cls") and self.enclosing:
-            self.typed.add((self.enclosing[-1], node.attr))
-        elif recv_name in self.classes:
-            self.typed.add((recv_name, node.attr))
+        if isinstance(recv, ast.Call):
+            callee = recv.func
+            owner = self.returns.get(getattr(callee, "id", None) or getattr(callee, "attr", None))
         else:
+            name = recv.id if isinstance(recv, ast.Name) else getattr(recv, "attr", None)
+            owner = (self.enclosing[-1] if name in ("self", "cls") and self.enclosing
+                     else name if name in self.classes else None)
+        if owner is None:
             self.attrs.add(node.attr)
+        else:
+            self.typed.add((owner, node.attr))
         self.generic_visit(node)
 
     def visit_Constant(self, node):
@@ -87,7 +95,6 @@ class _Uses(ast.NodeVisitor):
         if isinstance(value, str) and id(node) not in self.docs and DOTTED.fullmatch(value):
             parts = value.split(".")
             self.names.update(parts)
-            self.attrs.update(parts)
             self.typed.update(zip(parts, parts[1:]))
 
 
@@ -105,14 +112,30 @@ def _public_defs(package):
                         yield f"{mod}.{node.name}.{item.name}", node.name, item.name
 
 
+def _return_types(package, classes):
+    """{name: class} for every library class and for every module-level
+    function (private ones too) whose return annotation is one; a name
+    defined twice with different types is left out."""
+    returns, clashes = {c: c for c in classes}, set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                kind = getattr(node.returns, "id", None)
+                kind = kind if kind in classes else None
+                if returns.setdefault(node.name, kind) != kind:
+                    clashes.add(node.name)
+    return {name: kind for name, kind in returns.items() if kind and name not in clashes}
+
+
 def unused_public_names(package=PACKAGE, callers=CALLERS):
     defs = list(_public_defs(package))
     classes = {owner for _, owner, _ in defs if owner}
+    returns = _return_types(package, classes)
     names, attrs, typed = set(), set(), set()
     for top in callers:
         for path in sorted(top.rglob("*.py")):
             tree = ast.parse(path.read_text())
-            uses = _Uses(_docstrings(tree), classes)
+            uses = _Uses(_docstrings(tree), classes, returns)
             uses.visit(tree)
             names |= uses.names
             attrs |= uses.attrs
@@ -154,6 +177,32 @@ def test_a_dead_method_sharing_a_builtin_or_self_name_is_flagged(tmp_path):
         "seen.add(Field().point(1))\n"
     )
     assert unused_public_names(package, (package, callers)) == ["field.Field.add"]
+
+
+def test_a_dead_method_sharing_a_typed_call_or_span_name_is_flagged(tmp_path):
+    """Neither `theta(...).inv()`, `Mat(...).inv()` nor the span name
+    "galois.inv" keeps Field.inv alive; each alone would."""
+    package, callers = tmp_path / "lib", tmp_path / "app"
+    package.mkdir()
+    callers.mkdir()
+    (package / "galois.py").write_text(
+        "class Field:\n"
+        "    def inv(self, a):\n        return a\n"
+        "    def point(self, node):\n        return node\n"
+        "class Mat:\n"
+        "    def inv(self):\n        return self\n"
+        "    def rank(self):\n        return 0\n"
+        "def theta(fld) -> Mat:\n    return Mat()\n"
+    )
+    (callers / "main.py").write_text(
+        "import galois\n"
+        "SPAN = 'galois.inv'\n"
+        "fld = galois.Field()\n"
+        "galois.theta(fld).inv()\n"
+        "galois.Mat().inv()\n"
+        "galois.theta(fld.point(1)).rank()\n"
+    )
+    assert unused_public_names(package, (package, callers)) == ["galois.Field.inv"]
 
 
 def _told_apart(tree):

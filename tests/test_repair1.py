@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from baercode import adversary as adv
-from baercode import repair1
+from baercode import repair, repair1
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.errors import (
     BaerCodeError,
@@ -50,7 +50,7 @@ def omega_truncation_rank(cfg, d):
 @pytest.mark.parametrize("where, p, deficient", [("ex3", 7, (4, 5)), ("mid", 19, ())])
 def test_omega_verdict_lists_every_rank_deficient_truncation(where, p, deficient, ex3_code):
     code = ex3_code if where == "ex3" else mid_code()
-    cfg = omega_build(code, Field(p), check=False)
+    cfg = omega_build(code, Field(p))
     assert cfg.deficient == deficient
     assert cfg.deficient == tuple(d for d in code.d_set
                                   if omega_truncation_rank(cfg, d) < code.beta_of(d))
@@ -64,10 +64,13 @@ def test_single_component_omega_is_trivial():
 
 def test_small_field_rank_deficiency(ex3_code):
     # alpha*n = 36 >= p-1 = 6 forces exponent collisions over GF(7)
-    with pytest.raises(OmegaRankDeficientError):
-        omega_build(ex3_code, Field(7))
-    cfg = omega_build(ex3_code, Field(7), check=False)
+    misses = omega_build.cache_info().misses
+    with pytest.raises(OmegaRankDeficientError,
+                       match=r"^Omega truncation rank-deficient over GF\(7\); pick a larger prime$"):
+        repair.check("1", ex3_code, Field(7))
+    cfg = omega_build(ex3_code, Field(7))       # the build never raises
     assert cfg.deficient
+    assert omega_build.cache_info().misses - misses <= 1     # one build per (params, field)
 
 
 def test_repair_vector_shapes_and_zero(ex3_code, ex3_cfg):
@@ -265,14 +268,14 @@ def test_find_field_names_last_prime_tried(ex3_code):
         find_field(ex3_code, max_candidates=1)
 
 
-def test_repair_record_round_trip():
-    text = format_records("1", 3, 1, 4, (7, 0, 12))
+def test_repair_record_round_trip(ex3_code):
+    text = format_records("1", 3, 1, 4, (7, 0, 12), ex3_code)
     assert text == "BAERR1 d=4 f=1 h=3\n7\n0\n12\n"
-    assert parse_records(text) == ("1", 3, 1, 4, (7, 0, 12))
+    assert parse_records(text, ex3_code) == ("1", 3, 1, 4, (7, 0, 12))
     for bad in ("BOGUS\n1\n", "BAERR1 d=4 f=1\n7\n", "BAERR1 d=4 f=1 h=x\n7\n",
                 "BAERR1 ", text + text):
         with pytest.raises(BaerCodeError):
-            parse_records(bad)
+            parse_records(bad, ex3_code)
 
 
 # -- the stacked group decoder against the paper's per-subset scan ---------------
@@ -313,7 +316,7 @@ def outcome(decode, *args):
 @pytest.fixture(scope="module")
 def mid_cfgs():
     """mid over the certified GF(23) and the uncertified GF(19)."""
-    return {p: omega_build(mid_code(), Field(p), check=False) for p in (23, 19)}
+    return {p: omega_build(mid_code(), Field(p)) for p in (23, 19)}
 
 
 def adversarial_symbols(code, cfg, shares, f, d, helpers, policy):

@@ -33,6 +33,7 @@ from reference_stream import (
     merge,
     reference_estimate,
     reference_stream,
+    rounds,
     slot_exponents,
 )
 
@@ -106,7 +107,7 @@ def test_round1_symbol_matches_display(a12_code):
     inv_eh = pow(e_h, -1, 7)
     merged = (x[0], (x[1] + inv_eh * x[2]) % 7, inv_eh * x[3] % 7)
     expect = sum(v * pow(e_f, t, 7) for t, v in enumerate(merged)) % 7
-    got = helper_stream(shares[h], plan, f, F7)[0]
+    got = rounds(plan, helper_stream(shares[h], plan, f, F7))[0]
     assert got[0] == expect
     assert len(got) == 3
 
@@ -122,13 +123,13 @@ def test_round2_symbol_matches_display(a12_code):
         + x[6] * pow(e_f, 6, 7) + x[7] * pow(e_f, 7, 7)
         + x[10] * pow(e_f, 10, 7) + x[11] * pow(e_f, 11, 7)
     ) % 7
-    assert helper_stream(shares[h], plan, f, F7)[1] == (expect,)
+    assert rounds(plan, helper_stream(shares[h], plan, f, F7))[1] == (expect,)
 
 
 def test_zero_share_zero_symbols(a12_code):
     zeros = encode_all(build_data_matrix([0] * 12, a12_code, F7), a12_code, F7)
     plan = schedule_scheme2(a12_code, 5)
-    assert helper_stream(zeros[0], plan, 6, F7) == ((0, 0, 0), (0,))
+    assert helper_stream(zeros[0], plan, 6, F7) == (0, 0, 0, 0)
 
 
 def test_helper_stream_length_is_beta(a12_code):
@@ -136,7 +137,7 @@ def test_helper_stream_length_is_beta(a12_code):
     for d in (4, 5):
         plan = schedule_scheme2(a12_code, d)
         st = helper_stream(shares[1], plan, 3, F7)
-        assert sum(len(r) for r in st) == a12_code.beta_of(d)
+        assert len(st) == plan.symbols_per_helper == a12_code.beta_of(d)
     # d=5 -> 4 symbols (3 groups + 1 group); d=4 -> 6 symbols
 
 
@@ -154,7 +155,7 @@ def test_round1_label_pattern(a12_code):
     _, shares = encoded_cluster(a12_code, F7, 6)
     plan = schedule_scheme2(a12_code, 5)
     f = 6
-    streams = {h: helper_stream(shares[h], plan, f, F7) for h in (1, 2, 3)}
+    streams = {h: rounds(plan, helper_stream(shares[h], plan, f, F7)) for h in (1, 2, 3)}
     sess = RepairSession(plan, f, F7)
     sess.decoder_round(1, {h: streams[h][0] for h in (1, 2, 3)})
     pattern = {KNOWN: [1, 4, 5, 8, 9, 12], INACTIVE: [2, 6, 10], ACTIVE: [3, 7, 11]}
@@ -171,7 +172,7 @@ def test_single_iteration_path(a12_code):
     plan = schedule_scheme2(a12_code, 4)
     f = 5
     subset = (1, 2)
-    streams = {h: helper_stream(shares[h], plan, f, F7) for h in subset}
+    streams = {h: rounds(plan, helper_stream(shares[h], plan, f, F7)) for h in subset}
     sess = RepairSession(plan, f, F7)
     sess.decoder_round(1, {h: streams[h][0] for h in subset})
     assert set(sess.labels) == {KNOWN}
@@ -193,7 +194,7 @@ def test_full_session_and_finalize(a12_code):
 def test_finalize_rejects_unfinished(a12_code):
     _, shares = encoded_cluster(a12_code, F7, 9)
     plan = schedule_scheme2(a12_code, 5)
-    streams = {h: helper_stream(shares[h], plan, 6, F7) for h in (1, 2, 3)}
+    streams = {h: rounds(plan, helper_stream(shares[h], plan, 6, F7)) for h in (1, 2, 3)}
     sess = RepairSession(plan, 6, F7)
     with pytest.raises(UnresolvedEntriesError):
         sess.finalize()
@@ -205,7 +206,7 @@ def test_finalize_rejects_unfinished(a12_code):
 def test_decoder_round_plan_mismatches(a12_code):
     _, shares = encoded_cluster(a12_code, F7, 10)
     plan = schedule_scheme2(a12_code, 5)
-    streams = {h: helper_stream(shares[h], plan, 6, F7) for h in (1, 2, 3)}
+    streams = {h: rounds(plan, helper_stream(shares[h], plan, 6, F7)) for h in (1, 2, 3)}
     sess = RepairSession(plan, 6, F7)
     with pytest.raises(BaerCodeError, match="^expected iteration 1, got 2$"):
         sess.decoder_round(2, {h: streams[h][1] for h in (1, 2, 3)})
@@ -217,12 +218,13 @@ def test_decoder_round_plan_mismatches(a12_code):
 
 
 def test_repair_estimate_refuses_a_stream_off_the_plan(a12_code):
+    """A malformed payload is refused as such, not as a singular subset."""
     _, shares = encoded_cluster(a12_code, F7, 10)
     plan = schedule_scheme2(a12_code, 5)
     streams = {h: helper_stream(shares[h], plan, 6, F7) for h in (1, 2, 3)}
     for shape in MALFORMED_STREAMS.values():
-        with pytest.raises(BaerCodeError, match="^a stream's round lengths differ from the plan$"):
-            repair_estimate({**streams, 2: shape(streams[2])}, (1, 2, 3), 6, plan, F7)
+        with pytest.raises(BaerCodeError, match=r"^a payload is not beta\(d\) = 4 symbols long$"):
+            repair_estimate({**streams, 2: shape(plan, streams[2])}, (1, 2, 3), 6, plan, F7)
 
 
 # -- test-group decoding -----------------------------------------------------
@@ -240,9 +242,7 @@ def test_small_field_cases(a12_code):
             assert tg_repair2(streams, f, plan4, F7) == shares[f].x
             bad = rng.choice(helpers)
             poisoned = dict(streams)
-            poisoned[bad] = tuple(
-                tuple(rng.randrange(7) for _ in r) for r in streams[bad]
-            )
+            poisoned[bad] = tuple(rng.randrange(7) for _ in streams[bad])
             assert tg_repair2(poisoned, f, plan4, F7) == shares[f].x
     plan5 = schedule_scheme2(a12_code, 5)
     streams = {h: helper_stream(shares[h], plan5, 6, F7) for h in range(1, 6)}
@@ -262,9 +262,7 @@ def test_exhaustive_over_solvable_prime(a12_code, a12_field2):
                 assert tg_repair2(streams, f, plan, fld) == shares[f].x
                 for bad in helpers:
                     poisoned = dict(streams)
-                    poisoned[bad] = tuple(
-                        tuple(rng.randrange(fld.p) for _ in r) for r in streams[bad]
-                    )
+                    poisoned[bad] = tuple(rng.randrange(fld.p) for _ in streams[bad])
                     assert tg_repair2(poisoned, f, plan, fld) == shares[f].x
 
 
@@ -276,9 +274,7 @@ def test_beyond_model_corruption(a12_code, a12_field2):
     helpers = (1, 2, 3, 4)
     streams = {h: helper_stream(shares[h], plan, 5, fld) for h in helpers}
     for bad in (1, 2):
-        streams[bad] = tuple(
-            tuple(rng.randrange(fld.p) for _ in r) for r in streams[bad]
-        )
+        streams[bad] = tuple(rng.randrange(fld.p) for _ in streams[bad])
     with pytest.raises(NoConsistentGroupError):
         tg_repair2(streams, 5, plan, fld)
 
@@ -291,32 +287,39 @@ def test_stream_validation(a12_code, a12_field2):
     with pytest.raises(BaerCodeError):
         tg_repair2(streams, 6, plan, fld)      # d=5 needs 5 streams
     streams = {h: helper_stream(shares[h], plan, 6, fld) for h in (1, 2, 3, 4, 5)}
-    streams[5] = streams[5][:1]
+    streams[5] = rounds(plan, streams[5])[0]          # its first round alone
     assert tg_repair2(streams, 6, plan, fld) == shares[6].x
 
 
+def reframed(change):
+    """A flat payload's rounds, changed by `change`, end to end again."""
+    return lambda plan, payload: tuple(v for rnd in change(rounds(plan, payload)) for v in rnd)
+
+
+# Each shape takes (plan, honest flat payload); "dropped round" drops the
+# last round's n_groups symbols.
 MALFORMED_STREAMS = {
-    "dropped round": lambda st: st[:-1],
-    "extra round": lambda st: st + (st[-1],),
-    "extra symbol": lambda st: (st[0] + (0,),) + st[1:],
-    "short round": lambda st: (st[0][:-1],) + st[1:],
-    "no stream": lambda st: (),
+    "dropped round": reframed(lambda rs: rs[:-1]),
+    "extra round": reframed(lambda rs: rs + (rs[-1],)),
+    "extra symbol": reframed(lambda rs: (rs[0] + (0,),) + rs[1:]),
+    "short round": reframed(lambda rs: (rs[0][:-1],) + rs[1:]),
+    "no stream": lambda plan, payload: (),
 }
 
 
 @pytest.mark.parametrize("shape", MALFORMED_STREAMS)
 @pytest.mark.parametrize("d", [4, 5])
 def test_malformed_stream_is_a_lie(a12_code, a12_field2, d, shape):
-    """A stream of the wrong shape is absorbed like any other lie (b=1)."""
+    """A payload of the wrong length is absorbed like any other lie (b=1)."""
     fld = a12_field2
     _, shares = encoded_cluster(a12_code, fld, 15)
     plan = schedule_scheme2(a12_code, d)
     helpers = range(1, d + 1)
     streams = {h: helper_stream(shares[h], plan, 6, fld) for h in helpers}
     bad = MALFORMED_STREAMS[shape]
-    streams[1] = bad(streams[1])                # first helper in scan order
+    streams[1] = bad(plan, streams[1])          # first helper in scan order
     assert tg_repair2(streams, 6, plan, fld) == shares[6].x
-    streams[2] = bad(streams[2])                # two lies: outside the model
+    streams[2] = bad(plan, streams[2])          # two lies: outside the model
     with pytest.raises(NoConsistentGroupError):
         tg_repair2(streams, 6, plan, fld)
 
@@ -482,9 +485,7 @@ def test_three_iteration_repair_exact():
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in helpers}
     assert tg_repair2(streams, f, plan, fld) == shares[f].x
     bad = 4
-    streams[bad] = tuple(
-        tuple(rng.randrange(fld.p) for _ in r) for r in streams[bad]
-    )
+    streams[bad] = tuple(rng.randrange(fld.p) for _ in streams[bad])
     assert tg_repair2(streams, f, plan, fld) == shares[f].x
 
 
@@ -532,12 +533,12 @@ CODES = {
 
 def reference_repair2(streams, f, plan, fld):
     """The paper's scan, the oracle for testgroup_repair2: every size-(d-2b)
-    subset of a test-group runs its own RepairSession, and the first group
-    whose estimates all agree wins.  A stream whose round lengths differ
-    from the plan is a lie."""
+    subset of a test-group runs its own RepairSession on the payloads'
+    rounds, and the first group whose estimates all agree wins.  A payload
+    that is not the plan's length is a lie."""
     b = plan.code.b
-    rounds = [it.n_groups for it in plan.iterations]
-    sound = [h for h in sorted(streams) if list(map(len, streams[h])) == rounds]
+    length = sum(it.n_groups for it in plan.iterations)
+    sound = [h for h in sorted(streams) if len(streams[h]) == length]
     x = first_consistent(
         sound, plan.d - b, plan.d - 2 * b,
         lambda subset: reference_estimate(streams, subset, f, plan, fld),
@@ -581,8 +582,7 @@ def test_repair_estimate_equals_the_session(name, p):
             if name == "s2":
                 subsets = rng.sample(subsets, 10)
             honest = {h: helper_stream(shares[h], plan, f, fld) for h in others}
-            noise = {h: tuple(tuple(rng.randrange(p) for _ in r) for r in st)
-                     for h, st in honest.items()}
+            noise = {h: tuple(rng.randrange(p) for _ in st) for h, st in honest.items()}
             for subset in subsets:
                 want = estimate_outcome(reference_estimate, honest, subset, f, plan, fld)
                 assert want in ("refused", shares[f].x)
@@ -624,7 +624,7 @@ def test_testgroup_repair2_equals_per_subset_scan(name, p):
                 for shape in MALFORMED_STREAMS.values():
                     bad = dict(honest)
                     for h in rng.sample(helpers, count):
-                        bad[h] = shape(bad[h])
+                        bad[h] = shape(plan, bad[h])
                     cases.append((bad, count == code.b))
             for streams, in_model in cases:
                 got = outcome(tg_repair2, streams, f, plan, fld)
@@ -676,8 +676,7 @@ def test_stream_block_equals_a_sampled_fit(name, p):
         helper_shares = [encode_node(dm, h, code, fld) for dm in dms]
         for d in code.d_set:
             plan = schedule_scheme2(code, d)
-            streams = Mat(fld, [[v for rnd in helper_stream(sh, plan, f, fld) for v in rnd]
-                                for sh in helper_shares])
+            streams = Mat(fld, [helper_stream(sh, plan, f, fld) for sh in helper_shares])
             fit = left_inv @ streams
             assert xs @ fit == streams                  # the 10 extra messages agree
             assert fit.transpose().tolist() == [list(col) for col in _stream_cols(plan, fld, f, h)]
@@ -743,7 +742,7 @@ def test_decode_with_symbols_above_16_bits(a12_code, p):
     plan = schedule_scheme2(a12_code, 5)
     f, helpers = 6, (1, 2, 3, 4, 5)
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in helpers}
-    streams[1] = tuple(tuple(rng.randrange(p) for _ in r) for r in streams[1])
+    streams[1] = tuple(rng.randrange(p) for _ in streams[1])
     assert tg_repair2(streams, f, plan, fld) == shares[f].x
     t, null = group_decoder(_stream_cols, (plan, fld, f), (2, 3, 4, 5), 1, fld)
     assert t[0].itemsize * 8 >= (p - 1).bit_length()
@@ -751,12 +750,30 @@ def test_decode_with_symbols_above_16_bits(a12_code, p):
 
 # -- wire records ------------------------------------------------------------
 
-def test_round_record_round_trip():
-    text = format_records("2", 2, 6, 5, ((4, 0, 6), (3,)))
+def test_round_record_round_trip(a12_code):
+    """A flat payload goes out as one BAERR2 record per round of the plan."""
+    text = format_records("2", 2, 6, 5, (4, 0, 6, 3), a12_code)
     assert text == "BAERR2 d=5 f=6 h=2 j=1\n4\n0\n6\nBAERR2 d=5 f=6 h=2 j=2\n3\n"
-    assert parse_records(text) == ("2", 2, 6, 5, ((4, 0, 6), (3,)))
+    assert parse_records(text, a12_code) == ("2", 2, 6, 5, (4, 0, 6, 3))
     second = text.index("BAERR2", 1)
     for bad in ("junk", text[second:], text.replace("h=2 j=2", "h=3 j=2"),
-                text.replace("j=2", "j=x")):
+                text.replace("j=2", "j=x"), text.replace("d=5", "d=6")):
         with pytest.raises(BaerCodeError):
-            parse_records(bad)
+            parse_records(bad, a12_code)
+
+
+def test_round_records_off_the_plan_are_refused(a12_code):
+    """Symbols shifted between rounds, at the same total length, are framed
+    off the plan: parse_records refuses them."""
+    assert [it.n_groups for it in schedule_scheme2(a12_code, 5).iterations] == [3, 1]
+    for framing in ([2, 2], [1, 3], [4, 0], [4]):
+        records, syms = [], iter((4, 0, 6, 3))
+        for j, size in enumerate(framing, 1):
+            records.append(f"BAERR2 d=5 f=6 h=2 j={j}\n" + "".join(f"{next(syms)}\n" for _ in range(size)))
+        with pytest.raises(BaerCodeError, match="^malformed repair record$"):
+            parse_records("".join(records), a12_code)
+    one_round = format_records("2", 2, 6, 4, tuple(range(6)), a12_code)
+    assert one_round.count("BAERR2") == 1
+    split = one_round.replace("3\n", "3\nBAERR2 d=4 f=6 h=2 j=2\n")
+    with pytest.raises(BaerCodeError, match="^malformed repair record$"):
+        parse_records(split, a12_code)

@@ -79,7 +79,7 @@ def test_cli_and_simulator_repair_alike(request, tmp_path, capsys, scheme, code_
         return
     for h, payload in sent.items():
         text = (recs / f"repair_h{h:02d}.rec").read_text()
-        assert parse_records(text) == (scheme, h, f, d, tuple(payload))
+        assert parse_records(text, code) == (scheme, h, f, d, payload)
 
 
 # Each scheme's column function, as the decoder stacks it: cols(f->h).
@@ -108,6 +108,5 @@ def test_every_honest_payload_is_the_lost_share_times_its_columns(request, schem
                 sent, _ = repair.transmit(scheme, {h: shares[h] for h in helpers}, f, d,
                                           adv.AdversaryPolicy(), code, fld)
                 for h, payload in sent.items():
-                    flat = tuple(v for rnd in payload for v in rnd) if scheme == "2" else payload
                     cols = DECODER_COLS[scheme](code, fld, f, d, helpers, h)
-                    assert flat == tuple(sum(map(mul, shares[f].x, c)) % fld.p for c in cols)
+                    assert payload == tuple(sum(map(mul, shares[f].x, c)) % fld.p for c in cols)
