@@ -26,7 +26,7 @@ def show(code, title):
     for d in code.d_set:
         print(f"   repair with d={d}: beta={code.beta_of(d)} symbols/helper, "
               f"gamma={code.gamma_of(d)} total")
-    bound = capacity_upper_bound(code, dict(code.gamma))
+    bound = capacity_upper_bound(code, {d: code.gamma_of(d) for d in code.d_set})
     print(f"   capacity bound evaluated at gamma_mbr: {bound} "
           f"({'tight' if bound == code.f_mbr else 'NOT tight?!'})")
     print()
@@ -49,13 +49,13 @@ def main():
     print()
 
     print("== doubling gamma cannot push capacity past alpha*(k-2b)")
-    doubled = {d: 2 * g for d, g in adversarial.gamma}
+    doubled = {d: 2 * adversarial.gamma_of(d) for d in adversarial.d_set}
     print(f"   bound at 2*gamma_mbr: {capacity_upper_bound(adversarial, doubled)} "
           f"(alpha*(k-2b) = {adversarial.alpha * adversarial.kappa})")
 
     print()
     print("== inflating gamma by a non-integer factor still evaluates exactly")
-    inflated = {d: Fraction(3, 2) * g for d, g in adversarial.gamma}
+    inflated = {d: Fraction(3, 2) * adversarial.gamma_of(d) for d in adversarial.d_set}
     print(f"   bound at 1.5*gamma_mbr: {capacity_upper_bound(adversarial, inflated)}")
 
 

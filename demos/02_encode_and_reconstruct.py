@@ -21,16 +21,16 @@ def main():
     message = tuple(rng.randrange(fld.p) for _ in range(code.f_mbr))
     print(f"message ({code.f_mbr} symbols over GF({fld.p})):", list(message))
 
-    dm = build_data_matrix(message, code, fld)
+    blocks = build_data_matrix(message, code, fld)
     print(f"\nmessage matrix: {code.z} symmetric diagonal blocks of size {code.lam}")
-    for i, blk in enumerate(dm.blocks, 1):
+    for i, blk in enumerate(blocks, 1):
         print(f"  block {i}: {blk.tolist()}")
-    assert extract_message(dm) == message
+    assert extract_message(blocks, code) == message
 
-    shares = encode_all(dm, code, fld)
+    shares = encode_all(blocks, code, fld)
     print("\nper-node shares x = psi . M (evaluation point e = g^node):")
     for s in shares:
-        print(f"  node {s.index} (e={s.e:2d}): {list(s.x)}")
+        print(f"  node {s.index} (e={fld.point(s.index):2d}): {list(s.x)}")
 
     print(f"\nany {code.kappa} honest share(s) already determine the message:")
     print("  from node 2 alone:", list(reconstruct_estimate([shares[1]], code, fld)))

@@ -3,14 +3,15 @@
 
 Twenty source symbols become four independent component codes; a repair
 spreads the per-component work over however many helpers showed up, through
-a least-loaded bipartite assignment.  Total traffic is always alpha.
+a cyclic rotation, equal to the least-loaded assignment.  Total traffic is
+always alpha.
 """
 
 import random
 
 from baercode import repair
 from baercode.adversary import AdversaryPolicy
-from baercode.concat import assign_bipartite
+from baercode.concat import served
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.galois import Field
 from baercode.params import CodeParams, validate
@@ -32,12 +33,12 @@ def main():
 
     for helpers in ((1, 2, 3), (1, 2, 3, 4)):
         d = len(helpers)
-        a = assign_bipartite(code.z, helpers, code.lam)
+        comps = {h: served(code.z, helpers, code.lam, h) for h in helpers}
         print(f"\n-- d={d}: component -> helper assignment")
-        for comp, nb in enumerate(a.neighbors, 1):
-            print(f"   component {comp} served by helpers {list(nb)}")
-        load = a.helper_load()
-        print(f"   per-helper load: { {h: load[h] for h in sorted(load)} } "
+        for comp in range(1, code.z + 1):
+            print(f"   component {comp} served by helpers "
+                  f"{[h for h in helpers if comp in comps[h]]}")
+        print(f"   per-helper load: { {h: len(comps[h]) for h in helpers} } "
               f"(alpha/d = {code.alpha // d})")
         sent, moved = repair.transmit("concat", {h: shares[h] for h in helpers}, f, d,
                                       AdversaryPolicy(), code, fld)

@@ -63,9 +63,9 @@ class AdversaryPolicy:
         if key not in self._fake_shares:
             rng = random.Random(f"{self.seed}:fake-message")
             fake_msg = [rng.randrange(fld.p) for _ in range(code.f_mbr)]
-            dm = build_data_matrix(fake_msg, code, fld)
+            blocks = build_data_matrix(fake_msg, code, fld)
             self._fake_shares[key] = {
-                node: encode_node(dm, node, code, fld) for node in sorted(self.controlled)
+                node: encode_node(blocks, node, code, fld) for node in sorted(self.controlled)
             }
         return self._fake_shares[key]
 
@@ -76,7 +76,7 @@ class AdversaryPolicy:
         if self.strategy == RANDOM:
             rng = self._node_rng(share.index)
             garbage = tuple(rng.randrange(fld.p) for _ in share.x)
-            return NodeShare(index=share.index, e=share.e, x=garbage)
+            return NodeShare(index=share.index, x=garbage)
         return self.fake_shares(code, fld)[share.index]
 
 

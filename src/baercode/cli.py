@@ -79,7 +79,7 @@ def _read_shares(paths, code, fld):
 
 def cmd_bounds(args) -> int:
     code, _ = _load_params(args.params, need_p=False)
-    gamma = dict(code.gamma)
+    gamma = {d: code.gamma_of(d) for d in code.d_set}
     print(f"n={code.n} k={code.k} D={list(code.d_set)} b={code.b} alpha={code.alpha}")
     print(f"capacity f_mbr = {code.f_mbr} symbols")
     print(f"{'d':>4} {'beta(d)':>8} {'gamma_mbr(d)':>13}")

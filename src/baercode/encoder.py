@@ -1,10 +1,13 @@
 """Storage encoding: block-diagonal message matrix and per-node coded shares.
 
 The source message (f_mbr symbols) fills z symmetric lam x lam blocks
-M_1..M_z; each block is [[N, L], [L^T, 0]] with N symmetric kappa x kappa
-and L of shape kappa x (lam-kappa).  Node ell stores x_ell = psi_ell @ M
-where psi_ell = [1, e, e^2, ..., e^(alpha-1)] with e = g^ell, which splits
-per block into x_ell(i) = psi_ell(i) @ M_i.
+M_1..M_z, the diagonal of the alpha x alpha message matrix M, kept as the
+tuple of blocks alone; each block is [[N, L], [L^T, 0]] with N symmetric
+kappa x kappa and L of shape kappa x (lam-kappa).  Node ell stores
+x_ell = psi_ell @ M where psi_ell = [1, e, e^2, ..., e^(alpha-1)] with
+e = Field.point(ell) = g^ell, which splits per block into
+x_ell(i) = psi_ell(i) @ M_i.  A share holds its node index and x alone;
+whoever needs the point derives it from the index.
 
 Fill order is canonical so that shares are reproducible byte for byte:
 per block, the upper triangle of N row-major, then L row-major.
@@ -24,43 +27,11 @@ SHARE_MAGIC = "BAER1"
 
 @dataclass(frozen=True)
 class NodeShare:
-    """One node's coded vector of alpha field elements.
-
-    e is the node's evaluation point g**index; it is stored explicitly so
-    decoders never re-derive identity from list position.
-    """
+    """One node's coded vector of alpha field elements.  The node is named by
+    its index, never by list position; its point is Field.point(index)."""
 
     index: int
-    e: int
     x: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DataMatrix:
-    """The z diagonal blocks of the alpha x alpha message matrix."""
-
-    blocks: tuple[Mat, ...]
-    lam: int
-    kappa: int
-
-    @property
-    def z(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def alpha(self) -> int:
-        return self.z * self.lam
-
-    def full(self, field: Field) -> Mat:
-        """Assemble the dense alpha x alpha block-diagonal matrix."""
-        a = self.alpha
-        grid = [[0] * a for _ in range(a)]
-        for i, blk in enumerate(self.blocks):
-            off = i * self.lam
-            for r in range(self.lam):
-                row = blk.data[r]
-                grid[off + r][off : off + self.lam] = row
-        return Mat(field, grid, cols=a)
 
 
 def coeff_vector(field: Field, node: int, alpha: int) -> tuple[int, ...]:
@@ -86,7 +57,7 @@ def coeff_segment(field: Field, node: int, i: int, seg_len: int) -> tuple[int, .
     return tuple(out)
 
 
-def build_data_matrix(message: Sequence[int], code: Derived, field: Field) -> DataMatrix:
+def build_data_matrix(message: Sequence[int], code: Derived, field: Field) -> tuple[Mat, ...]:
     """Arrange f_mbr source symbols into the z symmetric blocks."""
     msg = [v % field.p for v in message]
     if len(msg) != code.f_mbr:
@@ -107,14 +78,14 @@ def build_data_matrix(message: Sequence[int], code: Derived, field: Field) -> Da
                 grid[r][c] = v
                 grid[c][r] = v
         blocks.append(Mat(field, grid, cols=lam))
-    return DataMatrix(blocks=tuple(blocks), lam=lam, kappa=kappa)
+    return tuple(blocks)
 
 
-def extract_message(dm: DataMatrix) -> tuple[int, ...]:
+def extract_message(blocks: Sequence[Mat], code: Derived) -> tuple[int, ...]:
     """Invert the fill order; raises StructureViolationError on malformed blocks."""
-    lam, kappa = dm.lam, dm.kappa
+    lam, kappa = code.lam, code.kappa
     out: list[int] = []
-    for bi, blk in enumerate(dm.blocks, 1):
+    for bi, blk in enumerate(blocks, 1):
         if blk.shape != (lam, lam):
             raise StructureViolationError(f"block {bi} has shape {blk.shape}")
         for r in range(lam):
@@ -136,26 +107,25 @@ def extract_message(dm: DataMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def encode_node(dm: DataMatrix, node: int, code: Derived, field: Field) -> NodeShare:
+def encode_node(blocks: Sequence[Mat], node: int, code: Derived, field: Field) -> NodeShare:
     """x_node(i) = psi_node(i) @ M_i for every block, concatenated."""
     if not 1 <= node <= code.n:
         raise BaerCodeError(f"node index {node} outside 1..{code.n}")
     x: list[int] = []
-    for i, blk in enumerate(dm.blocks, 1):
-        seg = coeff_segment(field, node, i, dm.lam)
+    for i, blk in enumerate(blocks, 1):
+        seg = coeff_segment(field, node, i, code.lam)
         x.extend(blk.left_mul(seg))
-    return NodeShare(index=node, e=field.point(node), x=tuple(x))
+    return NodeShare(index=node, x=tuple(x))
 
 
-def encode_all(dm: DataMatrix, code: Derived, field: Field) -> list[NodeShare]:
-    return [encode_node(dm, node, code, field) for node in range(1, code.n + 1)]
+def encode_all(blocks: Sequence[Mat], code: Derived, field: Field) -> list[NodeShare]:
+    return [encode_node(blocks, node, code, field) for node in range(1, code.n + 1)]
 
 
 def encode_message(message: Sequence[int], code: Derived, field: Field) -> list[NodeShare]:
     """Convenience: field check, data matrix, all n shares."""
     check_field(code, field)
-    dm = build_data_matrix(message, code, field)
-    return encode_all(dm, code, field)
+    return encode_all(build_data_matrix(message, code, field), code, field)
 
 
 # -- share files -----------------------------------------------------------
@@ -181,11 +151,11 @@ def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str]
 
     Returns None when the header names other parameters or another p; the
     header is compared before any field arithmetic, so a forged p costs
-    nothing.  The evaluation point is re-derived from the node index; share
-    content never overrides node identity.  A body that is not alpha
-    symbols long is returned as it is, and one holding a symbol that is not
-    a decimal in range(p) as x = (): the node stored a malformed share, which
-    the decoders absorb as a lie.
+    nothing.  The node is the header's index, and its evaluation point
+    follows from that index alone; share content never overrides it.  A
+    body that is not alpha symbols long is returned as it is, and one holding
+    a symbol that is not a decimal in range(p) as x = (): the node stored a
+    malformed share, which the decoders absorb as a lie.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(SHARE_MAGIC + " "):
@@ -213,7 +183,7 @@ def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str]
         x = ()
     if not 1 <= node <= params.n:
         raise BaerCodeError(f"node index {node} outside 1..{params.n}")
-    return NodeShare(index=node, e=field.point(node), x=x), scheme
+    return NodeShare(index=node, x=x), scheme
 
 
 def parse_message_text(text: str, expected_len: int, p: int) -> tuple[int, ...]:

@@ -40,7 +40,8 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class Derived:
-    """Validated parameters plus every derived quantity downstream code consumes."""
+    """Validated parameters plus every derived quantity downstream code consumes;
+    the per-d ones, beta_of and gamma_of, are computed where they are read."""
 
     params: CodeParams
     lam: int                      # d_min - 2b: block size of one component code
@@ -48,8 +49,6 @@ class Derived:
     z: int                        # alpha / lam: number of component codes
     d_min: int
     f_mbr: int                    # storage capacity in symbols
-    beta: tuple[tuple[int, int], ...]    # d -> per-helper repair symbols alpha/(d-2b)
-    gamma: tuple[tuple[int, int], ...]   # d -> total repair symbols d*beta(d)
 
     @property
     def n(self) -> int:
@@ -72,16 +71,14 @@ class Derived:
         return self.params.alpha
 
     def beta_of(self, d: int) -> int:
-        for dd, v in self.beta:
-            if dd == d:
-                return v
-        raise BaerCodeError(f"d={d} not in D={self.d_set}")
+        """Per-helper repair symbols alpha/(d-2b) for d in D."""
+        if d not in self.d_set:
+            raise BaerCodeError(f"d={d} not in D={self.d_set}")
+        return self.alpha // (d - 2 * self.b)
 
     def gamma_of(self, d: int) -> int:
-        for dd, v in self.gamma:
-            if dd == d:
-                return v
-        raise BaerCodeError(f"d={d} not in D={self.d_set}")
+        """Total repair symbols gamma_mbr(d) = d*beta(d) for d in D."""
+        return d * self.beta_of(d)
 
 
 def _check_int(name: str, v, minimum: int) -> int:
@@ -117,12 +114,7 @@ def validate(params: CodeParams) -> Derived:
     f = z * (kappa * lam - kappa * (kappa - 1) // 2)
     product_form = Fraction(alpha, lam) * kappa * (Fraction(2 * d_min - 2 * b - k + 1, 2))
     assert Fraction(f) == product_form, "sum and product capacity forms disagree"
-    beta = tuple((d, alpha // (d - 2 * b)) for d in params.d_set)
-    gamma = tuple((d, d * (alpha // (d - 2 * b))) for d in params.d_set)
-    return Derived(
-        params=params, lam=lam, kappa=kappa, z=z, d_min=d_min,
-        f_mbr=f, beta=beta, gamma=gamma,
-    )
+    return Derived(params=params, lam=lam, kappa=kappa, z=z, d_min=d_min, f_mbr=f)
 
 
 def capacity_upper_bound(code: Derived, gamma: Mapping[int, int | Fraction]) -> Fraction:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .encoder import DataMatrix, NodeShare, build_data_matrix, coeff_segment, extract_message
+from .encoder import NodeShare, build_data_matrix, coeff_segment, extract_message
 from .errors import BaerCodeError, NoConsistentGroupError, StructureViolationError
 from .galois import Field, Mat
 from .params import Derived
@@ -121,11 +121,8 @@ def reconstruct_estimate(
     lam = code.lam
     segs = [(field.point(sh.index), _stripped(sh, lam, field)) for sh in shares]
     full = pm_reconstruct_component(segs, field, lam, code.kappa).data
-    blocks = tuple(
-        Mat(field, [row[off : off + lam] for row in full], cols=lam)
-        for off in range(0, code.alpha, lam)
-    )
-    return extract_message(DataMatrix(blocks=blocks, lam=lam, kappa=code.kappa))
+    return extract_message([Mat(field, [row[off : off + lam] for row in full], cols=lam)
+                            for off in range(0, code.alpha, lam)], code)
 
 
 @lru_cache(maxsize=4096)
@@ -134,8 +131,8 @@ def _node_block(code: Derived, field: Field, h: int) -> tuple[tuple[int, ...], .
     t of block 1 of h's share under the r-th unit message, whose prefix
     power is 1, which is row t of the symmetric M_1 times psi_h(1)."""
     psi, p = coeff_segment(field, h, 1, code.lam), field.p
-    units = [build_data_matrix([int(s == r) for s in range(code.f_mbr)], code, field)
-             .blocks[0].data for r in range(code.f_mbr // code.z)]
+    units = [build_data_matrix([int(s == r) for s in range(code.f_mbr)], code, field)[0].data
+             for r in range(code.f_mbr // code.z)]
     return tuple(tuple(sum(map(mul, m[t], psi)) % p for m in units)
                  for t in range(code.lam))
 

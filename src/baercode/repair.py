@@ -49,7 +49,8 @@ def check(scheme: str, code: Derived, fld: Field) -> None:
 
 def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
              policy: adv.AdversaryPolicy, code: Derived, fld: Field) -> tuple[dict[int, tuple], int]:
-    """({helper: payload sent}, symbols moved) for the helpers' live shares."""
+    """({helper: payload sent}, symbols moved) for the helpers' live shares.
+    It does not count them: the CLI and the simulator check for d first."""
     if scheme == "concat":
         concat.require_b0(code)
         helpers = tuple(sorted(shares))
@@ -78,7 +79,7 @@ def decode(scheme: str, sent: Mapping[int, tuple[int, ...]], f: int, d: int, cod
         x = repair1.testgroup_repair(sent, f, d, repair1.omega_build(code, fld))
     else:
         x = repair2.testgroup_repair2(sent, f, schedule_scheme2(code, d), fld)
-    return NodeShare(index=f, e=fld.point(f), x=tuple(x))
+    return NodeShare(index=f, x=tuple(x))
 
 
 # -- repair wire records ----------------------------------------------------

@@ -13,6 +13,9 @@ inverses, shares its MALFORMED sentinel.
 repair2 certifies a field by ranking each (exponent class, helper subset)
 once; reference_singular_systems ranks every (d, subset, round, group)
 system on its own, as the sweep did before the classes.
+
+concat.served hands out components by a closed-form rotation;
+least_loaded_assignment is the greedy it replaces, the oracle for it.
 """
 
 from itertools import combinations
@@ -113,3 +116,17 @@ def reference_find_field_scheme2(code):
         if not reference_singular_systems(code, Field(p))[1]:
             return p, tuple(rejected)
         rejected.append(p)
+
+
+def least_loaded_assignment(n_components, helpers, d_min):
+    """Per component (1-based order), the ascending tuple of its d_min
+    helpers: each component in turn takes the d_min least-loaded helpers,
+    ties broken by ascending helper index."""
+    load = {u: 0 for u in helpers}
+    neighbors = []
+    for _ in range(n_components):
+        chosen = tuple(sorted(sorted(helpers, key=lambda u: (load[u], u))[:d_min]))
+        for u in chosen:
+            load[u] += 1
+        neighbors.append(chosen)
+    return tuple(neighbors)

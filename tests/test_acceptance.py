@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from baercode import adversary as adv
-from baercode import cli, concat, repair, repair1, repair2, simnet
+from baercode import cli, repair, repair1, repair2, simnet
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.errors import NoConsistentGroupError
 from baercode.galois import Field
@@ -22,8 +22,10 @@ from baercode.params import (
 )
 from baercode.reconstruct import testgroup_reconstruct as tg_reconstruct
 
+from reference_scan import least_loaded_assignment
 from reference_stream import merge
-from test_params import random_valid_params
+from test_concat import load, neighbors
+from test_params import gamma_map, random_valid_params
 
 SEEDS = 100
 
@@ -57,7 +59,7 @@ def test_c03_bound_consistency():
     rng = random.Random("criterion-3")
     for _ in range(50):
         code = validate(random_valid_params(rng))
-        assert capacity_upper_bound(code, dict(code.gamma)) == code.f_mbr
+        assert capacity_upper_bound(code, gamma_map(code)) == code.f_mbr
     _pass(3, "capacity bound at gamma_mbr equals f_mbr on 50 random valid parameter sets")
 
 
@@ -203,13 +205,13 @@ def test_c09_bipartite_degrees():
         d_min = rng.randrange(1, 7)
         d = d_min + rng.randrange(0, 5)
         alpha = math.lcm(d_min, d) * rng.randrange(1, 5)
-        a = concat.assign_bipartite(alpha // d_min, list(range(1, d + 1)), d_min)
-        assert all(len(nb) == d_min for nb in a.neighbors)
-        assert set(a.helper_load().values()) == {alpha // d}
-    complete = concat.assign_bipartite(4, [1, 2, 3], 3)
-    assert complete.neighbors == ((1, 2, 3),) * 4
-    square = concat.assign_bipartite(4, [1, 2, 3, 4], 3)
-    assert set(square.helper_load().values()) == {3}
+        helpers = list(range(1, d + 1))
+        nb = neighbors(alpha // d_min, helpers, d_min)
+        assert all(len(comp) == d_min for comp in nb)
+        assert set(load(alpha // d_min, helpers, d_min).values()) == {alpha // d}
+        assert nb == least_loaded_assignment(alpha // d_min, helpers, d_min)
+    assert neighbors(4, [1, 2, 3], 3) == ((1, 2, 3),) * 4
+    assert set(load(4, [1, 2, 3, 4], 3).values()) == {3}
     _pass(9, "assignment degrees hold on 100 random (alpha,d_min,d) triples; "
              "complete and 3-regular instances reproduced")
 
@@ -227,8 +229,9 @@ def test_c10_concatenation_repair(ex1_code):
                                                   d, adv.AdversaryPolicy(), ex1_code, fld)
                     got = repair.decode("concat", sent, f, d, ex1_code, fld)
                     assert got.x == shares[f].x
-                    a = concat.assign_bipartite(ex1_code.z, helpers, ex1_code.lam)
-                    assert sum(a.helper_load().values()) == ex1_code.alpha == moved
+                    per_helper = load(ex1_code.z, helpers, ex1_code.lam)
+                    assert {h: len(x) for h, x in sent.items()} == per_helper
+                    assert sum(per_helper.values()) == ex1_code.alpha == moved
                     trials += 1
     _pass(10, f"concatenation: {trials} exhaustive repairs exact, traffic = alpha")
 

@@ -42,7 +42,7 @@ def test_random_replaces_controlled_share(ex3_code):
     view = corrupt_storage(pol, shares, ex3_code, F17)
     assert view[3].x != shares[3].x
     assert len(view[3].x) == len(shares[3].x)
-    assert view[3].index == 3 and view[3].e == shares[3].e
+    assert view[3].index == 3
     for other in (1, 2, 4, 5, 6):
         assert view[other] == shares[other]
     # deterministic across invocations

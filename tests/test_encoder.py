@@ -4,7 +4,6 @@ import re
 import pytest
 
 from baercode.encoder import (
-    DataMatrix,
     NodeShare,
     build_data_matrix,
     coeff_segment,
@@ -25,24 +24,36 @@ F17 = Field(17)
 F101 = Field(101)
 
 
+def full_matrix(blocks, field):
+    """The dense alpha x alpha block-diagonal message matrix of the blocks."""
+    lam = blocks[0].cols
+    alpha = len(blocks) * lam
+    grid = [[0] * alpha for _ in range(alpha)]
+    for i, blk in enumerate(blocks):
+        off = i * lam
+        for r in range(lam):
+            grid[off + r][off : off + lam] = blk.data[r]
+    return Mat(field, grid, cols=alpha)
+
+
 def test_block_layout_kappa2(ex1_code):
     # kappa=2, lam=3: first block holds s1..s5 as [[s1,s2,s4],[s2,s3,s5],[s4,s5,0]]
     s = list(range(1, 21))
-    dm = build_data_matrix(s, ex1_code, F101)
-    assert dm.blocks[0].tolist() == [[1, 2, 4], [2, 3, 5], [4, 5, 0]]
-    assert dm.blocks[3].tolist() == [[16, 17, 19], [17, 18, 20], [19, 20, 0]]
+    blocks = build_data_matrix(s, ex1_code, F101)
+    assert blocks[0].tolist() == [[1, 2, 4], [2, 3, 5], [4, 5, 0]]
+    assert blocks[3].tolist() == [[16, 17, 19], [17, 18, 20], [19, 20, 0]]
 
 
 def test_block_layout_kappa1(ex3_code):
     s = [1, 2, 3, 4, 5, 6]
-    dm = build_data_matrix(s, ex3_code, F17)
-    assert dm.blocks[0].tolist() == [[1, 2], [2, 0]]
-    assert dm.blocks[2].tolist() == [[5, 6], [6, 0]]
+    blocks = build_data_matrix(s, ex3_code, F17)
+    assert blocks[0].tolist() == [[1, 2], [2, 0]]
+    assert blocks[2].tolist() == [[5, 6], [6, 0]]
 
 
 def test_zero_message_zero_matrix(ex3_code):
-    dm = build_data_matrix([0] * 6, ex3_code, F17)
-    assert dm.full(F17).tolist() == [[0] * 6 for _ in range(6)]
+    blocks = build_data_matrix([0] * 6, ex3_code, F17)
+    assert full_matrix(blocks, F17).tolist() == [[0] * 6 for _ in range(6)]
 
 
 def test_wrong_length_rejected(ex3_code):
@@ -54,31 +65,25 @@ def test_extract_round_trip(ex3_code, ex1_code):
     rng = random.Random(2)
     for code, fld in ((ex3_code, F17), (ex1_code, F101)):
         msg = tuple(rng.randrange(fld.p) for _ in range(code.f_mbr))
-        dm = build_data_matrix(msg, code, fld)
-        assert extract_message(dm) == msg
+        assert extract_message(build_data_matrix(msg, code, fld), code) == msg
     zero = build_data_matrix([0] * 6, ex3_code, F17)
-    assert extract_message(zero) == (0,) * 6
+    assert extract_message(zero, ex3_code) == (0,) * 6
 
 
 def test_extract_structure_violations(ex3_code):
-    bad_sym = DataMatrix(
-        blocks=(Mat(F17, [[1, 2], [3, 0]]),) * 3, lam=2, kappa=1
-    )
+    bad_sym = (Mat(F17, [[1, 2], [3, 0]]),) * 3
     with pytest.raises(StructureViolationError):
-        extract_message(bad_sym)
-    bad_corner = DataMatrix(
-        blocks=(Mat(F17, [[1, 2], [2, 5]]),) * 3, lam=2, kappa=1
-    )
+        extract_message(bad_sym, ex3_code)
+    bad_corner = (Mat(F17, [[1, 2], [2, 5]]),) * 3
     with pytest.raises(StructureViolationError):
-        extract_message(bad_corner)
+        extract_message(bad_corner, ex3_code)
 
 
 def test_encode_node_matches_displayed_form(ex3_code):
     # x_1 = [(s1 + g s2), s2, (g^2 s3 + g^3 s4), g^2 s4, (g^4 s5 + g^5 s6), g^4 s6]
     p, g = F17.p, F17.g
     s = [3, 14, 7, 1, 0, 12]
-    dm = build_data_matrix(s, ex3_code, F17)
-    share = encode_node(dm, 1, ex3_code, F17)
+    share = encode_node(build_data_matrix(s, ex3_code, F17), 1, ex3_code, F17)
     e = pow(g, 1, p)
     expected = (
         (s[0] + e * s[1]) % p,
@@ -89,42 +94,41 @@ def test_encode_node_matches_displayed_form(ex3_code):
         pow(e, 4, p) * s[5] % p,
     )
     assert share.x == expected
-    assert share.e == e
+    assert F17.point(share.index) == e
 
 
 def test_encode_matches_dense_multiply_oracle(ex3_code, ex1_code):
     rng = random.Random(9)
     for code, fld in ((ex3_code, F17), (ex1_code, F101)):
         msg = [rng.randrange(fld.p) for _ in range(code.f_mbr)]
-        dm = build_data_matrix(msg, code, fld)
-        full = dm.full(fld).tolist()
+        blocks = build_data_matrix(msg, code, fld)
+        full = full_matrix(blocks, fld).tolist()
         for node in range(1, code.n + 1):
             psi = coeff_vector(fld, node, code.alpha)
             naive = tuple(
                 sum(psi[r] * full[r][c] for r in range(code.alpha)) % fld.p
                 for c in range(code.alpha)
             )
-            assert encode_node(dm, node, code, fld).x == naive
+            assert encode_node(blocks, node, code, fld).x == naive
 
 
 def test_zero_message_zero_share(ex3_code):
-    dm = build_data_matrix([0] * 6, ex3_code, F17)
-    assert encode_node(dm, 4, ex3_code, F17).x == (0,) * 6
+    blocks = build_data_matrix([0] * 6, ex3_code, F17)
+    assert encode_node(blocks, 4, ex3_code, F17).x == (0,) * 6
 
 
 def test_bad_node_index(ex3_code):
-    dm = build_data_matrix([1] * 6, ex3_code, F17)
+    blocks = build_data_matrix([1] * 6, ex3_code, F17)
     for bad in (0, 7, -1):
         with pytest.raises(BaerCodeError, match=re.escape(f"node index {bad} outside 1..6")):
-            encode_node(dm, bad, ex3_code, F17)
+            encode_node(blocks, bad, ex3_code, F17)
 
 
 def test_projection_symmetry_invariant(ex3_code):
     # psi_l(i) M_i psi_m(i)^T is symmetric in (l, m) for every block
     rng = random.Random(4)
     msg = [rng.randrange(17) for _ in range(6)]
-    dm = build_data_matrix(msg, ex3_code, F17)
-    for i, blk in enumerate(dm.blocks, 1):
+    for i, blk in enumerate(build_data_matrix(msg, ex3_code, F17), 1):
         for l in range(1, 7):
             for m in range(1, 7):
                 a = coeff_segment(F17, l, i, 2)
@@ -149,8 +153,7 @@ def test_encoding_is_linear(ex3_code):
 def test_share_file_round_trip(ex3_code):
     rng = random.Random(8)
     msg = [rng.randrange(17) for _ in range(6)]
-    dm = build_data_matrix(msg, ex3_code, F17)
-    share = encode_node(dm, 5, ex3_code, F17)
+    share = encode_node(build_data_matrix(msg, ex3_code, F17), 5, ex3_code, F17)
     text = format_share(share, ex3_code, F17, "1")
     assert text.startswith("BAER1 p=17 n=6 k=3 b=1 alpha=6 D=4,5 node=5 scheme=1\n")
     assert text.endswith("\n") and "\r" not in text
@@ -164,7 +167,7 @@ def test_share_file_rejections(ex3_code):
     with pytest.raises(BaerCodeError):
         parse_share("NOTASHARE\n1\n", ex3_code, F17)
     good = format_share(
-        NodeShare(index=1, e=3, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
+        NodeShare(index=1, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
     )
     with pytest.raises(BaerCodeError):
         parse_share(good.replace("alpha=6", "alpha=x"), ex3_code, F17)   # header
@@ -180,7 +183,7 @@ def test_share_file_rejections(ex3_code):
 def test_wrong_length_share_body_is_the_node_share(ex3_code):
     # A malformed body is what the node stored: the decoders absorb it as a lie.
     good = format_share(
-        NodeShare(index=1, e=3, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
+        NodeShare(index=1, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
     )
     truncated = "\n".join(good.splitlines()[:-1]) + "\n"
     assert parse_share(truncated, ex3_code, F17)[0].x == (1, 2, 3, 4, 5)

@@ -29,10 +29,10 @@ def test_round_trip_and_reconstruction():
     fld = repair1.find_field(CODE).field
     rng = random.Random(51)
     msg = tuple(rng.randrange(fld.p) for _ in range(CODE.f_mbr))
-    dm = build_data_matrix(msg, CODE, fld)
-    assert all(blk.shape == (3, 3) for blk in dm.blocks)
-    assert extract_message(dm) == msg
-    shares = encode_all(dm, CODE, fld)
+    blocks = build_data_matrix(msg, CODE, fld)
+    assert all(blk.shape == (3, 3) for blk in blocks)
+    assert extract_message(blocks, CODE) == msg
+    shares = encode_all(blocks, CODE, fld)
     for access in combinations(shares, 3):
         assert tg_reconstruct(list(access), CODE, fld) == msg
 

@@ -38,6 +38,11 @@ def random_valid_params(rng):
     return CodeParams(n=n, k=k, d_set=tuple(d_set), b=b, alpha=alpha)
 
 
+def gamma_map(code):
+    """{d: gamma_mbr(d)} over D, the map capacity_upper_bound reads."""
+    return {d: code.gamma_of(d) for d in code.d_set}
+
+
 def test_validate_small_adaptive_cluster(ex3_code):
     assert (ex3_code.lam, ex3_code.kappa, ex3_code.z) == (2, 1, 3)
     assert ex3_code.beta_of(4) == 3 and ex3_code.beta_of(5) == 2
@@ -70,6 +75,8 @@ def test_gamma_mbr_values(ex3_code, ex1_code):
         assert ex1_code.gamma_of(d) == ex1_code.alpha
     with pytest.raises(BaerCodeError, match=re.escape("d=6 not in D=(4, 5)")):
         ex3_code.gamma_of(6)
+    with pytest.raises(BaerCodeError, match=re.escape("d=6 not in D=(4, 5)")):
+        ex3_code.beta_of(6)
 
 
 def test_f_mbr_values(ex3_code, ex1_code):
@@ -81,14 +88,14 @@ def test_f_mbr_values(ex3_code, ex1_code):
 
 def test_capacity_upper_bound(ex3_code, ex1_code):
     # direct evaluation oracle for the ex3 parameters (kappa = 1 term)
-    gamma = dict(ex3_code.gamma)
+    gamma = gamma_map(ex3_code)
     direct = min(
         Fraction(ex3_code.alpha),
         min(Fraction((d - 2) * gamma[d], d) for d in ex3_code.d_set),
     )
     assert capacity_upper_bound(ex3_code, gamma) == direct == 6
-    assert capacity_upper_bound(ex1_code, dict(ex1_code.gamma)) == 20
-    doubled = {d: 2 * g for d, g in ex3_code.gamma}
+    assert capacity_upper_bound(ex1_code, gamma_map(ex1_code)) == 20
+    doubled = {d: 2 * g for d, g in gamma.items()}
     assert capacity_upper_bound(ex3_code, doubled) == ex3_code.alpha * ex3_code.kappa
     with pytest.raises(BaerCodeError, match="^gamma map missing d=5$"):
         capacity_upper_bound(ex3_code, {4: 12})
@@ -98,7 +105,7 @@ def test_capacity_bound_meets_f_mbr_randomized():
     rng = random.Random(23)
     for _ in range(60):
         code = validate(random_valid_params(rng))
-        assert capacity_upper_bound(code, dict(code.gamma)) == code.f_mbr
+        assert capacity_upper_bound(code, gamma_map(code)) == code.f_mbr
 
 
 def test_per_helper_bandwidth_is_exact_division():

@@ -11,8 +11,11 @@ receiver unless m is also a method of a builtin type (`set.add`,
 `dict.get`, `str.split`, ...), whose calls cannot be told apart from C's
 without types.  A dotted string names no bare attribute: "galois.inv" keeps
 no `inv` alive.  A local variable that happens to share its name does not
-count.  Names that only the tests need are listed in ALLOWED, each with the
-reason it stays.
+count.  A field of a public dataclass or NamedTuple counts only when some
+caller reads it: an attribute load of that name that is not the callee of a
+call, so `share.index` keeps NodeShare.index alive and `xs.index(v)` does
+not, nor does passing the field to a constructor.  Names that only the tests
+need are listed in ALLOWED, each with the reason it stays.
 
 An error class of errors.py exists only where some caller tells it apart: an
 `except` clause in src/ or tests/ names it, or a reference scan of the tests
@@ -31,7 +34,6 @@ TELLERS = (ROOT / "src", ROOT / "tests")
 
 ALLOWED = {
     "encoder.coeff_vector": "the tests' oracle for a node's full coefficient vector",
-    "encoder.DataMatrix.full": "the tests' oracle for the symmetric data matrix",
     "galois.Mat.identity": "the tests' oracle for inverses",
     "galois.Mat.transpose": "the tests' oracle for ranks and for Theta_G^T in decoder checks",
     "repair.parse_records": "reads back the wire records the CLI writes",
@@ -62,7 +64,8 @@ class _Uses(ast.NodeVisitor):
 
     def __init__(self, docs, classes, returns):
         self.docs, self.classes, self.returns, self.enclosing = docs, classes, returns, []
-        self.names, self.attrs, self.typed = set(), set(), set()
+        self.names, self.attrs, self.typed, self.reads = set(), set(), set(), set()
+        self.callees = set()
 
     def visit_ClassDef(self, node):
         self.enclosing.append(node.name)
@@ -75,7 +78,13 @@ class _Uses(ast.NodeVisitor):
     def visit_alias(self, node):
         self.names.add(node.name.rpartition(".")[2])
 
+    def visit_Call(self, node):
+        self.callees.add(id(node.func))
+        self.generic_visit(node)
+
     def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and id(node) not in self.callees:
+            self.reads.add(node.attr)
         recv = node.value
         if isinstance(recv, ast.Call):
             callee = recv.func
@@ -112,6 +121,27 @@ def _public_defs(package):
                         yield f"{mod}.{node.name}.{item.name}", node.name, item.name
 
 
+def _is_record(node):
+    """A class declared as a dataclass or as a NamedTuple."""
+    decorators = [dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list]
+    return any(getattr(kind, "id", None) in ("dataclass", "NamedTuple")
+               or getattr(kind, "attr", None) in ("dataclass", "NamedTuple")
+               for kind in decorators + node.bases)
+
+
+def _public_fields(package):
+    """(qualified name, name) for every public annotated field of a public
+    dataclass or NamedTuple."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") \
+                    and _is_record(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) \
+                            and not item.target.id.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
 def _return_types(package, classes):
     """{name: class} for every library class and for every module-level
     function (private ones too) whose return annotation is one; a name
@@ -131,7 +161,7 @@ def unused_public_names(package=PACKAGE, callers=CALLERS):
     defs = list(_public_defs(package))
     classes = {owner for _, owner, _ in defs if owner}
     returns = _return_types(package, classes)
-    names, attrs, typed = set(), set(), set()
+    names, attrs, typed, reads = set(), set(), set(), set()
     for top in callers:
         for path in sorted(top.rglob("*.py")):
             tree = ast.parse(path.read_text())
@@ -140,12 +170,13 @@ def unused_public_names(package=PACKAGE, callers=CALLERS):
             names |= uses.names
             attrs |= uses.attrs
             typed |= uses.typed
+            reads |= uses.reads
     return [
         qual for qual, owner, name in defs
         if (owner is None and name not in names and name not in attrs)
         or (owner is not None and (owner, name) not in typed
             and (name not in attrs or name in BUILTIN_METHODS))
-    ]
+    ] + [qual for qual, name in _public_fields(package) if name not in reads]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -177,6 +208,34 @@ def test_a_dead_method_sharing_a_builtin_or_self_name_is_flagged(tmp_path):
         "seen.add(Field().point(1))\n"
     )
     assert unused_public_names(package, (package, callers)) == ["field.Field.add"]
+
+
+def test_a_dead_field_is_flagged_and_a_non_call_read_keeps_one(tmp_path):
+    """A field only passed to a constructor (Share.point), or only named as a
+    call's callee (`xs.count(4)`), is dead; `share.index`, a read, keeps
+    Share.index alive beside the call `xs.index(5)`."""
+    package, callers = tmp_path / "lib", tmp_path / "app"
+    package.mkdir()
+    callers.mkdir()
+    (package / "share.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class Share:\n"
+        "    index: int\n"
+        "    point: int\n"
+        "    x: tuple\n"
+        "class Found(NamedTuple):\n"
+        "    count: int\n"
+    )
+    (callers / "main.py").write_text(
+        "from share import Found, Share\n"
+        "share = Share(index=1, point=3, x=(2,))\n"
+        "xs = [4, 5]\n"
+        "print(share.index, share.x, xs.index(5), xs.count(4), Found(count=1))\n"
+    )
+    assert unused_public_names(package, (package, callers)) == [
+        "share.Share.point", "share.Found.count"]
 
 
 def test_a_dead_method_sharing_a_typed_call_or_span_name_is_flagged(tmp_path):

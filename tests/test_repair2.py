@@ -655,7 +655,7 @@ def test_stream_cols_equal_the_paper_form_streams(name, p):
     for d in code.d_set:
         plan = schedule_scheme2(code, d)
         for h in range(1, code.n + 1):
-            sends = [NodeShare(index=h, e=fld.point(h), x=x) for x in units]
+            sends = [NodeShare(index=h, x=x) for x in units]
             for f in range(1, code.n + 1):
                 if f != h:
                     want = [tuple(v for rnd in reference_stream(sh, plan, f, fld) for v in rnd)
