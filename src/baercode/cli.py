@@ -17,11 +17,12 @@ from pathlib import Path
 from . import adversary as adv
 from . import concat, repair, repair1, repair2, simnet
 from .encoder import (
+    build_data_matrix,
+    encode_all,
     format_message,
     format_share,
     parse_message_text,
     parse_share,
-    encode_message,
 )
 from .errors import (
     BaerCodeError,
@@ -68,10 +69,10 @@ def _policy(args) -> adv.AdversaryPolicy:
 def _read_shares(paths, code, fld):
     shares = {}
     for path in paths:
-        parsed = parse_share(Path(path).read_text(), code, fld)
-        if parsed is None:
+        share = parse_share(Path(path).read_text(), code, fld)
+        if share is None:
             raise BaerCodeError(f"{path}: share parameters disagree with --params")
-        shares[parsed[0].index] = parsed[0]
+        shares[share.index] = share
     return shares
 
 
@@ -126,7 +127,7 @@ def cmd_encode(args) -> int:
     if args.scheme == "concat":
         concat.require_b0(code)
     message = parse_message_text(Path(args.message).read_text(), code.f_mbr, fld.p)
-    shares = encode_message(message, code, fld)
+    shares = encode_all(build_data_matrix(message, code, fld), code, fld)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for share in shares:
@@ -237,8 +238,9 @@ def cmd_selftest(args) -> int:
             print(f"schedule validation failed: {exc}")
             ok = False
         if ok:
-            sysrep = repair2.verify_systems_all(code, fld)
-            print(f"info: {sysrep.summary()}")
+            report = repair2.verify_systems_all(code, fld)
+            print(report.summary())
+            ok = report.ok
     else:
         if code.b != 0:
             print("concat scheme requires b = 0")

@@ -9,8 +9,8 @@ e = Field.point(ell) = g^ell, which splits per block into
 x_ell(i) = psi_ell(i) @ M_i.  A share holds its node index and x alone;
 whoever needs the point derives it from the index.
 
-Fill order is canonical so that shares are reproducible byte for byte:
-per block, the upper triangle of N row-major, then L row-major.
+The fill order, named by fill_order alone, is canonical so that shares are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import BaerCodeError, StructureViolationError
 from .galois import Field, Mat
-from .params import CodeParams, Derived, check_field
+from .params import CodeParams, Derived
 
 SHARE_MAGIC = "BAER1"
 
@@ -57,53 +57,43 @@ def coeff_segment(field: Field, node: int, i: int, seg_len: int) -> tuple[int, .
     return tuple(out)
 
 
+def fill_order(code: Derived) -> list[tuple[int, int]]:
+    """(row, column) of each message symbol in a block, in fill order: the
+    upper triangle of N row-major, then L row-major."""
+    kappa = code.kappa
+    return [(r, c) for r in range(kappa) for c in range(r, kappa)] + [
+        (r, c) for r in range(kappa) for c in range(kappa, code.lam)]
+
+
+def _block_grid(symbols: Iterable[int], code: Derived) -> list[list[int]]:
+    """The lam x lam block of these symbols, placed in fill order and mirrored."""
+    grid = [[0] * code.lam for _ in range(code.lam)]
+    for (r, c), v in zip(fill_order(code), symbols):
+        grid[r][c] = grid[c][r] = v
+    return grid
+
+
 def build_data_matrix(message: Sequence[int], code: Derived, field: Field) -> tuple[Mat, ...]:
     """Arrange f_mbr source symbols into the z symmetric blocks."""
     msg = [v % field.p for v in message]
     if len(msg) != code.f_mbr:
         raise BaerCodeError(f"message has {len(msg)} symbols, capacity is {code.f_mbr}")
-    lam, kappa = code.lam, code.kappa
-    blocks = []
-    it = iter(msg)
-    for _ in range(code.z):
-        grid = [[0] * lam for _ in range(lam)]
-        for r in range(kappa):
-            for c in range(r, kappa):
-                v = next(it)
-                grid[r][c] = v
-                grid[c][r] = v
-        for r in range(kappa):
-            for c in range(kappa, lam):
-                v = next(it)
-                grid[r][c] = v
-                grid[c][r] = v
-        blocks.append(Mat(field, grid, cols=lam))
-    return tuple(blocks)
+    f_block = code.f_mbr // code.z
+    return tuple(Mat(field, _block_grid(msg[off : off + f_block], code), cols=code.lam)
+                 for off in range(0, code.f_mbr, f_block))
 
 
 def extract_message(blocks: Sequence[Mat], code: Derived) -> tuple[int, ...]:
-    """Invert the fill order; raises StructureViolationError on malformed blocks."""
-    lam, kappa = code.lam, code.kappa
+    """Invert the fill order.  A block is well formed exactly when it equals
+    the block its own fill-order entries build; else StructureViolationError."""
     out: list[int] = []
     for bi, blk in enumerate(blocks, 1):
-        if blk.shape != (lam, lam):
+        if blk.shape != (code.lam, code.lam):
             raise StructureViolationError(f"block {bi} has shape {blk.shape}")
-        for r in range(lam):
-            for c in range(r + 1, lam):
-                if blk.data[r][c] != blk.data[c][r]:
-                    raise StructureViolationError(
-                        f"block {bi} asymmetric at ({r},{c})"
-                    )
-        for r in range(kappa, lam):
-            for c in range(kappa, lam):
-                if blk.data[r][c] != 0:
-                    raise StructureViolationError(
-                        f"block {bi} has nonzero corner at ({r},{c})"
-                    )
-        for r in range(kappa):
-            out.extend(blk.data[r][r:kappa])
-        for r in range(kappa):
-            out.extend(blk.data[r][kappa:lam])
+        symbols = [blk.data[r][c] for r, c in fill_order(code)]
+        if _block_grid(symbols, code) != blk.data:
+            raise StructureViolationError(f"block {bi} is not symmetric with a zero corner")
+        out.extend(symbols)
     return tuple(out)
 
 
@@ -120,12 +110,6 @@ def encode_node(blocks: Sequence[Mat], node: int, code: Derived, field: Field) -
 
 def encode_all(blocks: Sequence[Mat], code: Derived, field: Field) -> list[NodeShare]:
     return [encode_node(blocks, node, code, field) for node in range(1, code.n + 1)]
-
-
-def encode_message(message: Sequence[int], code: Derived, field: Field) -> list[NodeShare]:
-    """Convenience: field check, data matrix, all n shares."""
-    check_field(code, field)
-    return encode_all(build_data_matrix(message, code, field), code, field)
 
 
 # -- share files -----------------------------------------------------------
@@ -146,8 +130,8 @@ def format_share(share: NodeShare, code: Derived, field: Field, scheme: str) -> 
     return header + "\n" + "\n".join(str(v) for v in share.x) + "\n"
 
 
-def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str] | None:
-    """Parse a share file of this (code, field); returns (share, scheme).
+def parse_share(text: str, code: Derived, field: Field) -> NodeShare | None:
+    """Parse a share file of this (code, field).
 
     Returns None when the header names other parameters or another p; the
     header is compared before any field arithmetic, so a forged p costs
@@ -169,7 +153,7 @@ def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str]
         )
         p = int(fields["p"])
         node = int(fields["node"])
-        scheme = fields["scheme"]
+        fields["scheme"]    # required in the header, though a share does not depend on it
     except (KeyError, ValueError) as exc:
         raise BaerCodeError(f"malformed share header: {exc}") from exc
     if params != code.params or p != field.p:
@@ -183,7 +167,7 @@ def parse_share(text: str, code: Derived, field: Field) -> tuple[NodeShare, str]
         x = ()
     if not 1 <= node <= params.n:
         raise BaerCodeError(f"node index {node} outside 1..{params.n}")
-    return NodeShare(index=node, x=x), scheme
+    return NodeShare(index=node, x=x)
 
 
 def parse_message_text(text: str, expected_len: int, p: int) -> tuple[int, ...]:

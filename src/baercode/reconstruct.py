@@ -3,7 +3,8 @@
 Node h stores x_h = psi_h @ M.  Block i of that share, with its prefix power
 e^((i-1)*lam) stripped, is m_i @ B_h: m_i holds block i's message symbols
 in the encoder's fill order, and B_h is the same f_block x lam matrix for
-every block, whose columns _node_block returns.  So reconstruction runs the
+every block.  _node_block returns its columns in closed form from psi_h(1)
+and encoder.fill_order, building no data matrix.  So reconstruction runs the
 stacked test-group decoder of repair (repair1.testgroup_scan over
 repair1.group_decoder, keyed on (params, field)), one decoder per test-group
 of k-b nodes shared by all z blocks: the first group
@@ -25,10 +26,9 @@ for testgroup_reconstruct.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 from typing import Sequence
 
-from .encoder import NodeShare, build_data_matrix, coeff_segment, extract_message
+from .encoder import NodeShare, coeff_segment, extract_message, fill_order
 from .errors import BaerCodeError, NoConsistentGroupError, StructureViolationError
 from .galois import Field, Mat
 from .params import Derived
@@ -127,13 +127,12 @@ def reconstruct_estimate(
 
 @lru_cache(maxsize=4096)
 def _node_block(code: Derived, field: Field, h: int) -> tuple[tuple[int, ...], ...]:
-    """Columns of node h's f_block x lam block: entry r of column t is entry
-    t of block 1 of h's share under the r-th unit message, whose prefix
-    power is 1, which is row t of the symmetric M_1 times psi_h(1)."""
-    psi, p = coeff_segment(field, h, 1, code.lam), field.p
-    units = [build_data_matrix([int(s == r) for s in range(code.f_mbr)], code, field)[0].data
-             for r in range(code.f_mbr // code.z)]
-    return tuple(tuple(sum(map(mul, m[t], psi)) % p for m in units)
+    """Columns of node h's f_block x lam block: entry r of column t is entry t
+    of block 1 of h's share under the r-th unit message, at (a, c) and (c, a)
+    of M_1: psi_h(1)[c] when t = a, psi_h(1)[a] when t = c, else 0."""
+    psi = coeff_segment(field, h, 1, code.lam)
+    order = fill_order(code)
+    return tuple(tuple(psi[c] if t == a else psi[a] if t == c else 0 for a, c in order)
                  for t in range(code.lam))
 
 

@@ -50,6 +50,8 @@ from .errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
 from .galois import Field, Mat, primes_from
 from .params import P_LIMIT, Derived, check_field
 
+MAX_CANDIDATES = 2000    # primes search_field tries before it gives up
+
 
 @dataclass(frozen=True)
 class OmegaConfig:
@@ -277,15 +279,14 @@ class FieldSearch(NamedTuple):
     rejected: tuple[int, ...]      # primes tried and refused before the hit
 
 
-def search_field(code: Derived, refuses, report, noun: str, start: int | None = None,
-                 max_candidates: int = 2000) -> FieldSearch:
-    """The first of max_candidates successive primes max(start, n+1) <= p <
+def search_field(code: Derived, refuses, report, noun: str, start: int | None = None) -> FieldSearch:
+    """The first of MAX_CANDIDATES successive primes max(start, n+1) <= p <
     P_LIMIT that refuses(Field(p)) lets through, with report(p).  refuses
     stops at a prime's first failure, so only the returned prime is swept in
     full."""
     rejected: list[int] = []
-    bound = f"after {max_candidates} candidates"
-    for p in islice(primes_from(min(max(start or 0, code.n + 1), P_LIMIT)), max_candidates):
+    bound = f"after {MAX_CANDIDATES} candidates"
+    for p in islice(primes_from(min(max(start or 0, code.n + 1), P_LIMIT)), MAX_CANDIDATES):
         if p >= P_LIMIT:
             bound = "below 2**64"
             break
@@ -297,11 +298,11 @@ def search_field(code: Derived, refuses, report, noun: str, start: int | None = 
     raise BaerCodeError(f"no {noun} prime found {bound}{last}")
 
 
-def find_field(code: Derived, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:
+def find_field(code: Derived, start: int | None = None) -> FieldSearch:
     """The first prime p >= n+1 whose Omega truncations and Thetas all have full rank."""
     def refuses(fld):
         cfg = omega_build(code, fld)
         return bool(cfg.deficient) or next(_singular_thetas(code, cfg), None) is not None
     return search_field(code, refuses, lambda p: ThetaReport(p, _theta_count(code), ()),
-                        "certified", start, max_candidates)
+                        "certified", start)
 

@@ -220,9 +220,9 @@ def verify_systems_all(code, fld: Field) -> SystemReport:
                         singular=tuple(_singular_systems(code, fld, plans)))
 
 
-def find_field_scheme2(code, start: int | None = None, max_candidates: int = 2000) -> FieldSearch:
+def find_field_scheme2(code, start: int | None = None) -> FieldSearch:
     """First prime p >= n+1 whose per-group systems all solve (see SystemReport)."""
     plans = [schedule_scheme2(code, d) for d in code.d_set]
     refuses = lambda fld: next(_singular_systems(code, fld, plans), None) is not None
     return search_field(code, refuses, lambda p: SystemReport(p, _system_count(code, plans), ()),
-                        "solvable", start, max_candidates)
+                        "solvable", start)

@@ -124,7 +124,7 @@ class Cluster:
         self._encoded = {s.index: s for s in encoded}    # ground truth for repairs
         self.shares: dict[int, NodeShare | None] = dict(self._encoded)
         self.policy = adv.AdversaryPolicy()
-        self.log: list[ReportRow] = []
+        self.events = 0                     # events run so far; numbers the report rows
 
     # -- helpers -----------------------------------------------------
 
@@ -205,13 +205,12 @@ class Cluster:
         else:
             raise BaerCodeError(f"unknown event kind {event.kind!r}")
 
-        row = ReportRow(
-            index=len(self.log) + 1, kind=event.kind, detail=event.detail(),
+        self.events += 1
+        return ReportRow(
+            index=self.events, kind=event.kind, detail=event.detail(),
             symbols=symbols, gamma_expect=gamma_expect, success=success,
             wall_ms=(time.perf_counter() - t0) * 1e3,
         )
-        self.log.append(row)
-        return row
 
 
 def init_cluster(code: Derived, message: Sequence[int], scheme: str, fld: Field) -> Cluster:

@@ -16,10 +16,14 @@ system on its own, as the sweep did before the classes.
 
 concat.served hands out components by a closed-form rotation;
 least_loaded_assignment is the greedy it replaces, the oracle for it.
+
+reconstruct._node_block computes a node's block in closed form;
+unit_message_node_block encodes every unit message instead, as the oracle.
 """
 
 from itertools import combinations
 
+from baercode.encoder import build_data_matrix, encode_node
 from baercode.errors import NoConsistentGroupError, StructureViolationError
 from baercode.galois import Field, primes_from
 from baercode.params import schedule_scheme2
@@ -130,3 +134,13 @@ def least_loaded_assignment(n_components, helpers, d_min):
             load[u] += 1
         neighbors.append(chosen)
     return tuple(neighbors)
+
+
+def unit_message_node_block(code, field, h):
+    """Columns of node h's f_block x lam block: entry r of column t is entry
+    t of node h's share when the message is the r-th unit vector, so that
+    only block 1 is nonzero and its prefix power is 1."""
+    rows = [encode_node(build_data_matrix([int(s == r) for s in range(code.f_mbr)], code, field),
+                        h, code, field).x[:code.lam]
+            for r in range(code.f_mbr // code.z)]
+    return tuple(zip(*rows))

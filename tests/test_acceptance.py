@@ -248,14 +248,21 @@ def test_c11_selftest_negative_control(tmp_path, capsys, ex3_code, ex3_search):
     assert cli.main(["selftest", "--params", str(good), "--scheme", "1"]) == 0
     capsys.readouterr()
 
+    # Scheme 2 certifies what find-field --scheme 2 certifies: on the p-1 == n
+    # boundary GF(7) has singular systems at alpha=12, D={4,5}, and none at
+    # alpha=4, D={3,4}.
+    singular = tmp_path / "singular.params"
+    singular.write_text("n=6\nk=3\nb=1\nalpha=12\nD=4,5\np=7\n")
+    assert cli.main(["selftest", "--params", str(singular), "--scheme", "2"]) == 4
+    assert "NOT certified" in capsys.readouterr().out
     boundary = tmp_path / "boundary.params"
-    boundary.write_text("n=6\nk=3\nb=1\nalpha=12\nD=4,5\np=7\n")
+    boundary.write_text("n=6\nk=3\nb=1\nalpha=4\nD=3,4\np=7\n")
     assert cli.main(["selftest", "--params", str(boundary), "--scheme", "2"]) == 0
     out_accept = capsys.readouterr().out
     assert "p-1 == n boundary" in out_accept
     _pass(11, f"selftest rejects GF(7) for scheme 1 (exit 4), accepts searched "
-              f"GF({ex3_search.field.p}) (exit 0); scheme 2 accepts GF(7) at n=6 "
-              f"with the p-1 == n boundary documented")
+              f"GF({ex3_search.field.p}) (exit 0); scheme 2 rejects GF(7) at alpha=12 "
+              f"(exit 4) and accepts it at alpha=4, with the p-1 == n boundary documented")
 
 
 def test_c12_simulator_ledger(ex3_code, ex3_search):

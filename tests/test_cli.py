@@ -137,9 +137,10 @@ def test_selftest_exit_codes(capsys, tmp_path, workspace):
     assert "p-1 == n boundary" in out     # GF(7) supplies exactly n points
     scheme2 = tmp_path / "s2.params"
     scheme2.write_text("n=6\nk=3\nb=1\nalpha=12\nD=4,5\np=7\n")
-    assert run("selftest", "--params", scheme2, "--scheme", "2") == 0
+    assert run("selftest", "--params", scheme2, "--scheme", "2") == 4
     out = capsys.readouterr().out
     assert "schedules valid" in out and "p-1 == n boundary" in out
+    assert out.endswith("GF(7): 12 singular repair systems\nNOT certified\n")
     bad2 = tmp_path / "s2bad.params"
     bad2.write_text("n=6\nk=3\nb=1\nalpha=6\nD=4,5\np=7\n")
     assert run("selftest", "--params", bad2, "--scheme", "2") == 4

@@ -93,7 +93,7 @@ def _inputs(root: Path):
     # GF(7) loses Omega rank at ex3: scheme 1 is uncertified there.
     (root / "in" / "ex3-p7.params").write_text(RAW["ex3"] + "p=7\n")
     (root / "in" / "ex3-p7.msg").write_text(_message(7, 6, "ex3-p7"))
-    # GF(7) has singular scheme-2 systems at a12, which selftest only reports.
+    # GF(7) has singular scheme-2 systems at a12, so selftest refuses it there.
     (root / "in" / "a12-p7.params").write_text(RAW["a12"] + "p=7\n")
     for name, text in REFUSED.items():
         (root / "in" / name).write_text(text)

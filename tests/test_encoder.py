@@ -18,6 +18,7 @@ from baercode.encoder import (
 )
 from baercode.errors import BaerCodeError, StructureViolationError
 from baercode.galois import Field, Mat
+from baercode.params import CodeParams, validate
 
 
 F17 = Field(17)
@@ -77,6 +78,31 @@ def test_extract_structure_violations(ex3_code):
     bad_corner = (Mat(F17, [[1, 2], [2, 5]]),) * 3
     with pytest.raises(StructureViolationError):
         extract_message(bad_corner, ex3_code)
+
+
+def test_extract_refuses_exactly_the_malformed_single_entry_changes(ex3_code):
+    # Change each entry of block 2 alone: the block stays well formed (a
+    # diagonal entry of N) or is refused with the one structure message.
+    mid = validate(CodeParams(n=10, k=4, d_set=(6, 7), b=1, alpha=20))
+    rng = random.Random(5)
+    for code, fld in ((ex3_code, F17), (mid, Field(23))):
+        blocks = build_data_matrix([rng.randrange(fld.p) for _ in range(code.f_mbr)], code, fld)
+        lam, kappa = code.lam, code.kappa
+        for r in range(lam):
+            for c in range(lam):
+                grid = [row[:] for row in blocks[1].data]
+                grid[r][c] = (grid[r][c] + 1) % fld.p
+                changed = (blocks[0], Mat(fld, grid), *blocks[2:])
+                symmetric = all(grid[i][j] == grid[j][i] for i in range(lam) for j in range(lam))
+                corner = all(grid[i][j] == 0 for i in range(kappa, lam) for j in range(kappa, lam))
+                if symmetric and corner:
+                    got = extract_message(changed, code)
+                    assert [b.data for b in build_data_matrix(got, code, fld)] == [
+                        b.data for b in changed]
+                else:
+                    with pytest.raises(StructureViolationError,
+                                       match=r"^block 2 is not symmetric with a zero corner$"):
+                        extract_message(changed, code)
 
 
 def test_encode_node_matches_displayed_form(ex3_code):
@@ -157,10 +183,10 @@ def test_share_file_round_trip(ex3_code):
     text = format_share(share, ex3_code, F17, "1")
     assert text.startswith("BAER1 p=17 n=6 k=3 b=1 alpha=6 D=4,5 node=5 scheme=1\n")
     assert text.endswith("\n") and "\r" not in text
-    parsed, scheme = parse_share(text, ex3_code, F17)
-    assert parsed == share and scheme == "1"
+    parsed = parse_share(text, ex3_code, F17)
+    assert parsed == share
     # byte-exactness: formatting the parse reproduces the file
-    assert format_share(parsed, ex3_code, F17, scheme) == text
+    assert format_share(parsed, ex3_code, F17, "1") == text
 
 
 def test_share_file_rejections(ex3_code):
@@ -173,11 +199,13 @@ def test_share_file_rejections(ex3_code):
         parse_share(good.replace("alpha=6", "alpha=x"), ex3_code, F17)   # header
     with pytest.raises(BaerCodeError):
         parse_share(good.replace("node=1", "node=7"), ex3_code, F17)     # node outside 1..n
+    with pytest.raises(BaerCodeError, match=r"^malformed share header: 'scheme'$"):
+        parse_share(good.replace(" scheme=2", ""), ex3_code, F17)
     # A body symbol outside the field or not a decimal makes the node's share
     # malformed, x = (), which the decoders absorb as a lie.
     for bad in ("\n99\n", "\n-1\n", "\none\n"):
-        share, scheme = parse_share(good.replace("\n1\n", bad), ex3_code, F17)
-        assert (share.index, share.x, scheme) == (1, (), "2")
+        share = parse_share(good.replace("\n1\n", bad), ex3_code, F17)
+        assert (share.index, share.x) == (1, ())
 
 
 def test_wrong_length_share_body_is_the_node_share(ex3_code):
@@ -186,8 +214,8 @@ def test_wrong_length_share_body_is_the_node_share(ex3_code):
         NodeShare(index=1, x=(1, 2, 3, 4, 5, 6)), ex3_code, F17, "2"
     )
     truncated = "\n".join(good.splitlines()[:-1]) + "\n"
-    assert parse_share(truncated, ex3_code, F17)[0].x == (1, 2, 3, 4, 5)
-    assert parse_share(good + "7\n", ex3_code, F17)[0].x == (1, 2, 3, 4, 5, 6, 7)
+    assert parse_share(truncated, ex3_code, F17).x == (1, 2, 3, 4, 5)
+    assert parse_share(good + "7\n", ex3_code, F17).x == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_message_file_never_pads(ex3_code):

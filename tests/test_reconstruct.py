@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from baercode import adversary as adv
-from baercode import reconstruct
+from baercode import encoder, reconstruct
 from baercode.encoder import NodeShare, build_data_matrix, encode_all
 from baercode.errors import BaerCodeError, NoConsistentGroupError, StructureViolationError
 from baercode.galois import Field, Mat
@@ -18,7 +18,12 @@ from baercode.reconstruct import (
 )
 from baercode.repair1 import group_decoder
 
-from reference_scan import MALFORMED, first_consistent, reference_reconstruct
+from reference_scan import (
+    MALFORMED,
+    first_consistent,
+    reference_reconstruct,
+    unit_message_node_block,
+)
 
 F17 = Field(17)
 
@@ -177,13 +182,16 @@ def test_wrong_length_share_fails_its_estimates():
 
 def test_honest_decode_builds_one_group_decoder(monkeypatch):
     # An honest decode accepts the first group from its one stacked decoder,
-    # built from k-b node blocks, with no per-subset estimate.
+    # built from k-b node blocks, with no per-subset estimate; the blocks are
+    # built in closed form, with no data matrix.
+    msg, access = mid_access(7)
     calls = []
     monkeypatch.setattr(reconstruct, "pm_reconstruct_component", lambda *a: calls.append(a))
     monkeypatch.setattr(reconstruct, "extract_message", lambda *a: calls.append(a))
+    for mod in (encoder, reconstruct):
+        monkeypatch.setattr(mod, "build_data_matrix", lambda *a: calls.append(a), raising=False)
     group_decoder.cache_clear()
     reconstruct._node_block.cache_clear()
-    msg, access = mid_access(7)
     assert tg_reconstruct(access, MID, F23) == msg
     assert group_decoder.cache_info().misses == 1
     assert reconstruct._node_block.cache_info().misses == MID.k - MID.b
@@ -326,6 +334,23 @@ def test_stacked_decoder_matches_the_reference_scan(where):
             assert got == outcome(reference_reconstruct, view, code, fld)
             seen.add("message" if got == msg else got)
     assert seen >= {"message", NoConsistentGroupError}
+
+
+@pytest.mark.parametrize("params, primes", [
+    ((5, 2, (3, 4), 0, 12), (7, 11)),        # ex1
+    ((6, 3, (4, 5), 1, 6), (7, 17)),         # ex3
+    ((6, 3, (4, 5), 1, 12), (7, 19)),        # a12
+    ((10, 4, (6, 7), 1, 20), (11, 23)),      # mid
+    ((10, 4, (7, 8), 1, 60), (11, 19)),      # s2
+    ((6, 4, (4, 5), 1, 6), (7, 13)),         # k = d_min: no L part
+    ((5, 3, (3, 4), 1, 2), (7, 11)),         # lam = 1
+], ids=("ex1", "ex3", "a12", "mid", "s2", "k-eq-dmin", "lam1"))
+def test_node_block_matches_unit_message_encoding(params, primes):
+    code = validate(CodeParams(*params))
+    for p in primes:
+        fld = Field(p)
+        for h in range(1, code.n + 1):
+            assert reconstruct._node_block(code, fld, h) == unit_message_node_block(code, fld, h)
 
 
 @pytest.mark.parametrize("where", CODES)

@@ -263,9 +263,10 @@ def test_verify_theta_lists_every_singular_matrix():
     assert report.summary() == "GF(19): NOT certified (56 singular Theta matrices)"
 
 
-def test_find_field_names_last_prime_tried(ex3_code):
+def test_find_field_names_last_prime_tried(ex3_code, monkeypatch):
+    monkeypatch.setattr(repair1, "MAX_CANDIDATES", 1)
     with pytest.raises(BaerCodeError, match=r"after 1 candidates \(last tried 7\)$"):
-        find_field(ex3_code, max_candidates=1)
+        find_field(ex3_code)
 
 
 def test_repair_record_round_trip(ex3_code):

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from baercode import adversary as adv
+from baercode import repair1
 from baercode.encoder import NodeShare, build_data_matrix, encode_all, encode_node
 from baercode.errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
 from baercode.galois import Field, Mat, is_prime
@@ -362,9 +363,10 @@ def test_verify_systems_lists_every_singular_system():
     assert report.singular[0] == (8, (1, 2, 3, 4, 5, 9), 3, 0)
 
 
-def test_find_field_names_last_prime_tried(a12_code):
+def test_find_field_names_last_prime_tried(a12_code, monkeypatch):
+    monkeypatch.setattr(repair1, "MAX_CANDIDATES", 1)
     with pytest.raises(BaerCodeError, match=r"after 1 candidates \(last tried 7\)$"):
-        find_field_scheme2(a12_code, max_candidates=1)
+        find_field_scheme2(a12_code)
 
 
 def slot_rule_matrix(plan, fld, j, gi, helpers):

@@ -67,6 +67,8 @@ def test_event_errors(ex3_code, ex3_search):
         cluster.run_event(Event(kind="repair", node=1, d=5))    # only 4 live
     with pytest.raises(BaerCodeError):
         cluster.run_event(Event(kind="repair", node=1, d=6))
+    # Report rows number the events run; a refused event takes no number.
+    assert cluster.run_event(Event(kind="fail", node=3)).index == 3
 
 
 def test_corrupted_helper_among_repairers(ex3_code, ex3_search):
