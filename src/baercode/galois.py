@@ -13,6 +13,7 @@ import sys
 from array import array
 from itertools import count
 from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BaerCodeError, SingularMatrixError
@@ -119,6 +120,10 @@ class Field:
     def point(self, node: int) -> int:
         """Evaluation point g**node for a node index (1-based)."""
         return pow(self.g, node, self.p)
+
+    def holds(self, vec: Sequence[int]) -> bool:
+        """Every entry of vec is in range(p)."""
+        return not vec or 0 <= min(vec) and max(vec) < self.p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.p == self.p
@@ -316,7 +321,10 @@ class Mat:
 # The kernels above pack a row of entries into one integer, entry k in lane k
 # (bits k*width and up).  A lane of 16, 32 or 64 bits is an array item, so a
 # row packs and unpacks through bytes in one C call each; wider lanes go
-# entry by entry, one shift each.
+# entry by entry, one shift each.  Products pack a matrix by columns
+# (pack_columns): with column c in one integer, row r in lane r, A @ v is
+# one sum of len(v) big-integer multiples, each lane summing below
+# len(v)*(p-1)**2, exact while every entry of v is in range(p).
 
 _LANES = sorted({8 * array(c).itemsize: c for c in "HILQ"
                  if 8 * array(c).itemsize in (16, 32, 64)}.items())
@@ -349,3 +357,15 @@ def _unpack(x: int, count: int, width: int, tc: str | None) -> Sequence[int]:
     if _SWAP:
         lanes.byteswap()
     return lanes
+
+
+def pack_columns(rows: Sequence[Sequence[int]], p: int) -> tuple:
+    """The matrix of these rows, for lane_product: column c in one int, row r in lane r."""
+    width, tc = _lane(len(rows[0]) * (p - 1) ** 2 + 1)
+    return tuple(_pack(col, width, tc) for col in zip(*rows)), len(rows), width, tc
+
+
+def lane_product(vec: Sequence[int], packed: tuple, p: int) -> list[int]:
+    """A @ vec mod p for A = pack_columns(rows, p) and every entry of vec in range(p)."""
+    cols, rows, width, tc = packed
+    return [v % p for v in _unpack(sum(map(mul, vec, cols)), rows, width, tc)]

@@ -14,7 +14,8 @@ the first one whose estimates from every size-(k-2b) subset agree: an
 estimate passes the structure check (a symmetric N) exactly when its
 subset's payload lies in the row space of the subset's stacked blocks, and
 any kappa points form a Vandermonde of full rank, so every group is usable,
-b = 0 included.  A share whose length is not alpha is a lie, like any other.
+b = 0 included.  A share whose length is not alpha, or that holds a symbol
+outside range(p), is a lie, like any other.
 
 reconstruct_estimate is that per-subset estimate: a product-matrix decode
 of all z blocks side by side from kappa shares (pm_reconstruct_component:
@@ -92,16 +93,18 @@ def pm_reconstruct_component(
     return Mat(field, grid, cols=z * lam)
 
 
+@lru_cache(maxsize=4096)
+def _scales(field: Field, node: int, lam: int, length: int) -> tuple[int, ...]:
+    """Entry j is e^(-(j//lam)*lam), e = field.point(node): symbol j's stripping scale."""
+    step = pow(field.point(node), -lam, field.p)
+    return tuple(pow(step, j // lam, field.p) for j in range(length))
+
+
 def _stripped(share: NodeShare, lam: int, field: Field) -> list[int]:
     """x(1) | ... | x(z) with each x(i) = e^((i-1)*lam) * [1,e,..,e^(lam-1)] @ M_i
     stripped of its prefix power; a share of any length is stripped alike."""
     p = field.p
-    step = pow(field.point(share.index), -lam, p)
-    out, scale = [], 1
-    for off in range(0, len(share.x), lam):
-        out.extend(v * scale % p for v in share.x[off : off + lam])
-        scale = scale * step % p
-    return out
+    return [v * s % p for v, s in zip(share.x, _scales(field, share.index, lam, len(share.x)))]
 
 
 def reconstruct_estimate(
@@ -151,7 +154,8 @@ def testgroup_reconstruct(
         raise StructureViolationError("access set has duplicate node indices")
     if not all(1 <= i <= code.n for i in by_index):
         raise StructureViolationError("access set references unknown nodes")
-    payloads = {i: _stripped(sh, code.lam, field) for i, sh in by_index.items()}
+    payloads = {i: _stripped(sh, code.lam, field) if field.holds(sh.x) else ()
+                for i, sh in by_index.items()}
     found = testgroup_scan(payloads, code.k - code.b, code.lam, code.z, code.b, field,
                            _node_block, (code, field))
     if found is None:

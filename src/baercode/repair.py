@@ -2,10 +2,11 @@
 
 transmit() reads each helper's share as the adversary policy serves it,
 computes the flat vector the helper sends (nothing from a share that is
-not alpha long), lets a `random` helper replace it, and counts the symbols
-moved.  Each scheme has one column function cols (repair1._theta_cols,
-repair2._stream_cols, concat._cols): helper h sends x_h @ cols(h->f), and
-by the symmetry of the product-matrix code that is x_f @ cols(f->h).  So
+not alpha symbols of range(p)), lets a `random` helper replace it, and
+counts the symbols moved.  Each scheme has one column function cols
+(repair1._theta_cols, repair2._stream_cols, concat._cols): helper h sends
+x_h @ cols(h->f), one lane product by repair1.project, and by the
+symmetry of the product-matrix code that is x_f @ cols(f->h).  So
 decode() runs scheme 1's stacked test-group decoder (repair1.repair_scan)
 for all three schemes, through the one decoder cache repair1.group_decoder.
 It raises NoConsistentGroupError once the symbols have moved.  Wire records
@@ -15,7 +16,6 @@ It raises NoConsistentGroupError once the symbols have moved.  Wire records
 from __future__ import annotations
 
 from itertools import accumulate, count
-from operator import mul
 from typing import Mapping
 
 from . import adversary as adv
@@ -54,8 +54,7 @@ def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
     if scheme == "concat":
         concat.require_b0(code)
         helpers = tuple(sorted(shares))
-        send = lambda sh: tuple(sum(map(mul, sh.x, col)) % fld.p
-                                for col in concat._cols(code, fld, helpers, sh.index, f))
+        send = lambda sh: repair1.project(sh.x, concat._cols, code, fld, helpers, sh.index, f)
     elif scheme == "1":
         cfg = _omega(code, fld)
         send = lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg)
@@ -64,7 +63,8 @@ def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
         send = lambda sh: repair2.helper_stream(sh, plan, f, fld)
     stored = {h: policy.effective_share(sh, code, fld) for h, sh in shares.items()}
     sent = {
-        h: adv.corrupt_repair_symbols(policy, h, send(sh) if len(sh.x) == code.alpha else (), fld)
+        h: adv.corrupt_repair_symbols(
+            policy, h, send(sh) if len(sh.x) == code.alpha and fld.holds(sh.x) else (), fld)
         for h, sh in stored.items()
     }
     return sent, sum(map(len, sent.values()))

@@ -18,10 +18,11 @@ When every such Theta_H is invertible, that holds exactly when
 rho_G = x @ Theta_G for some x, Theta_G being the group's stacked
 alpha x (d-b)*z_d matrix.  So each group is decoded by one elimination:
 a left inverse T returns x_f and a null-space basis N gives the syndrome
-N @ rho_G that must vanish.  A group with a singular Theta_H is skipped,
-as the paper's scan skips it.  A repair vector of the wrong length is a
-lie: every group holding it is skipped.  group_decoder, the one decoder
-cache, and testgroup_scan serve any payload x_f @ cols(f->h) for a column
+N @ rho_G that must vanish, both from one lane product.  A group with a
+singular Theta_H is skipped, as the paper's scan skips it.  A repair
+vector of the wrong length, or with a symbol outside range(p), is a lie:
+every group holding it is skipped.  group_decoder, the one decoder cache,
+and testgroup_scan serve any payload x_f @ cols(f->h) for a column
 function cols, one per scheme: _theta_cols here, repair2._stream_cols and
 concat._cols through repair_scan, and reconstruct._node_block.
 
@@ -37,17 +38,15 @@ of (params, field) alone and every party derives it independently.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
-from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .encoder import NodeShare, coeff_segment
 from .errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
-from .galois import Field, Mat, primes_from
+from .galois import Field, Mat, lane_product, pack_columns, primes_from
 from .params import P_LIMIT, Derived, check_field
 
 MAX_CANDIDATES = 2000    # primes search_field tries before it gives up
@@ -111,12 +110,22 @@ def omega_build(code: Derived, fld: Field) -> OmegaConfig:
     return OmegaConfig(code=code, field=fld, omega=omega, deficient=deficient)
 
 
+@lru_cache(maxsize=16384)
+def _packed_cols(cols, *key) -> tuple:
+    """A column function's packed twin: cols(*key), key[1] its field, by galois.pack_columns."""
+    return pack_columns(cols(*key), key[1].p)
+
+
+def project(x: Sequence[int], cols, *key) -> tuple[int, ...]:
+    """x @ cols(*key) over the field key[1], every entry of x in its range:
+    the flat payload of every helper of every scheme, one lane product."""
+    return tuple(lane_product(x, _packed_cols(cols, *key), key[1].p))
+
+
 def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) -> tuple[int, ...]:
     """r(h, f) = x_h @ Phi_f @ Omega_{z_d}: z_d symbols from helper share,
     through f's own column block."""
-    p = cfg.field.p
-    return tuple(sum(map(mul, share.x, col)) % p
-                 for col in _theta_cols(cfg.code, cfg.field, d, f))
+    return project(share.x, _theta_cols, cfg.code, cfg.field, d, f)
 
 
 def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
@@ -130,8 +139,8 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
 
 @lru_cache(maxsize=16384)
 def group_decoder(block, key: tuple, group: tuple[int, ...], b: int,
-                  fld: Field) -> tuple[tuple[Sequence[int], ...], ...] | None:
-    """Rows of (T, N) for one test-group G, or None if G is unusable.
+                  fld: Field) -> tuple[int, tuple] | None:
+    """(u, [T; N] by galois.pack_columns) for one test-group G, or None if G is unusable.
 
     The one decoder cache of every repair scheme and of reconstruction.
     `block(*key, h)` returns member h's u x w block as a tuple of its w
@@ -141,8 +150,8 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int,
     spans its left null space.  By matroid duality, G minus b members stacks
     to a matrix of rank u exactly when N's b*w columns of those members are
     independent, so G is usable when Theta_G has rank u and every such minor
-    of N has full rank.  Rows are arrays of the smallest item type that
-    holds p-1.
+    of N has full rank.  So E @ rho is one lane product: lanes below u
+    hold T @ rho, the rest the syndrome N @ rho.
     """
     cols = [col for h in group for col in block(*key, h)]
     u, w = len(cols[0]), len(cols) // len(group)
@@ -155,9 +164,7 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int,
         minor = [[row[t * w + j] for t in out for j in range(w)] for row in null]
         if Mat(fld, minor, cols=bw).rank() < bw:
             return None
-    typecode = next((c for c in "BHIQ" if fld.p - 1 < 1 << 8 * array(c).itemsize), None)
-    rows = [array(typecode, row) if typecode else tuple(row) for row in rows]
-    return tuple(rows[:u]), tuple(rows[u:])
+    return u, pack_columns(rows, fld.p)
 
 
 def testgroup_scan(payloads: Mapping[int, Sequence[int]], size: int, width: int,
@@ -171,23 +178,24 @@ def testgroup_scan(payloads: Mapping[int, Sequence[int]], size: int, width: int,
     stacked runs rho_i all have a zero syndrome N @ rho_i wins, and
     T @ rho_1 | ... | T @ rho_chunks is returned.  This is the group the
     paper's per-subset scan accepts, with the same result.  A payload of any
-    other length is a lie: no group holding it is tried.
+    other length, or with a symbol outside range(p), is a lie: it joins no group.
     """
-    length, p = width * chunks, fld.p
-    sound = {h for h, x in payloads.items() if len(x) == length}
+    length = width * chunks
+    sound = {h for h, x in payloads.items() if len(x) == length and fld.holds(x)}
     for group in combinations(sorted(payloads), size):
         if not sound.issuperset(group):
             continue
-        rows = group_decoder(block, key, group, b, fld)
-        if rows is None:
+        decoder = group_decoder(block, key, group, b, fld)
+        if decoder is None:
             continue
-        t, null = rows
+        u, packed = decoder
         out = []
         for off in range(0, length, width):
-            rho = [v for h in group for v in payloads[h][off : off + width]]
-            if any(sum(map(mul, row, rho)) % p for row in null):
+            lanes = lane_product([v for h in group for v in payloads[h][off : off + width]],
+                                 packed, fld.p)
+            if any(lanes[u:]):
                 break
-            out.extend(sum(map(mul, row, rho)) % p for row in t)
+            out.extend(lanes[:u])
         else:
             return tuple(out)
     return None

@@ -41,14 +41,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import mul
 from typing import Mapping, Sequence
 
 from .encoder import NodeShare
 from .errors import BaerCodeError, SingularMatrixError
 from .galois import Field, Mat
 from .params import ScheduleII, schedule_scheme2
-from .repair1 import FieldSearch, ThetaReport, repair_scan, search_field, testgroup_scan
+from .repair1 import FieldSearch, ThetaReport, project, repair_scan, search_field, testgroup_scan
 
 
 @lru_cache(maxsize=16384)
@@ -82,8 +81,7 @@ def helper_stream(share: NodeShare, plan: ScheduleII, f: int, fld: Field) -> tup
     """x_h @ _stream_cols(h, f): one helper's beta(d) symbols, rounds end to end."""
     if share.index == f:
         raise BaerCodeError("failed node cannot help repair itself")
-    p = fld.p
-    return tuple(sum(map(mul, share.x, col)) % p for col in _stream_cols(plan, fld, share.index, f))
+    return project(share.x, _stream_cols, plan, fld, share.index, f)
 
 
 @lru_cache(maxsize=16384)

@@ -19,13 +19,16 @@ least_loaded_assignment is the greedy it replaces, the oracle for it.
 
 reconstruct._node_block computes a node's block in closed form;
 unit_message_node_block encodes every unit message instead, as the oracle.
+
+repair1.group_decoder keeps E = [T; N] packed by columns; decoder_rows reads
+its rows back.
 """
 
 from itertools import combinations
 
 from baercode.encoder import build_data_matrix, encode_node
 from baercode.errors import NoConsistentGroupError, StructureViolationError
-from baercode.galois import Field, primes_from
+from baercode.galois import Field, _unpack, primes_from
 from baercode.params import schedule_scheme2
 from baercode.reconstruct import reconstruct_estimate
 from baercode.repair2 import _group_matrix
@@ -144,3 +147,10 @@ def unit_message_node_block(code, field, h):
                         h, code, field).x[:code.lam]
             for r in range(code.f_mbr // code.z)]
     return tuple(zip(*rows))
+
+
+def decoder_rows(decoder):
+    """(T, N) of a group_decoder result, as lists of rows, from its packed columns."""
+    u, (cols, m, width, tc) = decoder
+    rows = [list(row) for row in zip(*(_unpack(col, m, width, tc) for col in cols))]
+    return rows[:u], rows[u:]

@@ -263,6 +263,25 @@ def test_repeated_repairs_build_each_group_decoder_once(workspace):
     assert second.hits == first.hits + 4
 
 
+def test_repeated_repairs_pack_each_column_block_once(workspace):
+    """Every scheme-1 helper projects through the failed node's one column
+    block; its packed twin is built by the first repair and only read by
+    the second."""
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    helpers = [f for f in sorted(shares.iterdir()) if f.name != "node02.share"]
+    argv = ("repair", "--params", params, "--failed", 2, "--d", 4, "--adversary", "random",
+            "--controlled", 1, "--out", tmp / "rebuilt", *helpers)
+    repair1._packed_cols.cache_clear()
+    assert run(*argv) == 0
+    first = repair1._packed_cols.cache_info()
+    assert run(*argv) == 0
+    second = repair1._packed_cols.cache_info()
+    assert first.misses == second.misses == 1
+    assert second.hits == first.hits + 4             # one payload per helper
+
+
 def test_simulate_report(capsys, workspace):
     tmp, params, msg = workspace
     scen = tmp / "scen.txt"

@@ -1,12 +1,13 @@
 import random
 import re
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from baercode.errors import BaerCodeError, SingularMatrixError
-from baercode.galois import Field, Mat, _prime_factors, is_prime
+from baercode.galois import Field, Mat, _prime_factors, is_prime, lane_product, pack_columns
 
 
 def brute_force_order(x, p):
@@ -383,3 +384,51 @@ def test_packed_kernels_at_60_by_60():
     assert full.rank() == 60
     for a in (full, low):
         assert_kernels_match_lists(a)
+
+
+# -- lane products -----------------------------------------------------------------
+#
+# lane_product sums `terms` products below (p-1)^2 in each lane of
+# pack_columns, whose width is the narrowest that holds terms*(p-1)^2.  For
+# primes just below 2^8, 2^16 and 2^32, BOUNDARIES holds every lane width's
+# largest term count that is at least 1 and small enough to test, and the
+# count one past it, which needs the next lane; 2^61-1 and the largest prime
+# below 2^64 need lanes past 64 bits, packed entry by entry, at any count.
+
+def _boundaries():
+    for p in (251, 65521, 4294967291):
+        for width in (16, 32, 64):
+            most = (2**width - 1) // (p - 1) ** 2
+            if 1 <= most <= 70000:
+                yield p, most, width
+                yield p, most + 1, width
+
+
+BOUNDARIES = tuple(_boundaries())
+WIDE = tuple((p, terms, 64) for p in (2**61 - 1, 18446744073709551557) for terms in (1, 2, 12, 60))
+
+
+def test_lane_boundaries_are_reached():
+    assert {(p, w) for p, _, w in BOUNDARIES} == {
+        (251, 16), (251, 32), (65521, 32), (4294967291, 64)}
+    for p, terms, width in BOUNDARIES + WIDE:
+        _, _, got, tc = pack_columns([[p - 1] * terms], p)
+        holds = terms * (p - 1) ** 2 < 2**width
+        assert (got <= width) == holds and (tc is None) == (got > 64)
+
+
+def _run(draw, p, length):
+    """length entries of range(p): a drawn run of at most 12, biased to p-1, repeated."""
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    run = draw(st.lists(entry, min_size=1, max_size=12))
+    return [run[i % len(run)] for i in range(length)]
+
+
+@given(st.data())
+@settings(deadline=None, derandomize=True, max_examples=120)
+def test_lane_product_matches_the_plain_loop_at_lane_boundaries(data):
+    p, terms, _ = data.draw(st.sampled_from(BOUNDARIES + WIDE))
+    rows = [_run(data.draw, p, terms) for _ in range(data.draw(st.integers(1, 4)))]
+    vec = _run(data.draw, p, terms)
+    want = [sum(map(mul, row, vec)) % p for row in rows]
+    assert lane_product(vec, pack_columns(rows, p), p) == want

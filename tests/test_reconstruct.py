@@ -21,6 +21,7 @@ from baercode.repair1 import group_decoder
 from reference_scan import (
     MALFORMED,
     first_consistent,
+    decoder_rows,
     reference_reconstruct,
     unit_message_node_block,
 )
@@ -172,12 +173,47 @@ def test_wrong_length_share_on_first_node_is_absorbed(length):
         assert tg_reconstruct(access, MID, F23) == msg
 
 
+def chunk_by_chunk_stripped(share, lam, field):
+    """Each lam-symbol chunk scaled by the running power e^(-lam*i), as
+    reconstruct._stripped computed it before its scales were cached."""
+    p = field.p
+    step = pow(field.point(share.index), -lam, p)
+    out, scale = [], 1
+    for off in range(0, len(share.x), lam):
+        out.extend(v * scale % p for v in share.x[off : off + lam])
+        scale = scale * step % p
+    return out
+
+
+@pytest.mark.parametrize("length", [0, 1, 19, 20, 21, 40, 47])
+def test_stripped_matches_chunk_by_chunk_scaling(length):
+    for seed in range(3):
+        _, access = mid_access(seed)
+        for sh in access:
+            share = NodeShare(index=sh.index, x=(sh.x * 3)[:length])
+            assert (reconstruct._stripped(share, MID.lam, F23)
+                    == chunk_by_chunk_stripped(share, MID.lam, F23))
+
+
 def test_wrong_length_share_fails_its_estimates():
     msg, access = mid_access(5)
     with pytest.raises(StructureViolationError):
         reconstruct_estimate([resize(access[0], 19), access[1]], MID, F23)
     with pytest.raises(StructureViolationError):
         reconstruct_estimate([resize(access[0], 21), access[1]], MID, F23)
+
+
+@pytest.mark.parametrize("shift", [23, -23])
+def test_out_of_range_share_is_a_lie(shift):
+    """A share holding a symbol outside range(p), though equal to the honest
+    share mod p, is a lie: b of them are absorbed, b+1 are not."""
+    for seed in range(3):
+        msg, access = mid_access(seed)
+        access.sort(key=lambda s: s.index)
+        bad = [NodeShare(sh.index, (sh.x[0] + shift,) + sh.x[1:]) for sh in access]
+        assert tg_reconstruct(bad[:1] + access[1:], MID, F23) == msg
+        with pytest.raises(NoConsistentGroupError):
+            tg_reconstruct(bad[:2] + access[2:], MID, F23)
 
 
 def test_honest_decode_builds_one_group_decoder(monkeypatch):
@@ -358,7 +394,8 @@ def test_every_group_decoder_is_usable_and_over_the_field(where):
     code, fld, _ = CODES[where]
     f_block = code.f_mbr // code.z
     for group in combinations(range(1, code.n + 1), code.k - code.b):
-        t, null = group_decoder(reconstruct._node_block, (code, fld), group, code.b, fld)
+        t, null = decoder_rows(
+            group_decoder(reconstruct._node_block, (code, fld), group, code.b, fld))
         assert len(t) == f_block
         assert len(null) == len(group) * code.lam - f_block
         assert all(0 <= v < fld.p for row in t + null for v in row)

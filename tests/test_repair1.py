@@ -24,7 +24,7 @@ from baercode.repair1 import (
     verify_theta_all,
 )
 
-from reference_scan import MALFORMED
+from reference_scan import MALFORMED, decoder_rows
 
 
 def encoded_cluster(code, fld, seed):
@@ -384,8 +384,8 @@ def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_cfg):
     for d in code.d_set:
         z_d = code.beta_of(d)
         for group in combinations(range(1, code.n + 1), d - code.b):
-            t, null = repair1.group_decoder(repair1._theta_cols, (code, cfg.field, d), group,
-                                            code.b, cfg.field)
+            t, null = decoder_rows(repair1.group_decoder(
+                repair1._theta_cols, (code, cfg.field, d), group, code.b, cfg.field))
             rows, m = t + null, len(group) * z_d
             assert len(t) == code.alpha
             assert len(rows) == m and all(len(r) == m for r in rows)
@@ -415,3 +415,27 @@ def test_wrong_length_helper_is_absorbed_as_a_lie(kind, where, ex3_code, ex3_cfg
         both[2] = wrong_length(syms[2], kind)
         with pytest.raises(NoConsistentGroupError):
             tg_repair(both, f, d, cfg)
+
+
+def out_of_range(vec, p, kind):
+    """vec with its first symbol moved out of range(p), equal to it mod p."""
+    return (vec[0] + p if kind == "above" else vec[0] - p,) + tuple(vec[1:])
+
+
+@pytest.mark.parametrize("kind", ["above", "below"])
+@pytest.mark.parametrize("where", ["ex3", "mid"])
+def test_out_of_range_helper_is_absorbed_as_a_lie(kind, where, ex3_code, ex3_cfg, mid_cfgs):
+    """A repair vector with a symbol outside range(p) joins no group, though
+    it equals the honest vector mod p: b such vectors are absorbed, b+1 are
+    not.  A lane product would carry such a symbol into the next lane."""
+    code, cfg = (ex3_code, ex3_cfg) if where == "ex3" else (mid_code(), mid_cfgs[23])
+    p = cfg.field.p
+    _, shares = encoded_cluster(code, cfg.field, 10)
+    f = code.n
+    for d in code.d_set:
+        syms = {h: helper_repair_symbols(shares[h], f, d, cfg) for h in range(1, d + 1)}
+        syms[1] = out_of_range(syms[1], p, kind)
+        assert tg_repair(syms, f, d, cfg) == shares[f].x
+        syms[2] = out_of_range(syms[2], p, kind)
+        with pytest.raises(NoConsistentGroupError):
+            tg_repair(syms, f, d, cfg)

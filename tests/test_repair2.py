@@ -23,7 +23,12 @@ from baercode.repair2 import (
     verify_systems_all,
 )
 
-from reference_scan import first_consistent, reference_find_field_scheme2, reference_singular_systems
+from reference_scan import (
+    decoder_rows,
+    first_consistent,
+    reference_find_field_scheme2,
+    reference_singular_systems,
+)
 from reference_stream import (
     ACTIVE,
     INACTIVE,
@@ -321,6 +326,22 @@ def test_malformed_stream_is_a_lie(a12_code, a12_field2, d, shape):
     streams[1] = bad(plan, streams[1])          # first helper in scan order
     assert tg_repair2(streams, 6, plan, fld) == shares[6].x
     streams[2] = bad(plan, streams[2])          # two lies: outside the model
+    with pytest.raises(NoConsistentGroupError):
+        tg_repair2(streams, 6, plan, fld)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("d", [4, 5])
+def test_out_of_range_stream_is_a_lie(a12_code, a12_field2, d, shift):
+    """A payload holding a symbol outside range(p), though equal to the
+    honest one mod p, is absorbed like any other lie (b=1)."""
+    fld = a12_field2
+    _, shares = encoded_cluster(a12_code, fld, 16)
+    plan = schedule_scheme2(a12_code, d)
+    streams = {h: helper_stream(shares[h], plan, 6, fld) for h in range(1, d + 1)}
+    streams[1] = (streams[1][0] + shift * fld.p,) + streams[1][1:]
+    assert tg_repair2(streams, 6, plan, fld) == shares[6].x
+    streams[2] = (streams[2][0] + shift * fld.p,) + streams[2][1:]
     with pytest.raises(NoConsistentGroupError):
         tg_repair2(streams, 6, plan, fld)
 
@@ -736,7 +757,7 @@ def test_stacked_subset_singular_iff_one_of_its_systems_is(name, p, singular):
     assert counts == {d: singular if d == max(code.d_set) else 0 for d in code.d_set}
 
 
-@pytest.mark.parametrize("p", [65537, 1000003])
+@pytest.mark.parametrize("p", [65537, 1000003, 4294967311, 2**61 - 1])
 def test_decode_with_symbols_above_16_bits(a12_code, p):
     fld = Field(p)
     rng = random.Random(p)
@@ -746,8 +767,12 @@ def test_decode_with_symbols_above_16_bits(a12_code, p):
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in helpers}
     streams[1] = tuple(rng.randrange(p) for _ in streams[1])
     assert tg_repair2(streams, f, plan, fld) == shares[f].x
-    t, null = group_decoder(_stream_cols, (plan, fld, f), (2, 3, 4, 5), 1, fld)
-    assert t[0].itemsize * 8 >= (p - 1).bit_length()
+    decoder = group_decoder(_stream_cols, (plan, fld, f), (2, 3, 4, 5), 1, fld)
+    _, (cols, rows, width, _) = decoder
+    assert width >= (len(cols) * (p - 1) ** 2).bit_length()    # a lane holds E @ rho's sums
+    t, null = decoder_rows(decoder)
+    assert len(t) == a12_code.alpha and len(t) + len(null) == rows
+    assert all(0 <= v < p for row in t + null for v in row)
 
 
 # -- wire records ------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from baercode import adversary as adv
 from baercode import concat, repair, repair1, repair2
 from baercode.cli import main
-from baercode.encoder import build_data_matrix, encode_all, format_share
+from baercode.encoder import NodeShare, build_data_matrix, encode_all, format_share
 from baercode.galois import Field
 from baercode.params import schedule_scheme2
 from baercode.repair import parse_records
@@ -110,3 +110,26 @@ def test_every_honest_payload_is_the_lost_share_times_its_columns(request, schem
                 for h, payload in sent.items():
                     cols = DECODER_COLS[scheme](code, fld, f, d, helpers, h)
                     assert payload == tuple(sum(map(mul, shares[f].x, c)) % fld.p for c in cols)
+
+
+@pytest.mark.parametrize("scheme, code_name", [
+    ("1", "ex3_code"), ("2", "a12_code"), ("concat", "ex1_code"),
+])
+def test_out_of_range_share_sends_nothing(request, scheme, code_name):
+    """A stored share holding a symbol outside range(p) sends nothing, as a
+    share of the wrong length does; the other helpers send as before."""
+    code = request.getfixturevalue(code_name)
+    fld = _field(request, scheme)
+    rng = random.Random(13)
+    dm = build_data_matrix([rng.randrange(fld.p) for _ in range(code.f_mbr)], code, fld)
+    shares = {s.index: s for s in encode_all(dm, code, fld)}
+    f, d = code.n, max(code.d_set)
+    helpers = {h: shares[h] for h in range(1, d + 1)}
+    honest, moved = repair.transmit(scheme, helpers, f, d, adv.AdversaryPolicy(), code, fld)
+    for shift in (fld.p, -fld.p):
+        x = shares[1].x
+        lying = {**helpers, 1: NodeShare(1, (x[0] + shift,) + x[1:])}
+        sent, symbols = repair.transmit(scheme, lying, f, d, adv.AdversaryPolicy(), code, fld)
+        assert sent == {**honest, 1: ()} and symbols == moved - len(honest[1])
+        if code.b:
+            assert repair.decode(scheme, sent, f, d, code, fld) == shares[f]
