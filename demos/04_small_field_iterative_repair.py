@@ -36,7 +36,7 @@ def main():
     for it in plan.iterations:
         print(f"  iteration {it.j}: tau={it.tau} mu={it.mu} sigma={it.sigma} "
               f"-> {it.n_groups} groups of {it.group_size}: {list(it.groups)}")
-    print(f"per-helper total: {plan.symbols_per_helper} symbols "
+    print(f"per-helper total: {sum(it.n_groups for it in plan.iterations)} symbols "
           f"(beta({d}) = {code.beta_of(d)})")
 
     rng = random.Random(99)

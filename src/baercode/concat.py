@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .encoder import coeff_segment
+from .encoder import coeff_vector
 from .errors import BaerCodeError
 from .galois import Field
 from .params import Derived
@@ -61,17 +61,12 @@ def _cols(code: Derived, fld: Field, helpers: tuple[int, ...], h: int,
     """Columns of helper h's payload as a map of node's share (h's own by
     default): one column psi_node(i), in block i's rows, per component i
     that h serves in the sorted helper set's rotation."""
-    lam, node = code.lam, node or h
-    cols = []
-    for i in served(code.z, helpers, lam, h):
-        col = [0] * code.alpha
-        col[(i - 1) * lam : i * lam] = coeff_segment(fld, node, i, lam)
-        cols.append(tuple(col))
-    return tuple(cols)
+    lam, psi = code.lam, coeff_vector(fld, node or h, code.alpha)
+    return tuple(tuple(v if pos // lam == i - 1 else 0 for pos, v in enumerate(psi))
+                 for i in served(code.z, helpers, lam, h))
 
 
 def testgroup_repair(payloads: Mapping[int, Sequence[int]], f: int, d: int,
                      code: Derived, fld: Field) -> tuple[int, ...]:
     """Recover x_f from d helpers' component scalars by repair1.repair_scan."""
-    return repair_scan(payloads, f, d, code.beta_of(d), code, fld,
-                       _cols, (code, fld, tuple(sorted(payloads))))
+    return repair_scan(payloads, f, d, code, _cols, (code, fld, tuple(sorted(payloads))))

@@ -6,8 +6,10 @@ tuple of blocks alone; each block is [[N, L], [L^T, 0]] with N symmetric
 kappa x kappa and L of shape kappa x (lam-kappa).  Node ell stores
 x_ell = psi_ell @ M where psi_ell = [1, e, e^2, ..., e^(alpha-1)] with
 e = Field.point(ell) = g^ell, which splits per block into
-x_ell(i) = psi_ell(i) @ M_i.  A share holds its node index and x alone;
-whoever needs the point derives it from the index.
+x_ell(i) = psi_ell(i) @ M_i.  psi_ell is coeff_vector, the library's one
+coefficient row, and psi_ell(i) its slice [(i-1)*lam : i*lam].  A share
+holds its node index and x alone; whoever needs the point derives it from
+the index.
 
 The fill order, named by fill_order alone, is canonical so that shares are
 reproducible byte for byte.
@@ -34,27 +36,10 @@ class NodeShare:
     x: tuple[int, ...]
 
 
-def coeff_vector(field: Field, node: int, alpha: int) -> tuple[int, ...]:
-    """psi_node = [e^0, ..., e^(alpha-1)] with e = g^node."""
-    p = field.p
-    e = field.point(node)
-    out, acc = [], 1
-    for _ in range(alpha):
-        out.append(acc)
-        acc = acc * e % p
-    return tuple(out)
-
-
-def coeff_segment(field: Field, node: int, i: int, seg_len: int) -> tuple[int, ...]:
-    """1-based segment i of psi_node: e^((i-1)*seg_len) * [1, e, ..., e^(seg_len-1)]."""
-    p = field.p
-    e = field.point(node)
-    acc = pow(e, (i - 1) * seg_len, p)
-    out = []
-    for _ in range(seg_len):
-        out.append(acc)
-        acc = acc * e % p
-    return tuple(out)
+def coeff_vector(field: Field, node: int, length: int) -> tuple[int, ...]:
+    """psi_node = [e^0, ..., e^(length-1)] with e = Field.point(node); its
+    1-based segment i of lam entries, psi_node(i), is psi[(i-1)*lam : i*lam]."""
+    return field.powers(field.point(node), length)
 
 
 def fill_order(code: Derived) -> list[tuple[int, int]]:
@@ -101,10 +86,10 @@ def encode_node(blocks: Sequence[Mat], node: int, code: Derived, field: Field) -
     """x_node(i) = psi_node(i) @ M_i for every block, concatenated."""
     if not 1 <= node <= code.n:
         raise BaerCodeError(f"node index {node} outside 1..{code.n}")
+    psi, lam = coeff_vector(field, node, code.alpha), code.lam
     x: list[int] = []
-    for i, blk in enumerate(blocks, 1):
-        seg = coeff_segment(field, node, i, code.lam)
-        x.extend(blk.left_mul(seg))
+    for i, blk in enumerate(blocks):
+        x.extend(blk.left_mul(psi[i * lam : (i + 1) * lam]))
     return NodeShare(index=node, x=tuple(x))
 
 

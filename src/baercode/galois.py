@@ -121,6 +121,15 @@ class Field:
         """Evaluation point g**node for a node index (1-based)."""
         return pow(self.g, node, self.p)
 
+    def powers(self, x: int, count: int) -> tuple[int, ...]:
+        """[x^0, x^1, ..., x^(count-1)] mod p: every Vandermonde and
+        coefficient row of the library is one such progression."""
+        p, acc, out = self.p, 1, []
+        for _ in range(count):
+            out.append(acc)
+            acc = acc * x % p
+        return tuple(out)
+
     def holds(self, vec: Sequence[int]) -> bool:
         """Every entry of vec is in range(p)."""
         return not vec or 0 <= min(vec) and max(vec) < self.p
@@ -161,10 +170,6 @@ class Mat:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Mat":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
     def vandermonde(cls, field: Field, points: Sequence[int], cols: int) -> "Mat":
         """Row i = [points[i]^0, ..., points[i]^(cols-1)].  Points must be distinct and nonzero."""
         pts = [x % field.p for x in points]
@@ -172,15 +177,7 @@ class Mat:
             raise BaerCodeError("vandermonde points must be nonzero")
         if len(set(pts)) != len(pts):
             raise BaerCodeError(f"duplicate vandermonde points in {pts}")
-        p = field.p
-        rows = []
-        for x in pts:
-            row, acc = [], 1
-            for _ in range(cols):
-                row.append(acc)
-                acc = acc * x % p
-            rows.append(row)
-        return cls(field, rows, cols=cols)
+        return cls(field, [field.powers(x, cols) for x in pts], cols=cols)
 
     # -- access ------------------------------------------------------
 
@@ -225,9 +222,6 @@ class Mat:
             for arow in self.data
         ]
         return Mat(self.field, out, cols=other.cols)
-
-    def transpose(self) -> "Mat":
-        return Mat(self.field, list(zip(*self.data)) or [()] * self.cols, cols=self.rows)
 
     def left_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix: vec @ self."""

@@ -174,10 +174,6 @@ class ScheduleII:
     zeta: int              # alpha / xi: number of segments
     iterations: tuple[IterationPlan, ...]
 
-    @property
-    def symbols_per_helper(self) -> int:
-        return sum(it.n_groups for it in self.iterations)
-
 
 @lru_cache(maxsize=256)
 def schedule_scheme2(code: Derived, d: int) -> ScheduleII:
@@ -229,7 +225,7 @@ def schedule_scheme2(code: Derived, d: int) -> ScheduleII:
     )
     # Bandwidth identities: one symbol per group per helper, and every
     # iteration pins down exactly (d-2b) entries per group.
-    assert plan.symbols_per_helper == code.beta_of(d)
+    assert sum(it.n_groups for it in plan.iterations) == code.beta_of(d)
     assert sum(it.n_groups * span for it in plan.iterations) == code.alpha
     return plan
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .encoder import NodeShare, coeff_segment, extract_message, fill_order
+from .encoder import NodeShare, coeff_vector, extract_message, fill_order
 from .errors import BaerCodeError, NoConsistentGroupError, StructureViolationError
 from .galois import Field, Mat
 from .params import Derived
@@ -97,7 +97,7 @@ def pm_reconstruct_component(
 def _scales(field: Field, node: int, lam: int, length: int) -> tuple[int, ...]:
     """Entry j is e^(-(j//lam)*lam), e = field.point(node): symbol j's stripping scale."""
     step = pow(field.point(node), -lam, field.p)
-    return tuple(pow(step, j // lam, field.p) for j in range(length))
+    return tuple(s for s in field.powers(step, -(-length // lam)) for _ in range(lam))[:length]
 
 
 def _stripped(share: NodeShare, lam: int, field: Field) -> list[int]:
@@ -133,7 +133,7 @@ def _node_block(code: Derived, field: Field, h: int) -> tuple[tuple[int, ...], .
     """Columns of node h's f_block x lam block: entry r of column t is entry t
     of block 1 of h's share under the r-th unit message, at (a, c) and (c, a)
     of M_1: psi_h(1)[c] when t = a, psi_h(1)[a] when t = c, else 0."""
-    psi = coeff_segment(field, h, 1, code.lam)
+    psi = coeff_vector(field, h, code.lam)
     order = fill_order(code)
     return tuple(tuple(psi[c] if t == a else psi[a] if t == c else 0 for a, c in order)
                  for t in range(code.lam))
@@ -156,8 +156,7 @@ def testgroup_reconstruct(
         raise StructureViolationError("access set references unknown nodes")
     payloads = {i: _stripped(sh, code.lam, field) if field.holds(sh.x) else ()
                 for i, sh in by_index.items()}
-    found = testgroup_scan(payloads, code.k - code.b, code.lam, code.z, code.b, field,
-                           _node_block, (code, field))
+    found = testgroup_scan(payloads, code.z, code.b, _node_block, (code, field))
     if found is None:
         raise NoConsistentGroupError(
             f"no consistent test-group among {code.k} accessed nodes; "

@@ -24,16 +24,18 @@ vector of the wrong length, or with a symbol outside range(p), is a lie:
 every group holding it is skipped.  group_decoder, the one decoder cache,
 and testgroup_scan serve any payload x_f @ cols(f->h) for a column
 function cols, one per scheme: _theta_cols here, repair2._stream_cols and
-concat._cols through repair_scan, and reconstruct._node_block.
+concat._cols through repair_scan, and reconstruct._node_block, given the
+cols and its key alone (the field is key[1]; testgroup_scan derives shapes).
 
 Theta_H is provably invertible only over impractically large alphabets, so
 a configuration is instead certified empirically, by rank alone (no
 inverse is kept).  verify_theta_all checks every (d, H) pair and lists
 every singular one.  find_field runs search_field, every scheme's prime
 search, over p >= n+1: it refuses a prime whose Omega truncations lose rank
-before building any Theta, and otherwise stops at the first singular Theta.
-Omega's exponents are fixed, i_j = alpha*n*(j-1) + 1, so Omega is a function
-of (params, field) alone and every party derives it independently.
+(read off Omega's exponents, see omega_build) before building any Theta,
+and otherwise stops at the first singular Theta.  Omega's exponents are
+fixed, i_j = alpha*n*(j-1) + 1, so Omega is a function of (params, field)
+alone and every party derives it independently.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from itertools import combinations, islice
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from .encoder import NodeShare, coeff_segment
+from .encoder import NodeShare, coeff_vector
 from .errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
 from .galois import Field, Mat, lane_product, pack_columns, primes_from
 from .params import P_LIMIT, Derived, check_field
@@ -77,36 +79,28 @@ def _theta_cols(code: Derived, fld: Field, d: int, h: int) -> tuple[tuple[int, .
     x_f @ _theta_cols(h); every Theta_H with h in H holds h's block, so it is
     built once per (params, field, d, h) and shared by all of them.
     """
-    omega, p = omega_build(code, fld).omega, fld.p
-    segs = [coeff_segment(fld, h, i, code.lam) for i in range(1, code.z + 1)]
-    return tuple(
-        tuple(v * orow[j] % p for orow, seg in zip(omega.data, segs) for v in seg)
-        for j in range(code.beta_of(d))
-    )
+    omega, p, lam = omega_build(code, fld).omega.data, fld.p, code.lam
+    psi = coeff_vector(fld, h, code.alpha)
+    return tuple(tuple(v * omega[pos // lam][j] % p for pos, v in enumerate(psi))
+                 for j in range(code.beta_of(d)))
 
 
 @lru_cache(maxsize=256)
 def omega_build(code: Derived, fld: Field) -> OmegaConfig:
     """Build Omega for this configuration, cached per (params, field).
 
-    Row j is the Vandermonde row of g**i_j for the fixed exponents
-    i_j = alpha*n*(j-1) + 1, reduced mod p-1 before exponentiation; gaps of
-    alpha*n keep the dominant determinant term unique.  `deficient` lists
-    every d in D whose truncation loses column rank (small fields make the
-    reduced exponents collide); repair refuses such a configuration.
+    Row j is the Vandermonde row coeff_vector(fld, i_j, z) of g**i_j for the
+    fixed exponents i_j = alpha*n*(j-1) + 1; gaps of alpha*n keep the
+    dominant determinant term unique.  `deficient` lists every d in D whose
+    truncation Omega_{z_d} loses column rank; repair refuses it.  That rank
+    is min(z_d, distinct points), and the points are distinct exactly when
+    the i_j are distinct mod p-1, which small fields make collide.
     """
     check_field(code, fld)
-    p = fld.p
-    rows = []
-    for x in (pow(fld.g, (code.alpha * code.n * j + 1) % (p - 1), p) for j in range(code.z)):
-        row, acc = [], 1
-        for _ in range(code.z):
-            row.append(acc)
-            acc = acc * x % p
-        rows.append(row)
-    omega = Mat(fld, rows, cols=code.z)
-    deficient = tuple(d for d in code.d_set for z_d in [code.beta_of(d)]
-                      if Mat(fld, [row[:z_d] for row in rows], cols=z_d).rank() < z_d)
+    exponents = [code.alpha * code.n * j + 1 for j in range(code.z)]
+    omega = Mat(fld, [coeff_vector(fld, i, code.z) for i in exponents], cols=code.z)
+    distinct = len({i % (fld.p - 1) for i in exponents})
+    deficient = tuple(d for d in code.d_set if distinct < code.beta_of(d))
     return OmegaConfig(code=code, field=fld, omega=omega, deficient=deficient)
 
 
@@ -138,22 +132,21 @@ def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
 
 
 @lru_cache(maxsize=16384)
-def group_decoder(block, key: tuple, group: tuple[int, ...], b: int,
-                  fld: Field) -> tuple[int, tuple] | None:
+def group_decoder(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[int, tuple] | None:
     """(u, [T; N] by galois.pack_columns) for one test-group G, or None if G is unusable.
 
     The one decoder cache of every repair scheme and of reconstruction.
-    `block(*key, h)` returns member h's u x w block as a tuple of its w
-    columns; an honest member sends r @ block for the group's unknown row r
-    of length u, and side by side the blocks form Theta_G.  With E = [T; N],
-    E @ Theta_G^T = [I; 0]: T (u rows) is a left inverse of Theta_G^T, N
-    spans its left null space.  By matroid duality, G minus b members stacks
+    `block(*key, h)` returns member h's u x w block over the field key[1] as
+    a tuple of its w columns; an honest member sends r @ block for the
+    group's unknown row r of length u, and side by side the blocks form
+    Theta_G.  With E = [T; N], E @ Theta_G^T = [I; 0]: T (u rows) is a left
+    inverse of Theta_G^T, N spans its left null space.  By matroid duality, G minus b members stacks
     to a matrix of rank u exactly when N's b*w columns of those members are
     independent, so G is usable when Theta_G has rank u and every such minor
     of N has full rank.  So E @ rho is one lane product: lanes below u
     hold T @ rho, the rest the syndrome N @ rho.
     """
-    cols = [col for h in group for col in block(*key, h)]
+    fld, cols = key[1], [col for h in group for col in block(*key, h)]
     u, w = len(cols[0]), len(cols) // len(group)
     try:
         rows = Mat(fld, cols).echelon_transform().data
@@ -167,25 +160,27 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int,
     return u, pack_columns(rows, fld.p)
 
 
-def testgroup_scan(payloads: Mapping[int, Sequence[int]], size: int, width: int,
-                   chunks: int, b: int, fld: Field, block, key: tuple) -> tuple[int, ...] | None:
+def testgroup_scan(payloads: Mapping[int, Sequence[int]], chunks: int, b: int,
+                   block, key: tuple) -> tuple[int, ...] | None:
     """Decode the first consistent test-group of flat payloads, or None.
 
-    An honest payload is `chunks` runs of `width` symbols, run i being
-    r_i @ B_h for the member's block B_h = block(*key, h).  Test-groups of
-    `size` members are scanned lexicographically, each decoded by
-    group_decoder(block, key, group, b, fld).  The first usable group whose
-    stacked runs rho_i all have a zero syndrome N @ rho_i wins, and
+    An honest payload is `chunks` runs of w symbols, run i being r_i @ B_h
+    for the member's block B_h = block(*key, h) over the field key[1]; every
+    block has the same w columns, so one cached lookup gives the shape.
+    Test-groups of len(payloads) - b members are scanned lexicographically,
+    each decoded by group_decoder(block, key, group, b).  The first usable
+    group whose stacked runs rho_i all have a zero syndrome N @ rho_i wins, and
     T @ rho_1 | ... | T @ rho_chunks is returned.  This is the group the
     paper's per-subset scan accepts, with the same result.  A payload of any
     other length, or with a symbol outside range(p), is a lie: it joins no group.
     """
+    fld, width = key[1], len(block(*key, next(iter(payloads))))
     length = width * chunks
     sound = {h for h, x in payloads.items() if len(x) == length and fld.holds(x)}
-    for group in combinations(sorted(payloads), size):
+    for group in combinations(sorted(payloads), len(payloads) - b):
         if not sound.issuperset(group):
             continue
-        decoder = group_decoder(block, key, group, b, fld)
+        decoder = group_decoder(block, key, group, b)
         if decoder is None:
             continue
         u, packed = decoder
@@ -201,11 +196,12 @@ def testgroup_scan(payloads: Mapping[int, Sequence[int]], size: int, width: int,
     return None
 
 
-def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: int,
-                code: Derived, fld: Field, block, key: tuple) -> tuple[int, ...]:
-    """Recover x_f from d helpers' `width`-symbol payloads, at most b of them
-    lying, by testgroup_scan over test-groups of d-b helpers; helper h's
-    honest payload is x_f @ block(*key, h)."""
+def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, code: Derived,
+                block, key: tuple) -> tuple[int, ...]:
+    """Recover x_f from d helpers' payloads, at most b of them lying, by
+    testgroup_scan over test-groups of d-b helpers; helper h's honest
+    payload is x_f @ block(*key, h).  Refuses d not in D."""
+    code.beta_of(d)
     helpers = sorted(payloads)
     if len(helpers) != d:
         raise BaerCodeError(f"need symbols from exactly d={d} helpers, got {len(helpers)}")
@@ -214,7 +210,7 @@ def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: in
             raise BaerCodeError(f"invalid helper {h} for failed node {f}")
     if not 1 <= f <= code.n:
         raise BaerCodeError(f"invalid failed node {f}")
-    x = testgroup_scan(payloads, d - code.b, width, 1, code.b, fld, block, key)
+    x = testgroup_scan(payloads, 1, code.b, block, key)
     if x is None:
         raise NoConsistentGroupError(
             f"no consistent test-group repairing node {f} from {d} helpers"
@@ -225,8 +221,7 @@ def repair_scan(payloads: Mapping[int, Sequence[int]], f: int, d: int, width: in
 def testgroup_repair(symbols: Mapping[int, Sequence[int]], f: int, d: int,
                      cfg: OmegaConfig) -> tuple[int, ...]:
     """Recover x_f from d helpers' z_d-symbol repair vectors (repair_scan)."""
-    return repair_scan(symbols, f, d, cfg.code.beta_of(d), cfg.code, cfg.field,
-                       _theta_cols, (cfg.code, cfg.field, d))
+    return repair_scan(symbols, f, d, cfg.code, _theta_cols, (cfg.code, cfg.field, d))
 
 
 @dataclass(frozen=True)

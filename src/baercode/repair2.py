@@ -13,7 +13,8 @@ params.schedule_scheme2 and is shared verbatim by helpers and decoder.
 Every round symbol is linear in the helper's share, so a helper's payload
 is one flat vector x_h @ _stream_cols(h, f) of beta(d) symbols, its rounds
 end to end, through one closed-form alpha x beta(d) matrix per (helper,
-failed node): scheme 2's column function (see repair1).  The rounds are
+failed node), cut from psi_f (encoder.coeff_vector): scheme 2's column
+function (see repair1).  The rounds are
 framing only: repair.format_records splits a payload into them on the wire.
 The tests keep the paper's segment-by-segment arithmetic as its reference.
 
@@ -32,8 +33,8 @@ A system is a generalized Vandermonde e_h^(x_s) over its slot exponents
 x_s, and its rank is unchanged by shifting every exponent by a constant
 (a column scaling) or by reducing them mod p-1.  So each system reduces
 to an exponent class, the exponents less their minimum, mod p-1, sorted,
-and each (class, helper subset) is ranked once per prime: at
-(10,4,{7,8},1,60) over GF(19), 462 ranks decide all 5124 systems.
+and each (class, helper subset) is ranked once per prime, from the rows
+psi_h: at (10,4,{7,8},1,60) over GF(19), 462 ranks decide all 5124 systems.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
-from .encoder import NodeShare
+from .encoder import NodeShare, coeff_vector
 from .errors import BaerCodeError, SingularMatrixError
 from .galois import Field, Mat
 from .params import ScheduleII, schedule_scheme2
@@ -61,13 +62,13 @@ def _stream_cols(plan: ScheduleII, fld: Field, src: int, dst: int) -> tuple[tupl
     """
     xi, p = plan.xi, fld.p
     e_src, e_dst = fld.point(src), fld.point(dst)
-    powers = [pow(e_dst, pos, p) for pos in range(plan.code.alpha)]
+    psi = coeff_vector(fld, dst, plan.code.alpha)
     cols = []
     for it in plan.iterations:
         for group in it.groups:
             col = [0] * plan.code.alpha
             for i in group:
-                col[(i - 1) * xi : i * xi] = powers[(i - 1) * xi : i * xi]
+                col[(i - 1) * xi : i * xi] = psi[(i - 1) * xi : i * xi]
             if it.sigma > 0:
                 a, c = group[-2:]
                 scale = pow(e_src, it.m - (c - a + 1) * xi, p) * pow(e_dst, (a - c) * xi + it.m - xi, p)
@@ -128,11 +129,10 @@ def repair_estimate(
 ) -> tuple[int, ...]:
     """x_f from one size-(d-2b) helper subset, by one stacked solve of its
     square system; SingularMatrixError when that system is singular."""
-    beta = plan.symbols_per_helper
+    beta = plan.code.beta_of(plan.d)
     if any(len(payloads[h]) != beta for h in subset):
         raise BaerCodeError(f"a payload is not beta(d) = {beta} symbols long")
-    x = testgroup_scan({h: payloads[h] for h in subset}, len(subset), beta, 1, 0, fld,
-                       _stream_cols, (plan, fld, f))
+    x = testgroup_scan({h: payloads[h] for h in subset}, 1, 0, _stream_cols, (plan, fld, f))
     if x is None:
         raise SingularMatrixError(f"helper subset {tuple(subset)} does not determine node {f}")
     return x
@@ -142,8 +142,7 @@ def testgroup_repair2(payloads: Mapping[int, Sequence[int]], f: int,
                       plan: ScheduleII, fld: Field) -> tuple[int, ...]:
     """Recover x_f from d helpers' payloads, at most b of them lying, by
     repair1.repair_scan; a payload of the wrong length is a lie."""
-    return repair_scan(payloads, f, plan.d, plan.symbols_per_helper,
-                       plan.code, fld, _stream_cols, (plan, fld, f))
+    return repair_scan(payloads, f, plan.d, plan.code, _stream_cols, (plan, fld, f))
 
 
 class SystemReport(ThetaReport):
@@ -180,10 +179,10 @@ def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
     ranked as its exponent class: the exponents less their minimum, mod p-1,
     sorted.  Duplicates stay in the class, since two equal exponents make the
     system singular.  Each (class, subset) is ranked once per sweep, from
-    per-node power tables no longer than the largest class exponent, and no
-    inverse is kept.
+    each node's coefficient row psi_h up to the largest class exponent, and
+    no inverse is kept.
     """
-    order, p = fld.p - 1, fld.p
+    order = fld.p - 1
     sweeps = []
     for plan in plans:
         systems = []
@@ -194,7 +193,7 @@ def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
                 systems.append((j, gi, tuple(sorted((x - lo) % order for x in ex))))
         sweeps.append((plan, systems))
     top = max(x for _, systems in sweeps for *_, cls in systems for x in cls)
-    powers = {h: [pow(fld.point(h), x, p) for x in range(top + 1)] for h in range(1, code.n + 1)}
+    psi = {h: coeff_vector(fld, h, top + 1) for h in range(1, code.n + 1)}
     singular = {}
     for plan, systems in sweeps:
         span = plan.d - 2 * code.b
@@ -202,7 +201,7 @@ def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
             for j, gi, cls in systems:
                 key = (cls, subset)
                 if key not in singular:
-                    rows = [[powers[h][x] for x in cls] for h in subset]
+                    rows = [[psi[h][x] for x in cls] for h in subset]
                     singular[key] = Mat(fld, rows, cols=span).rank() < span
                 if singular[key]:
                     yield plan.d, subset, j, gi

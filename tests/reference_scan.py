@@ -22,13 +22,16 @@ unit_message_node_block encodes every unit message instead, as the oracle.
 
 repair1.group_decoder keeps E = [T; N] packed by columns; decoder_rows reads
 its rows back.
+
+galois.Mat has no identity or transpose: identity and transpose build them
+for the tests' checks.
 """
 
 from itertools import combinations
 
 from baercode.encoder import build_data_matrix, encode_node
 from baercode.errors import NoConsistentGroupError, StructureViolationError
-from baercode.galois import Field, _unpack, primes_from
+from baercode.galois import Field, Mat, _unpack, primes_from
 from baercode.params import schedule_scheme2
 from baercode.reconstruct import reconstruct_estimate
 from baercode.repair2 import _group_matrix
@@ -154,3 +157,13 @@ def decoder_rows(decoder):
     u, (cols, m, width, tc) = decoder
     rows = [list(row) for row in zip(*(_unpack(col, m, width, tc) for col in cols))]
     return rows[:u], rows[u:]
+
+
+def identity(field, n):
+    """The n x n identity matrix over field."""
+    return Mat(field, [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def transpose(m):
+    """m^T; a matrix with no rows transposes to one with no columns."""
+    return Mat(m.field, list(zip(*m.data)) or [()] * m.cols, cols=m.rows)

@@ -98,7 +98,7 @@ def test_c05_scheme2_exact_repair(a12_code, a12_field2):
     assert fld.p >= 7 and fld.p >= code.n + 1
     plan5 = schedule_scheme2(code, 5)
     assert [(it.tau, it.mu, it.sigma) for it in plan5.iterations] == [(2, 1, 1), (1, 3, 0)]
-    assert plan5.symbols_per_helper == 4
+    assert sum(it.n_groups for it in plan5.iterations) == 4
     plans = {4: schedule_scheme2(code, 4), 5: plan5}
     trials = 0
     for seed in range(SEEDS):

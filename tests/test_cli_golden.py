@@ -69,6 +69,13 @@ REFUSED = {
     "fail-twice.scn": "fail 1\nfail 1\n",
     "repair-live.scn": "repair 1 d=4\n",
     "few-helpers.scn": "fail 1\nfail 2\nfail 3\nrepair 1 d=4\n",
+    "no-equals.raw": "n=6\nk=3\nb 1\nalpha=6\nD=4,5\n",
+    "missing-keys.raw": "n=6\nk=3\n",
+    "non-integer.raw": "n=six\nk=3\nb=1\nalpha=6\nD=4,5\n",
+    "non-decimal.msg": "1\n2\nx\n4\n5\n6\n",
+    "fail-99.scn": "fail 99\n",
+    "reconstruct-two.scn": "reconstruct 1,2\n",
+    "reconstruct-failed.scn": "fail 1\nreconstruct 1,2,3\n",
 }
 # The repair sweep's adversaries: (case suffix, strategy, controlled helpers).
 ADVERSARIES = (("honest", "honest", ""), ("random", "random", "3"),
@@ -193,6 +200,24 @@ def battery():
         ("ex3-few-helpers", ["simulate", "--params", "ex3.params", "--scenario",
                              "in/few-helpers.scn"]),
         ("ex3-scheme2-selftest", ["selftest", "--params", "ex3.params", "--scheme", "2"]),
+        ("ex3-no-p-encode", ["encode", "--params", "in/ex3.raw", "--message", "in/ex3.msg",
+                             "--out", "ex3-no-p"]),
+        ("no-equals-bounds", ["bounds", "--params", "in/no-equals.raw"]),
+        ("missing-keys-bounds", ["bounds", "--params", "in/missing-keys.raw"]),
+        ("non-integer-bounds", ["bounds", "--params", "in/non-integer.raw"]),
+        ("ex3-repair-d3", ["repair", "--params", "ex3.params", "--failed", 1, "--d", 3,
+                           *_shares("ex3", range(2, 5))]),
+        ("ex3-reconstruct-two-nodes", ["reconstruct", "--params", "ex3.params", "--nodes", "2,3",
+                                       *_shares("ex3", range(1, 7))]),
+        ("ex3-non-decimal-encode", ["encode", "--params", "ex3.params",
+                                    "--message", "in/non-decimal.msg", "--out", "ex3-non-decimal"]),
+        ("ex3-fail-99", ["simulate", "--params", "ex3.params", "--scenario", "in/fail-99.scn"]),
+        ("ex3-reconstruct-two", ["simulate", "--params", "ex3.params",
+                                 "--scenario", "in/reconstruct-two.scn"]),
+        ("ex3-reconstruct-failed", ["simulate", "--params", "ex3.params",
+                                    "--scenario", "in/reconstruct-failed.scn"]),
+        ("ex3-repair-stdout", ["repair", "--params", "ex3.params", "--failed", 1, "--d", 4,
+                               *_shares("ex3", range(2, 6))]),
     ]
     return steps
 

@@ -6,7 +6,6 @@ import pytest
 from baercode.encoder import (
     NodeShare,
     build_data_matrix,
-    coeff_segment,
     coeff_vector,
     encode_all,
     encode_node,
@@ -157,8 +156,8 @@ def test_projection_symmetry_invariant(ex3_code):
     for i, blk in enumerate(build_data_matrix(msg, ex3_code, F17), 1):
         for l in range(1, 7):
             for m in range(1, 7):
-                a = coeff_segment(F17, l, i, 2)
-                b = coeff_segment(F17, m, i, 2)
+                a = coeff_vector(F17, l, 6)[2 * (i - 1) : 2 * i]
+                b = coeff_vector(F17, m, 6)[2 * (i - 1) : 2 * i]
                 lhs = sum(x * y for x, y in zip(blk.left_mul(a), b)) % 17
                 rhs = sum(x * y for x, y in zip(blk.left_mul(b), a)) % 17
                 assert lhs == rhs

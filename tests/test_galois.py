@@ -4,10 +4,12 @@ from itertools import combinations
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from baercode.errors import BaerCodeError, SingularMatrixError
 from baercode.galois import Field, Mat, _prime_factors, is_prime, lane_product, pack_columns
+
+from reference_scan import identity, transpose
 
 
 def brute_force_order(x, p):
@@ -90,6 +92,22 @@ def test_vandermonde_values():
         Mat.vandermonde(f7, [0, 1], 2)
 
 
+# Fields for Field.powers, up to the largest prime below 2**64.
+POWER_FIELDS = tuple(Field(p) for p in (3, 7, 65521, 18446744073709551557))
+
+
+@given(st.sampled_from(POWER_FIELDS), st.integers(0, 2**66), st.integers(0, 40))
+@settings(deadline=None, derandomize=True, max_examples=200)
+@example(POWER_FIELDS[1], 3, 0)
+@example(POWER_FIELDS[1], 3, 1)
+@example(POWER_FIELDS[1], 0, 5)
+@example(POWER_FIELDS[1], 7 * 5 + 3, 6)
+@example(POWER_FIELDS[3], 2**64 + 5, 12)
+@example(POWER_FIELDS[3], 18446744073709551556, 12)
+def test_powers_is_the_geometric_progression(fld, x, count):
+    assert fld.powers(x, count) == tuple(pow(x, t, fld.p) for t in range(count))
+
+
 def test_vandermonde_full_column_rank_randomized():
     rng = random.Random(5)
     for p in (7, 13, 101):
@@ -116,7 +134,7 @@ def test_rank_of_wide_vandermonde_matches_minor_oracle():
 
 def test_identity_and_vandermonde_inverse():
     f7 = Field(7)
-    eye = Mat.identity(f7, 2)
+    eye = identity(f7, 2)
     assert eye.inv() == eye
     v = Mat.vandermonde(f7, [3, 2], 2)
     vi = v.inv()
@@ -135,7 +153,7 @@ def test_inverse_and_solve_randomized():
                 if a.rank() == n:
                     break
             ai = a.inv()
-            eye = Mat.identity(fld, n)
+            eye = identity(fld, n)
             assert a @ ai == eye
             assert ai @ a == eye
             y = [rng.randrange(p) for _ in range(n)]
@@ -156,6 +174,14 @@ def test_singular_and_dimension_errors():
         Mat(f7, [[1, 2]]).inv()
 
 
+def test_column_count_and_vector_length_are_checked():
+    f7 = Field(7)
+    with pytest.raises(BaerCodeError, match="^expected 3 columns, got 2$"):
+        Mat(f7, [[1, 2], [3, 4]], cols=3)
+    with pytest.raises(BaerCodeError, match=re.escape("vector of 3 vs (2, 2)")):
+        Mat(f7, [[1, 2], [3, 4]]).left_mul([1, 2, 3])
+
+
 def test_matmul_and_transpose_shapes():
     f13 = Field(13)
     a = Mat(f13, [[1, 2, 3], [4, 5, 6]])
@@ -163,8 +189,8 @@ def test_matmul_and_transpose_shapes():
     ab = a @ b
     assert ab.shape == (2, 2)
     assert ab.tolist() == [[(1 + 3) % 13, (2 + 3) % 13], [(4 + 6) % 13, (5 + 6) % 13]]
-    assert a.transpose().shape == (3, 2)
-    assert a.transpose().transpose() == a
+    assert transpose(a).shape == (3, 2)
+    assert transpose(transpose(a)) == a
 
 
 def test_empty_width_matrices_multiply():
@@ -226,7 +252,7 @@ def test_rank_matches_list_elimination(a):
 @given(rect_matrices())
 @settings(deadline=None)
 def test_rank_equals_rank_of_transpose(a):
-    assert a.rank() == a.transpose().rank() <= min(a.shape)
+    assert a.rank() == transpose(a).rank() <= min(a.shape)
 
 
 @given(rect_matrices())
@@ -249,7 +275,7 @@ def test_rank_of_product_is_inner_dimension(data):
     rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     r = data.draw(st.integers(1, min(rows, cols)))
     left = full_column_rank(data.draw, fld, rows, r)               # rows x r
-    right = full_column_rank(data.draw, fld, cols, r).transpose()  # r x cols
+    right = transpose(full_column_rank(data.draw, fld, cols, r))  # r x cols
     assert (left @ right).rank() == r
 
 

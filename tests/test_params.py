@@ -138,6 +138,13 @@ def test_classical_and_err_resilient_bounds():
         err_resilient_bound(2, 3, -1, 3, 3)
 
 
+def test_negative_gamma_is_refused():
+    with pytest.raises(BaerCodeError, match="^gamma must be non-negative$"):
+        err_resilient_bound(3, 4, 1, 6, -1)
+    with pytest.raises(BaerCodeError, match="^gamma must be non-negative$"):
+        classical_bound(2, 3, 3, Fraction(-1, 2))
+
+
 def test_schedule_two_iterations(a12_code):
     plan = schedule_scheme2(a12_code, 5)
     assert plan.xi == 2 and plan.zeta == 6
@@ -146,14 +153,14 @@ def test_schedule_two_iterations(a12_code):
     assert first.groups == ((1, 2), (3, 4), (5, 6))
     assert (second.tau, second.mu, second.sigma) == (1, 3, 0)
     assert second.groups == ((2, 4, 6),)
-    assert plan.symbols_per_helper == 4
+    assert sum(it.n_groups for it in plan.iterations) == 4
 
 
 def test_schedule_single_iteration(a12_code):
     plan = schedule_scheme2(a12_code, 4)
     (only,) = plan.iterations
     assert only.sigma == 0 and only.group_size == 1 and only.n_groups == 6
-    assert plan.symbols_per_helper == 6
+    assert sum(it.n_groups for it in plan.iterations) == 6
 
 
 def test_schedule_divisibility_violation(ex3_code):

@@ -33,9 +33,6 @@ CALLERS = (ROOT / "src", ROOT / "demos", ROOT / "bench")
 TELLERS = (ROOT / "src", ROOT / "tests")
 
 ALLOWED = {
-    "encoder.coeff_vector": "the tests' oracle for a node's full coefficient vector",
-    "galois.Mat.identity": "the tests' oracle for inverses",
-    "galois.Mat.transpose": "the tests' oracle for ranks and for Theta_G^T in decoder checks",
     "repair.parse_records": "reads back the wire records the CLI writes",
 }
 

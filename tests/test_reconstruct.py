@@ -23,6 +23,7 @@ from reference_scan import (
     first_consistent,
     decoder_rows,
     reference_reconstruct,
+    transpose,
     unit_message_node_block,
 )
 
@@ -144,6 +145,14 @@ def test_access_set_validation(ex3_code):
         tg_reconstruct(shares[:2], ex3_code, F17)
     with pytest.raises(StructureViolationError):
         tg_reconstruct([shares[0], shares[0], shares[1]], ex3_code, F17)
+
+
+@pytest.mark.parametrize("index", [0, 7])
+def test_access_set_with_a_node_outside_1_to_n_is_refused(ex3_code, index):
+    shares = encode_all(build_data_matrix([1] * 6, ex3_code, F17), ex3_code, F17)
+    stray = NodeShare(index=index, x=shares[0].x)
+    with pytest.raises(StructureViolationError, match="^access set references unknown nodes$"):
+        tg_reconstruct([stray, shares[1], shares[2]], ex3_code, F17)
 
 
 # -- malformed share lengths ------------------------------------------------
@@ -286,7 +295,7 @@ def reference_component(segments, field, lam, kappa):
     n_hat = phi_inv @ Mat(
         field,
         [[(a - c) % field.p for a, c in zip(lrow, rrow)]
-         for lrow, rrow in zip(y_left.data, (delta @ ell.transpose()).data)],
+         for lrow, rrow in zip(y_left.data, (delta @ transpose(ell)).data)],
         cols=kappa,
     )
     grid = [[0] * lam for _ in range(lam)]
@@ -395,7 +404,7 @@ def test_every_group_decoder_is_usable_and_over_the_field(where):
     f_block = code.f_mbr // code.z
     for group in combinations(range(1, code.n + 1), code.k - code.b):
         t, null = decoder_rows(
-            group_decoder(reconstruct._node_block, (code, fld), group, code.b, fld))
+            group_decoder(reconstruct._node_block, (code, fld), group, code.b))
         assert len(t) == f_block
         assert len(null) == len(group) * code.lam - f_block
         assert all(0 <= v < fld.p for row in t + null for v in row)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import pytest
 
@@ -11,7 +11,7 @@ from baercode.errors import (
     NoConsistentGroupError,
     OmegaRankDeficientError,
 )
-from baercode.galois import Field, Mat
+from baercode.galois import Field, Mat, primes_from
 from baercode.params import CodeParams, validate
 from baercode.repair import format_records, parse_records
 from baercode.repair1 import (
@@ -24,7 +24,7 @@ from baercode.repair1 import (
     verify_theta_all,
 )
 
-from reference_scan import MALFORMED, decoder_rows
+from reference_scan import MALFORMED, decoder_rows, transpose
 
 
 def encoded_cluster(code, fld, seed):
@@ -54,6 +54,25 @@ def test_omega_verdict_lists_every_rank_deficient_truncation(where, p, deficient
     assert cfg.deficient == deficient
     assert cfg.deficient == tuple(d for d in code.d_set
                                   if omega_truncation_rank(cfg, d) < code.beta_of(d))
+
+
+@pytest.mark.parametrize("params", [
+    (6, 3, (4, 5), 1, 6), (6, 3, (4, 5), 1, 12), (5, 2, (3, 4), 0, 12), (10, 4, (6, 7), 1, 20),
+    (10, 4, (7, 8), 1, 60), (12, 5, (8, 9, 10), 2, 60),
+], ids=["ex3", "a12", "ex1", "mid", "n10-a60", "n12-a60"])
+def test_closed_form_deficiency_matches_truncation_ranks(params):
+    """omega_build reads `deficient` off the exponents mod p-1; ranking every
+    truncation gives the same verdict over every prime from n+1 to 400, and
+    the sweep meets both verdicts."""
+    n, k, d_set, b, alpha = params
+    code = validate(CodeParams(n=n, k=k, d_set=d_set, b=b, alpha=alpha))
+    verdicts = set()
+    for p in takewhile(lambda p: p <= 400, primes_from(n + 1)):
+        cfg = omega_build(code, Field(p))
+        assert cfg.deficient == tuple(d for d in code.d_set
+                                      if omega_truncation_rank(cfg, d) < code.beta_of(d)), p
+        verdicts.update(d in cfg.deficient for d in code.d_set)
+    assert verdicts == {False, True}
 
 
 def test_single_component_omega_is_trivial():
@@ -105,14 +124,13 @@ def test_theta_shape_and_column_structure(ex3_code, ex3_cfg):
     fld, cfg = ex3_cfg.field, ex3_cfg
     th = theta((1, 2, 3), 5, cfg)
     assert th.shape == (6, 6)
-    columns = th.transpose().tolist()
+    columns = transpose(th).tolist()
     # independent construction: column (t*z_d + j) stacks omega[i][j] * psi_h_t(i)^T
-    from baercode.encoder import coeff_segment
     for t, h in enumerate((1, 2, 3)):
         for j in range(2):
             col = []
             for i in range(1, 4):
-                seg = coeff_segment(fld, h, i, 2)
+                seg = [pow(fld.point(h), 2 * (i - 1) + t, fld.p) for t in range(2)]
                 col.extend(v * cfg.omega.data[i - 1][j] % fld.p for v in seg)
             assert columns[t * 2 + j] == col
 
@@ -121,7 +139,6 @@ def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_cfg):
     # at d = d_min (z_d = z) the columns are a permutation of the stacked
     # [omega_row x helper-segment] construction
     fld, cfg = ex3_cfg.field, ex3_cfg
-    from baercode.encoder import coeff_segment
     helpers = (2, 4)
     th = theta(helpers, 4, cfg)
     xi_cols = []
@@ -129,10 +146,10 @@ def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_cfg):
         for t, h in enumerate(helpers):
             col = []
             for i in range(1, 4):
-                seg = coeff_segment(fld, h, i, 2)
+                seg = [pow(fld.point(h), 2 * (i - 1) + t, fld.p) for t in range(2)]
                 col.extend(v * cfg.omega.data[i - 1][j] % fld.p for v in seg)
             xi_cols.append(tuple(col))
-    theta_cols = [tuple(c) for c in th.transpose().tolist()]
+    theta_cols = [tuple(c) for c in transpose(th).tolist()]
     assert sorted(theta_cols) == sorted(xi_cols)
     assert set(theta_cols) == set(xi_cols)
 
@@ -373,7 +390,7 @@ def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
                     full[d, sub] = theta(sub, d, cfg).rank() == code.alpha
                 want = want and full[d, sub]
             rows = repair1.group_decoder(repair1._theta_cols, (code, cfg.field, d), group,
-                                         code.b, cfg.field)
+                                         code.b)
             assert (rows is not None) == want
             bad += not want
     assert bad == unusable
@@ -385,12 +402,12 @@ def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_cfg):
         z_d = code.beta_of(d)
         for group in combinations(range(1, code.n + 1), d - code.b):
             t, null = decoder_rows(repair1.group_decoder(
-                repair1._theta_cols, (code, cfg.field, d), group, code.b, cfg.field))
+                repair1._theta_cols, (code, cfg.field, d), group, code.b))
             rows, m = t + null, len(group) * z_d
             assert len(t) == code.alpha
             assert len(rows) == m and all(len(r) == m for r in rows)
             assert all(0 <= v < cfg.field.p for r in rows for v in r)
-            stacked = Mat(cfg.field, rows, cols=m) @ theta(group, d, cfg).transpose()
+            stacked = Mat(cfg.field, rows, cols=m) @ transpose(theta(group, d, cfg))
             want = [[int(i == j) for j in range(code.alpha)] for i in range(m)]
             assert stacked.tolist() == want       # T @ Theta_G^T = I, N @ Theta_G^T = 0
 

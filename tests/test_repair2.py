@@ -28,6 +28,7 @@ from reference_scan import (
     first_consistent,
     reference_find_field_scheme2,
     reference_singular_systems,
+    transpose,
 )
 from reference_stream import (
     ACTIVE,
@@ -143,7 +144,7 @@ def test_helper_stream_length_is_beta(a12_code):
     for d in (4, 5):
         plan = schedule_scheme2(a12_code, d)
         st = helper_stream(shares[1], plan, 3, F7)
-        assert len(st) == plan.symbols_per_helper == a12_code.beta_of(d)
+        assert len(st) == sum(it.n_groups for it in plan.iterations) == a12_code.beta_of(d)
     # d=5 -> 4 symbols (3 groups + 1 group); d=4 -> 6 symbols
 
 
@@ -491,7 +492,7 @@ def test_three_iteration_schedule():
     plan = schedule_scheme2(code, 7)
     taus = [(it.tau, it.mu, it.sigma) for it in plan.iterations]
     assert taus == [(4, 1, 1), (3, 1, 2), (1, 5, 0)]
-    assert plan.symbols_per_helper == code.beta_of(7) == 16
+    assert sum(it.n_groups for it in plan.iterations) == code.beta_of(7) == 16
 
 
 def test_three_iteration_repair_exact():
@@ -519,7 +520,7 @@ def test_four_iteration_with_unmerged_segments():
     plan = schedule_scheme2(code, 9)
     taus = [(it.tau, it.mu, it.sigma) for it in plan.iterations]
     assert taus == [(5, 1, 2), (3, 2, 1), (2, 3, 1), (1, 7, 0)]
-    assert plan.symbols_per_helper == code.beta_of(9) == 240
+    assert sum(it.n_groups for it in plan.iterations) == code.beta_of(9) == 240
 
     subset = (1, 2, 3, 5, 6, 8, 9)
     p = 1009
@@ -702,7 +703,7 @@ def test_stream_block_equals_a_sampled_fit(name, p):
             streams = Mat(fld, [helper_stream(sh, plan, f, fld) for sh in helper_shares])
             fit = left_inv @ streams
             assert xs @ fit == streams                  # the 10 extra messages agree
-            assert fit.transpose().tolist() == [list(col) for col in _stream_cols(plan, fld, f, h)]
+            assert transpose(fit).tolist() == [list(col) for col in _stream_cols(plan, fld, f, h)]
 
 
 @pytest.mark.parametrize("name, p, fs, unusable", [
@@ -725,7 +726,7 @@ def test_group_usable_iff_every_subset_system_has_full_rank(name, p, fs, unusabl
             others = [h for h in range(1, code.n + 1) if h != f]
             for group in combinations(others, d - code.b):
                 want = all(full[sub] for sub in combinations(group, span))
-                assert (group_decoder(_stream_cols, (plan, fld, f), group, code.b, fld)
+                assert (group_decoder(_stream_cols, (plan, fld, f), group, code.b)
                         is not None) == want
                 bad += not want
     assert bad == unusable
@@ -767,7 +768,7 @@ def test_decode_with_symbols_above_16_bits(a12_code, p):
     streams = {h: helper_stream(shares[h], plan, f, fld) for h in helpers}
     streams[1] = tuple(rng.randrange(p) for _ in streams[1])
     assert tg_repair2(streams, f, plan, fld) == shares[f].x
-    decoder = group_decoder(_stream_cols, (plan, fld, f), (2, 3, 4, 5), 1, fld)
+    decoder = group_decoder(_stream_cols, (plan, fld, f), (2, 3, 4, 5), 1)
     _, (cols, rows, width, _) = decoder
     assert width >= (len(cols) * (p - 1) ** 2).bit_length()    # a lane holds E @ rho's sums
     t, null = decoder_rows(decoder)
