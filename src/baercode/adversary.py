@@ -34,6 +34,8 @@ HONEST = "honest"
 RANDOM = "random"
 LIAR = "consistent_liar"
 _STRATEGIES = (HONEST, RANDOM, LIAR)
+# The strategy each word of the CLI's --adversary and of a scenario's `corrupt` names.
+NAMES = {"honest": HONEST, "random": RANDOM, "liar": LIAR, "consistent_liar": LIAR}
 
 
 class AdversaryPolicy:

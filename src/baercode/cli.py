@@ -61,9 +61,9 @@ def _load_params(path: str, need_p: bool = True):
 
 
 def _policy(args) -> adv.AdversaryPolicy:
-    strategy = {"honest": adv.HONEST, "random": adv.RANDOM, "liar": adv.LIAR}[args.adversary]
     controlled = simnet.parse_int_list(args.controlled or "")
-    return adv.AdversaryPolicy(controlled=controlled, strategy=strategy, seed=args.seed)
+    return adv.AdversaryPolicy(controlled=controlled, strategy=adv.NAMES[args.adversary],
+                               seed=args.seed)
 
 
 def _read_shares(paths, code, fld):
@@ -149,7 +149,7 @@ def cmd_repair(args) -> int:
         helpers = sorted(simnet.parse_int_list(args.helpers))
     else:
         helpers = sorted(shares)[:d]
-    if len(helpers) != d or any(h not in shares for h in helpers):
+    if len(helpers) != d or len(set(helpers)) != d or any(h not in shares for h in helpers):
         raise BaerCodeError(f"need share files for exactly d={d} helpers {helpers}")
     policy = _policy(args)
     sent, moved = repair.transmit(args.scheme, {h: shares[h] for h in helpers}, f, d,
@@ -163,7 +163,7 @@ def cmd_repair(args) -> int:
     if args.records:
         rec_dir = Path(args.records)
         rec_dir.mkdir(parents=True, exist_ok=True)
-        if args.scheme != "concat":         # concat helpers send no wire records
+        if args.scheme in repair.RECORD_MAGIC:      # concat helpers send no wire records
             for h, payload in sent.items():
                 (rec_dir / f"repair_h{h:02d}.rec").write_text(
                     repair.format_records(args.scheme, h, f, d, payload, code))
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scheme=True):
         p.add_argument("--params", required=True, help="flat key=value parameter file")
         if scheme:
-            p.add_argument("--scheme", choices=["1", "2", "concat"], default="1")
+            p.add_argument("--scheme", choices=repair.SCHEMES, default="1")
 
     p = sub.add_parser("bounds", help="capacity and repair-bandwidth table")
     common(p, scheme=False)

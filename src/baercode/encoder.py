@@ -105,8 +105,6 @@ def encode_all(blocks: Sequence[Mat], code: Derived, field: Field) -> list[NodeS
 # leading zeros).
 
 def format_share(share: NodeShare, code: Derived, field: Field, scheme: str) -> str:
-    if scheme not in ("1", "2", "concat"):
-        raise BaerCodeError(f"scheme must be 1, 2 or concat, got {scheme!r}")
     d_list = ",".join(str(d) for d in code.d_set)
     header = (
         f"{SHARE_MAGIC} p={field.p} n={code.n} k={code.k} b={code.b} "

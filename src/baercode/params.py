@@ -185,8 +185,7 @@ def schedule_scheme2(code: Derived, d: int) -> ScheduleII:
     plan.  At every iteration the active-segment count must be divisible by
     the group size, otherwise this d is unusable at this alpha.
     """
-    if d not in code.d_set:
-        raise BaerCodeError(f"d={d} not in D={code.d_set}")
+    code.beta_of(d)
     span = d - 2 * code.b
     xi = (span // code.lam) * code.lam
     if code.alpha % xi != 0:

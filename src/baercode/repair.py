@@ -1,16 +1,18 @@
 """One repair driver for every scheme, shared by the CLI and the simulator.
 
-transmit() reads each helper's share as the adversary policy serves it,
-computes the flat vector the helper sends (nothing from a share that is
-not alpha symbols of range(p)), lets a `random` helper replace it, and
-counts the symbols moved.  Each scheme has one column function cols
-(repair1._theta_cols, repair2._stream_cols, concat._cols): helper h sends
-x_h @ cols(h->f), one lane product by repair1.project, and by the
-symmetry of the product-matrix code that is x_f @ cols(f->h).  So
-decode() runs scheme 1's stacked test-group decoder (repair1.repair_scan)
-for all three schemes, through the one decoder cache repair1.group_decoder.
-It raises NoConsistentGroupError once the symbols have moved.  Wire records
-(format_records, parse_records) alone frame scheme 2's payload in rounds.
+_scheme() alone turns a name of SCHEMES into code, after the refusals each
+scheme owns: concat b > 0, scheme 1 an Omega truncation that loses rank,
+scheme 2 a d with no schedule, and any other name.  transmit() reads each
+helper's share as the adversary policy serves it, computes the flat vector
+the helper sends (nothing from a share that is not alpha symbols of
+range(p)), lets a `random` helper replace it, and counts the symbols moved.
+Each scheme has one column function cols (repair1._theta_cols,
+repair2._stream_cols, concat._cols): helper h sends x_h @ cols(h->f), one
+lane product by repair1.project, and by the product-matrix symmetry that is
+x_f @ cols(f->h).  So decode() runs one stacked test-group decoder,
+repair1.repair_scan, for all three schemes; it raises NoConsistentGroupError
+once the symbols have moved.  Wire records (format_records, parse_records)
+alone frame scheme 2's payload in rounds.
 """
 
 from __future__ import annotations
@@ -25,46 +27,48 @@ from .errors import BaerCodeError, OmegaRankDeficientError
 from .galois import Field
 from .params import Derived, schedule_scheme2
 
+SCHEMES = ("1", "2", "concat")
 
-def _omega(code: Derived, fld: Field) -> repair1.OmegaConfig:
-    """Scheme 1's Omega, refused when a truncation loses rank."""
-    cfg = repair1.omega_build(code, fld)
-    if cfg.deficient:
-        raise OmegaRankDeficientError(
-            f"Omega truncation rank-deficient over GF({fld.p}); pick a larger prime")
-    return cfg
+
+def _scheme(scheme: str, code: Derived, fld: Field, d: int):
+    """(send, rebuild) of the named scheme at d: send(share, f, helpers) is
+    the payload a helper sends, rebuild(payloads, f) the repaired x_f."""
+    if scheme == "concat":
+        concat.require_b0(code)
+        return (lambda sh, f, helpers:
+                    repair1.project(sh.x, concat._cols, code, fld, helpers, sh.index, f),
+                lambda sent, f: concat.testgroup_repair(sent, f, d, code, fld))
+    if scheme == "1":
+        cfg = repair1.omega_build(code, fld)
+        if cfg.deficient:
+            raise OmegaRankDeficientError(
+                f"Omega truncation rank-deficient over GF({fld.p}); pick a larger prime")
+        return (lambda sh, f, helpers: repair1.helper_repair_symbols(sh, f, d, cfg),
+                lambda sent, f: repair1.testgroup_repair(sent, f, d, cfg))
+    if scheme == "2":
+        plan = schedule_scheme2(code, d)
+        return (lambda sh, f, helpers: repair2.helper_stream(sh, plan, f, fld),
+                lambda sent, f: repair2.testgroup_repair2(sent, f, plan, fld))
+    raise BaerCodeError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
 
 def check(scheme: str, code: Derived, fld: Field) -> None:
-    """Refuse a configuration the scheme cannot repair in: concat needs b = 0,
-    scheme 1 a full-rank Omega, scheme 2 a schedule for every d in D."""
-    if scheme == "concat":
-        concat.require_b0(code)
-    elif scheme == "1":
-        _omega(code, fld)
-    else:
-        for d in code.d_set:
-            schedule_scheme2(code, d)
+    """Refuse a configuration the scheme cannot repair in at some d in D."""
+    for d in code.d_set:
+        _scheme(scheme, code, fld, d)
 
 
 def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
              policy: adv.AdversaryPolicy, code: Derived, fld: Field) -> tuple[dict[int, tuple], int]:
     """({helper: payload sent}, symbols moved) for the helpers' live shares.
     It does not count them: the CLI and the simulator check for d first."""
-    if scheme == "concat":
-        concat.require_b0(code)
-        helpers = tuple(sorted(shares))
-        send = lambda sh: repair1.project(sh.x, concat._cols, code, fld, helpers, sh.index, f)
-    elif scheme == "1":
-        cfg = _omega(code, fld)
-        send = lambda sh: repair1.helper_repair_symbols(sh, f, d, cfg)
-    else:
-        plan = schedule_scheme2(code, d)
-        send = lambda sh: repair2.helper_stream(sh, plan, f, fld)
+    send, _ = _scheme(scheme, code, fld, d)
+    helpers = tuple(sorted(shares))
     stored = {h: policy.effective_share(sh, code, fld) for h, sh in shares.items()}
     sent = {
         h: adv.corrupt_repair_symbols(
-            policy, h, send(sh) if len(sh.x) == code.alpha and fld.holds(sh.x) else (), fld)
+            policy, h,
+            send(sh, f, helpers) if len(sh.x) == code.alpha and fld.holds(sh.x) else (), fld)
         for h, sh in stored.items()
     }
     return sent, sum(map(len, sent.values()))
@@ -73,13 +77,8 @@ def transmit(scheme: str, shares: Mapping[int, NodeShare], f: int, d: int,
 def decode(scheme: str, sent: Mapping[int, tuple[int, ...]], f: int, d: int, code: Derived,
            fld: Field) -> NodeShare:
     """The repaired share of node f from the payloads transmit() returned."""
-    if scheme == "concat":
-        x = concat.testgroup_repair(sent, f, d, code, fld)
-    elif scheme == "1":
-        x = repair1.testgroup_repair(sent, f, d, repair1.omega_build(code, fld))
-    else:
-        x = repair2.testgroup_repair2(sent, f, schedule_scheme2(code, d), fld)
-    return NodeShare(index=f, x=tuple(x))
+    _, rebuild = _scheme(scheme, code, fld, d)
+    return NodeShare(index=f, x=tuple(rebuild(sent, f)))
 
 
 # -- repair wire records ----------------------------------------------------

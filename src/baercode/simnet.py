@@ -34,8 +34,6 @@ from .galois import Field
 from .params import Derived, check_field
 from .reconstruct import testgroup_reconstruct
 
-SCHEMES = ("1", "2", "concat")
-
 
 @dataclass(frozen=True)
 class Event:
@@ -112,8 +110,6 @@ class Cluster:
     """Live cluster state; mutate only through run_event."""
 
     def __init__(self, code: Derived, message: Sequence[int], scheme: str, fld: Field):
-        if scheme not in SCHEMES:
-            raise BaerCodeError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
         check_field(code, fld)
         repair.check(scheme, code, fld)
         self.code = code
@@ -249,11 +245,10 @@ def parse_scenario(text: str) -> list[Event]:
             elif kind == "reconstruct":
                 events.append(Event(kind="reconstruct", nodes=parse_int_list(toks[1])))
             elif kind == "corrupt":
-                strategy = {"random": adv.RANDOM, "liar": adv.LIAR,
-                            "consistent_liar": adv.LIAR, "honest": adv.HONEST}[toks[1]]
                 opts = _opts(toks[2:])
                 events.append(Event(
-                    kind="corrupt", strategy=strategy, nodes=parse_int_list(opts.get("nodes", "")),
+                    kind="corrupt", strategy=adv.NAMES[toks[1]],
+                    nodes=parse_int_list(opts.get("nodes", "")),
                     seed=int(opts.get("seed", 0)),
                 ))
             else:

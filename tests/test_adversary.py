@@ -1,12 +1,14 @@
+import argparse
 import random
 from itertools import combinations
 
 import pytest
 
-from baercode import repair, repair1, repair2
+from baercode import cli, repair, repair1, repair2
 from baercode.adversary import (
     HONEST,
     LIAR,
+    NAMES,
     RANDOM,
     AdversaryPolicy,
     corrupt_access,
@@ -18,6 +20,7 @@ from baercode.errors import BaerCodeError
 from baercode.galois import Field
 from baercode.params import schedule_scheme2
 from baercode.reconstruct import testgroup_reconstruct as tg_reconstruct
+from baercode.simnet import parse_scenario
 
 F17 = Field(17)
 
@@ -125,3 +128,20 @@ def test_model_guarantee_under_every_policy(ex3_code):
             for access in combinations(sorted(view), 3):
                 got = tg_reconstruct([view[n] for n in access], ex3_code, F17)
                 assert got == msg
+
+
+def test_one_word_table_for_the_cli_and_scenarios():
+    """Every word of adversary.NAMES parses in a `corrupt` scenario line, and
+    every --adversary choice of the CLI picks the strategy its scenario word
+    picks; the CLI accepts no word beyond honest, random and liar."""
+    for word, strategy in NAMES.items():
+        assert parse_scenario(f"corrupt {word} nodes=1 seed=2\n")[0].strategy == strategy
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and "repair" in a.choices)
+    for command in ("repair", "reconstruct"):
+        choices = next(a.choices for a in subparsers.choices[command]._actions
+                       if a.dest == "adversary")
+        assert list(choices) == ["honest", "random", "liar"]
+        for word in choices:
+            args = argparse.Namespace(adversary=word, controlled="1", seed=2)
+            assert cli._policy(args).strategy == parse_scenario(f"corrupt {word}\n")[0].strategy

@@ -218,6 +218,9 @@ def battery():
                                     "--scenario", "in/reconstruct-failed.scn"]),
         ("ex3-repair-stdout", ["repair", "--params", "ex3.params", "--failed", 1, "--d", 4,
                                *_shares("ex3", range(2, 6))]),
+        ("ex3-repair-repeated-helper", ["repair", "--params", "ex3.params", "--failed", 6,
+                                        "--d", 4, "--helpers", "1,1,2,3",
+                                        *_shares("ex3", range(1, 6))]),
     ]
     return steps
 

@@ -77,6 +77,8 @@ def test_gamma_mbr_values(ex3_code, ex1_code):
         ex3_code.gamma_of(6)
     with pytest.raises(BaerCodeError, match=re.escape("d=6 not in D=(4, 5)")):
         ex3_code.beta_of(6)
+    with pytest.raises(BaerCodeError, match=re.escape("d=6 not in D=(4, 5)")):
+        schedule_scheme2(ex3_code, 6)       # the schedule refuses d through beta_of
 
 
 def test_f_mbr_values(ex3_code, ex1_code):

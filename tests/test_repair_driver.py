@@ -11,6 +11,7 @@ from baercode import adversary as adv
 from baercode import concat, repair, repair1, repair2
 from baercode.cli import main
 from baercode.encoder import NodeShare, build_data_matrix, encode_all, format_share
+from baercode.errors import BaerCodeError
 from baercode.galois import Field
 from baercode.params import schedule_scheme2
 from baercode.repair import parse_records
@@ -133,3 +134,26 @@ def test_out_of_range_share_sends_nothing(request, scheme, code_name):
         assert sent == {**honest, 1: ()} and symbols == moved - len(honest[1])
         if code.b:
             assert repair.decode(scheme, sent, f, d, code, fld) == shares[f]
+
+
+
+@pytest.mark.parametrize("entry", ["check", "transmit", "decode", "init_cluster"])
+def test_unknown_scheme_is_refused_alike_everywhere(entry, ex3_code, ex3_search):
+    """Every entry to the driver, and the simulator above it, refuses a name
+    outside repair.SCHEMES with the same error, before any symbol moves."""
+    code, fld = ex3_code, ex3_search.field
+    shares = {s.index: s for s in encode_all(
+        build_data_matrix([0] * code.f_mbr, code, fld), code, fld)}
+    helpers = {h: shares[h] for h in range(1, 5)}
+    sent, _ = repair.transmit("1", helpers, 6, 4, adv.AdversaryPolicy(), code, fld)
+    call = {
+        "check": lambda: repair.check("bogus", code, fld),
+        "transmit": lambda: repair.transmit("bogus", helpers, 6, 4, adv.AdversaryPolicy(),
+                                            code, fld),
+        "decode": lambda: repair.decode("bogus", sent, 6, 4, code, fld),
+        "init_cluster": lambda: init_cluster(code, [0] * code.f_mbr, "bogus", fld),
+    }[entry]
+    message = re.escape(f"scheme must be one of {repair.SCHEMES}, got 'bogus'")
+    with pytest.raises(BaerCodeError, match=f"^{message}$"):
+        call()
+    assert repair.SCHEMES == ("1", "2", "concat")
