@@ -4,7 +4,8 @@ Subcommands: bounds, find-field, encode, repair, reconstruct, simulate,
 selftest.  Exit codes: 0 ok, 2 validation error, 3 decode failure (no
 consistent test-group), 4 configuration uncertified.  `repair` runs the
 same driver as the simulator (repair.transmit, repair.decode) and alone
-writes the helpers' payloads out as wire records.
+writes the helpers' payloads out as wire records.  `main(argv)` may run many
+times in one process (the golden battery, bench cli-s1): it builds one parser.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import adversary as adv
@@ -251,6 +253,7 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_UNCERTIFIED
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="baercode",

@@ -1,8 +1,9 @@
+import argparse
 import random
 
 import pytest
 
-from baercode import repair1
+from baercode import cli, repair1
 from baercode.cli import main
 from baercode.galois import Field
 from baercode.params import CodeParams, validate
@@ -448,3 +449,86 @@ def test_repair_rejects_a_failed_node_outside_the_cluster(capsys, tmp_path, sche
                "--d", 4, "--out", out, *sorted(shares.iterdir())) == 2
     assert capsys.readouterr().err == f"error: invalid failed node {failed}\n"
     assert not out.exists()
+
+
+# -- one parser per process ---------------------------------------------------
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, workspace):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    helpers = [shares / f"node{h:02d}.share" for h in (1, 3, 4, 5)]
+    tops = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        tops.append(kwargs.get("prog") == "baercode")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run("bounds", "--params", params) == 0
+        assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+        assert run("repair", "--params", params, "--failed", 2, "--d", 4,
+                   "--out", tmp / "rebuilt", *helpers) == 0
+        assert run("reconstruct", "--params", params, "--out", tmp / "msg", *helpers) == 0
+    assert tops.count(True) == 1
+
+
+def test_shared_parser_forgets_repair_outputs(capsys, workspace):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    helpers = [shares / f"node{h:02d}.share" for h in (1, 3, 4, 5)]
+    argv = ("repair", "--params", params, "--failed", 2, "--d", 4)
+    assert run(*argv, "--records", tmp / "recs", "--out", tmp / "rebuilt", *helpers) == 0
+    before = sorted(tmp.rglob("*"))
+    capsys.readouterr()
+    assert run(*argv, *helpers) == 0
+    out = capsys.readouterr().out
+    assert out.startswith((shares / "node02.share").read_text())
+    assert out.endswith("bandwidth: d=4 per_helper=3 total=12 (gamma_mbr=12)\n")
+    assert sorted(tmp.rglob("*")) == before
+
+
+def test_shared_parser_forgets_reconstruct_nodes(workspace):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    files = sorted(shares.iterdir())
+    assert run("reconstruct", "--params", params, "--nodes", "2,3,4",
+               "--out", tmp / "a", *files) == 0
+    # files of nodes 1, 2, 5, 6: the first k are 1, 2, 5; nodes 3 and 4 are absent
+    rest = [f for f in files if f.name not in ("node03.share", "node04.share")]
+    assert run("reconstruct", "--params", params, "--out", tmp / "b", *rest) == 0
+    assert (tmp / "a").read_bytes() == (tmp / "b").read_bytes() == msg.read_bytes()
+
+
+def test_shared_parser_recovers_from_a_usage_error(capsys, workspace):
+    _, params, _ = workspace
+    assert run("bounds", "--params", params) == 0
+    usual = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("bounds")
+    assert exc.value.code == 2
+    assert "--params" in capsys.readouterr().err
+    assert run("bounds", "--params", params) == 0
+    assert capsys.readouterr() == usual
+
+
+@pytest.mark.parametrize("command", [None, "bounds", "find-field", "encode", "repair",
+                                     "reconstruct", "simulate", "selftest"])
+def test_shared_parser_prints_the_same_help_every_time(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    printed = []
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr().out)
+    fresh = cli.build_parser.__wrapped__()
+    if command:
+        sub = next(a for a in fresh._actions if isinstance(a, argparse._SubParsersAction))
+        fresh = sub.choices[command]
+    assert printed[0] == printed[2] == fresh.format_help()
