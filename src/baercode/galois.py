@@ -363,3 +363,12 @@ def lane_product(vec: Sequence[int], packed: tuple, p: int) -> list[int]:
     """A @ vec mod p for A = pack_columns(rows, p) and every entry of vec in range(p)."""
     cols, rows, width, tc = packed
     return [v % p for v in _unpack(sum(map(mul, vec, cols)), rows, width, tc)]
+
+
+def scale_packed(packed: tuple, row_scale: Sequence[int], col_scale: Sequence[int], p: int) -> tuple:
+    """pack_columns of diag(row_scale, I) @ A @ diag(col_scale) for A = pack_columns(rows, p):
+    the lanes past len(row_scale) keep scale 1."""
+    cols, rows, width, tc = packed
+    scale = (*row_scale, *(1,) * (rows - len(row_scale)))
+    return tuple(_pack([v * r * k % p for v, r in zip(_unpack(col, rows, width, tc), scale)], width, tc)
+                 for col, k in zip(cols, col_scale)), rows, width, tc

@@ -7,15 +7,15 @@ every block.  _node_block returns its columns in closed form from psi_h(1)
 and encoder.fill_order, building no data matrix.  So reconstruction runs the
 stacked test-group decoder of repair (repair1.testgroup_scan over
 repair1.group_decoder, keyed on (params, field)), one decoder per test-group
-of k-b nodes shared by all z blocks: the first group
-whose z stacked chunks all have a zero syndrome is accepted, and its left
-inverse returns the message.  That is the group the paper's scan accepts,
-the first one whose estimates from every size-(k-2b) subset agree: an
-estimate passes the structure check (a symmetric N) exactly when its
-subset's payload lies in the row space of the subset's stacked blocks, and
-any kappa points form a Vandermonde of full rank, so every group is usable,
-b = 0 included.  A share whose length is not alpha, or that holds a symbol
-outside range(p), is a lie, like any other.
+of k-b nodes shared by all z blocks and eliminated once per translation
+class (_node_law, see repair1): the first group whose z stacked chunks all
+have a zero syndrome is accepted, and its left inverse returns the message.
+That is the group the paper's scan accepts, the first one whose estimates
+from every size-(k-2b) subset agree: an estimate passes the structure check
+(a symmetric N) exactly when its subset's payload lies in the row space of
+the subset's stacked blocks, and any kappa points form a Vandermonde of full
+rank, so every group is usable, b = 0 included.  A share whose length is not
+alpha, or that holds a symbol outside range(p), is a lie, like any other.
 
 reconstruct_estimate is that per-subset estimate: a product-matrix decode
 of all z blocks side by side from kappa shares (pm_reconstruct_component:
@@ -137,6 +137,16 @@ def _node_block(code: Derived, field: Field, h: int) -> tuple[tuple[int, ...], .
     order = fill_order(code)
     return tuple(tuple(psi[c] if t == a else psi[a] if t == c else 0 for a, c in order)
                  for t in range(code.lam))
+
+
+def _node_law(code: Derived, field: Field, s: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_node_block's translation law (see repair1): R_s = diag(g^(s(a+c))) over
+    the fill-order symbols (a, c), C_s = diag(g^(-s*t)) over the lam columns t."""
+    up, down = (field.powers(pow(field.g, v, field.p), 2 * code.lam) for v in (s, -s))
+    return tuple(up[a + c] for a, c in fill_order(code)), down[:code.lam]
+
+
+_node_block.law = _node_law
 
 
 def testgroup_reconstruct(

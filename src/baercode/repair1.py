@@ -27,15 +27,24 @@ function cols, one per scheme: _theta_cols here, repair2._stream_cols and
 concat._cols through repair_scan, and reconstruct._node_block, given the
 cols and its key alone (the field is key[1]; testgroup_scan derives shapes).
 
-Theta_H is provably invertible only over impractically large alphabets, so
-a configuration is instead certified empirically, by rank alone (no
-inverse is kept).  verify_theta_all checks every (d, H) pair and lists
-every singular one.  find_field runs search_field, every scheme's prime
-search, over p >= n+1: it refuses a prime whose Omega truncations lose rank
-(read off Omega's exponents, see omega_build) before building any Theta,
-and otherwise stops at the first singular Theta.  Omega's exponents are
-fixed, i_j = alpha*n*(j-1) + 1, so Omega is a function of (params, field)
-alone and every party derives it independently.
+Translation.  Block entries are monomials in e_h = g^h: entry (m, j) of
+_theta_cols(h) is e_h^m * Omega[m // lam][j], and entry ((a, c), t) of
+reconstruct._node_block(h) is e_h^c at t = a and e_h^a at t = c.  As
+e_{h+s} = g^s * e_h, block(h+s) = R_s @ block(h) @ C_s for the diagonals
+R_s = diag(g^(s*m)), C_s = I here, and R_s = diag(g^(s*(a+c))),
+C_s = diag(g^(-s*t)) there: each column function's `law`.  So
+Theta_{H+s} = R_s @ Theta_H @ diag(C_s, ...) has H's rank and usability,
+and E = [T; N] of H scales to diag(R_s^-1, I) @ E @ diag(C_s^-1, ...).  A
+translation class is decided by its representative, shifted to hold node 1.
+
+Theta_H is provably invertible only over impractically large alphabets, so a
+configuration is certified by rank alone, keeping no inverse, one helper set
+per translation class (at mid scale 210 ranks decide 462 Thetas);
+verify_theta_all lists every singular (d, H).  find_field runs search_field,
+every scheme's prime search, over p >= n+1: it refuses a prime whose Omega
+truncations lose rank (see omega_build) before any Theta, and otherwise
+stops at the first singular class.  Omega's exponents are fixed, i_j =
+alpha*n*(j-1) + 1, so every party derives Omega from (params, field) alone.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .encoder import NodeShare, coeff_vector
 from .errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
-from .galois import Field, Mat, lane_product, pack_columns, primes_from
+from .galois import Field, Mat, lane_product, pack_columns, primes_from, scale_packed
 from .params import P_LIMIT, Derived, check_field
 
 MAX_CANDIDATES = 2000    # primes search_field tries before it gives up
@@ -83,6 +92,11 @@ def _theta_cols(code: Derived, fld: Field, d: int, h: int) -> tuple[tuple[int, .
     psi = coeff_vector(fld, h, code.alpha)
     return tuple(tuple(v * omega[pos // lam][j] % p for pos, v in enumerate(psi))
                  for j in range(code.beta_of(d)))
+
+
+# (R_s, C_s) of the translation law: R_s = diag(g^(s*m)) over the alpha unknowns, C_s = I.
+_theta_cols.law = lambda code, fld, d, s: (fld.powers(pow(fld.g, s, fld.p), code.alpha),
+                                           (1,) * code.beta_of(d))
 
 
 @lru_cache(maxsize=256)
@@ -123,10 +137,7 @@ def helper_repair_symbols(share: NodeShare, f: int, d: int, cfg: OmegaConfig) ->
 
 
 def theta(helpers: Sequence[int], d: int, cfg: OmegaConfig) -> Mat:
-    """alpha x len(helpers)*z_d matrix [Phi_{h_1} @ Omega_{z_d} | Phi_{h_2} @ Omega_{z_d} | ...].
-
-    Square for the d-2b helpers of an estimate subset.
-    """
+    """alpha x len(helpers)*z_d matrix [Phi_{h_1} @ Omega_{z_d} | ...], square for d-2b helpers."""
     cols = [c for h in helpers for c in _theta_cols(cfg.code, cfg.field, d, h)]
     return Mat(cfg.field, zip(*cols), cols=len(cols))
 
@@ -144,8 +155,22 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[in
     to a matrix of rank u exactly when N's b*w columns of those members are
     independent, so G is usable when Theta_G has rank u and every such minor
     of N has full rank.  So E @ rho is one lane product: lanes below u
-    hold T @ rho, the rest the syndrome N @ rho.
+    hold T @ rho, the rest the syndrome N @ rho.  A block with a translation
+    `law` (module docstring) eliminates only G's representative G - s, once
+    (_class_decoder), and scales its E into G's.
     """
+    law, s = getattr(block, "law", None), min(group) - 1
+    if law is None:
+        return _eliminate(block, key, group, b)
+    decoder = _class_decoder(block, key, tuple(h - s for h in group), b)
+    if decoder is None or s == 0:
+        return decoder
+    (r_inv, c_inv), (u, packed) = law(*key, -s), decoder
+    return u, scale_packed(packed, r_inv, c_inv * len(group), key[1].p)
+
+
+def _eliminate(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[int, tuple] | None:
+    """group_decoder by one elimination of G's stacked blocks and the b-minor ranks of N."""
     fld, cols = key[1], [col for h in group for col in block(*key, h)]
     u, w = len(cols[0]), len(cols) // len(group)
     try:
@@ -158,6 +183,11 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[in
         if Mat(fld, minor, cols=bw).rank() < bw:
             return None
     return u, pack_columns(rows, fld.p)
+
+
+_class_decoder = lru_cache(maxsize=16384)(_eliminate)
+_clear_groups = group_decoder.cache_clear   # clearing group_decoder clears both caches
+group_decoder.cache_clear = lambda: _class_decoder.cache_clear() or _clear_groups()
 
 
 def testgroup_scan(payloads: Mapping[int, Sequence[int]], chunks: int, b: int,
@@ -252,28 +282,30 @@ def _theta_count(code: Derived) -> int:
     return sum(comb(code.n, d - 2 * code.b) for d in code.d_set)
 
 
-def _singular_thetas(code: Derived, cfg: OmegaConfig):
-    """Yield each (d, H) whose Theta_H is singular, in sweep order.
-
-    Only the rank of each Theta is computed, so a sweep stores no inverse
-    and builds no test-group decoder.
-    """
+def _singular_classes(code: Derived, cfg: OmegaConfig):
+    """Yield each (d, H) whose Theta_H is singular, in sweep order, H running
+    over the translation-class representatives, the helper sets holding node
+    1.  Only ranks are computed: no inverse, no test-group decoder."""
     for d in code.d_set:
-        for subset in combinations(range(1, code.n + 1), d - 2 * code.b):
-            if theta(subset, d, cfg).rank() < code.alpha:
-                yield d, subset
+        for rest in combinations(range(2, code.n + 1), d - 2 * code.b - 1):
+            if theta((1, *rest), d, cfg).rank() < code.alpha:
+                yield d, (1, *rest)
 
 
 def verify_theta_all(code: Derived, fld: Field) -> ThetaReport:
     """Check every Theta_H over all (d in D, H subset of nodes, |H| = d-2b).
 
-    An empty report certifies the configuration for repair with any helper
-    choice; rank failures are reported as data rather than raised so callers
-    can display them.
+    Each translation class is ranked once, and every (d, H) of a singular
+    class is listed in sweep order.  An empty report certifies the
+    configuration for any helper choice; rank failures are data, not raised.
     """
     cfg = omega_build(code, fld)
+    bad = set(_singular_classes(code, cfg))
+    singular = tuple((d, sub) for d in code.d_set
+                     for sub in combinations(range(1, code.n + 1), d - 2 * code.b)
+                     if (d, tuple(h + 1 - sub[0] for h in sub)) in bad)
     return ThetaReport(p=fld.p, checked=_theta_count(code), omega_deficient=cfg.deficient,
-                       singular=tuple(_singular_thetas(code, cfg)))
+                       singular=singular)
 
 
 class FieldSearch(NamedTuple):
@@ -305,7 +337,7 @@ def find_field(code: Derived, start: int | None = None) -> FieldSearch:
     """The first prime p >= n+1 whose Omega truncations and Thetas all have full rank."""
     def refuses(fld):
         cfg = omega_build(code, fld)
-        return bool(cfg.deficient) or next(_singular_thetas(code, cfg), None) is not None
+        return bool(cfg.deficient) or next(_singular_classes(code, cfg), None) is not None
     return search_field(code, refuses, lambda p: ThetaReport(p, _theta_count(code), ()),
                         "certified", start)
 

@@ -12,7 +12,10 @@ inverses, shares its MALFORMED sentinel.
 
 repair2 certifies a field by ranking each (exponent class, helper subset)
 once; reference_singular_systems ranks every (d, subset, round, group)
-system on its own, as the sweep did before the classes.
+system on its own, as the sweep did before the classes.  repair1 ranks one
+helper set per translation class; reference_singular_thetas ranks every
+Theta_H and every Omega truncation on its own, and reference_find_field
+searches with it.
 
 concat.served hands out components by a closed-form rotation;
 least_loaded_assignment is the greedy it replaces, the oracle for it.
@@ -24,7 +27,8 @@ repair1.group_decoder keeps E = [T; N] packed by columns; decoder_rows reads
 its rows back.
 
 galois.Mat has no identity or transpose: identity and transpose build them
-for the tests' checks.
+for the tests' checks.  count_calls counts a Mat method's calls, for the
+tests that pin exact work counts.
 """
 
 from itertools import combinations
@@ -34,6 +38,7 @@ from baercode.errors import NoConsistentGroupError, StructureViolationError
 from baercode.galois import Field, Mat, _unpack, primes_from
 from baercode.params import schedule_scheme2
 from baercode.reconstruct import reconstruct_estimate
+from baercode.repair1 import omega_build, theta
 from baercode.repair2 import _group_matrix
 
 
@@ -128,6 +133,33 @@ def reference_find_field_scheme2(code):
         rejected.append(p)
 
 
+def reference_singular_thetas(code, fld):
+    """(checked, omega_deficient, singular) of repair1.verify_theta_all, by
+    one rank per Omega truncation and one per (d, H) Theta, in sweep order."""
+    cfg = omega_build(code, fld)
+    omega = cfg.omega.data
+    deficient = tuple(d for d in code.d_set
+                      if Mat(fld, [row[:code.beta_of(d)] for row in omega]).rank() < code.beta_of(d))
+    checked, singular = 0, []
+    for d in code.d_set:
+        for subset in combinations(range(1, code.n + 1), d - 2 * code.b):
+            checked += 1
+            if theta(subset, d, cfg).rank() < code.alpha:
+                singular.append((d, subset))
+    return checked, deficient, tuple(singular)
+
+
+def reference_find_field(code):
+    """(p, rejected) of repair1.find_field: the first prime >= n+1 whose
+    reference sweep finds no rank-deficient Omega truncation or Theta."""
+    rejected = []
+    for p in primes_from(code.n + 1):
+        _, deficient, singular = reference_singular_thetas(code, Field(p))
+        if not deficient and not singular:
+            return p, tuple(rejected)
+        rejected.append(p)
+
+
 def least_loaded_assignment(n_components, helpers, d_min):
     """Per component (1-based order), the ascending tuple of its d_min
     helpers: each component in turn takes the d_min least-loaded helpers,
@@ -167,3 +199,13 @@ def identity(field, n):
 def transpose(m):
     """m^T; a matrix with no rows transposes to one with no columns."""
     return Mat(m.field, list(zip(*m.data)) or [()] * m.cols, cols=m.rows)
+
+
+def count_calls(monkeypatch, name, run):
+    """Calls of Mat.<name> that run() makes."""
+    calls = []
+    method = getattr(Mat, name)
+    monkeypatch.setattr(Mat, name, lambda self: calls.append(1) or method(self))
+    run()
+    monkeypatch.undo()
+    return len(calls)

@@ -4,7 +4,7 @@ from itertools import combinations, takewhile
 import pytest
 
 from baercode import adversary as adv
-from baercode import repair, repair1
+from baercode import reconstruct, repair, repair1
 from baercode.encoder import build_data_matrix, encode_all
 from baercode.errors import (
     BaerCodeError,
@@ -24,7 +24,14 @@ from baercode.repair1 import (
     verify_theta_all,
 )
 
-from reference_scan import MALFORMED, decoder_rows, transpose
+from reference_scan import (
+    MALFORMED,
+    count_calls,
+    decoder_rows,
+    reference_find_field,
+    reference_singular_thetas,
+    transpose,
+)
 
 
 def encoded_cluster(code, fld, seed):
@@ -272,6 +279,55 @@ def test_find_field_pins_mid_search(monkeypatch):
     assert repair1.group_decoder.cache_info() == decoders   # nor builds a group decoder
 
 
+@pytest.mark.parametrize("where", ["ex3", "mid", "a12"])
+def test_class_sweep_equals_per_subset_sweep(where, ex3_code, a12_code):
+    """verify_theta_all ranks one helper set per translation class, and
+    find_field searches with those ranks; the per-subset reference sweep
+    ranks every Theta and every Omega truncation, at every prime below 60."""
+    code = {"ex3": ex3_code, "mid": mid_code(), "a12": a12_code}[where]
+    verdicts = set()
+    for p in takewhile(lambda p: p < 60, primes_from(code.n + 1)):
+        report = verify_theta_all(code, Field(p))
+        got = report.checked, report.omega_deficient, report.singular
+        assert got == reference_singular_thetas(code, Field(p)), p
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}            # certified and rejected primes both compared
+    search = find_field(code)
+    assert (search.field.p, search.rejected) == reference_find_field(code)
+
+
+def test_certification_ranks_each_translation_class_once(monkeypatch):
+    """Exact work counts at mid: 210 ranks, one per translation class, decide
+    the 462 Thetas over GF(23), and the search over GF(11) to GF(23) ranks
+    300 (one rank per helper set took 462 and 678)."""
+    code = mid_code()
+    assert count_calls(monkeypatch, "rank", lambda: verify_theta_all(code, Field(23))) == 210
+    assert count_calls(monkeypatch, "rank", lambda: find_field(code)) == 300
+
+
+def test_group_decoders_eliminate_each_translation_class_once(monkeypatch):
+    """Building every group decoder at mid over GF(23) eliminates one group per
+    translation class: scheme 1's 462 groups take 252 eliminations (one per
+    group took 462), reconstruction's 120 take 36 (120).  The cache still
+    counts one miss per group."""
+    code, fld = mid_code(), Field(23)
+
+    def build_all(block, keys):
+        repair1.group_decoder.cache_clear()
+        for key, size in keys:
+            for group in combinations(range(1, code.n + 1), size):
+                repair1.group_decoder(block, key, group, code.b)
+
+    s1 = [((code, fld, d), d - code.b) for d in code.d_set]
+    assert count_calls(monkeypatch, "echelon_transform",
+                       lambda: build_all(repair1._theta_cols, s1)) == 252
+    assert repair1.group_decoder.cache_info().misses == 462
+    rec = [((code, fld), code.k - code.b)]
+    assert count_calls(monkeypatch, "echelon_transform",
+                       lambda: build_all(reconstruct._node_block, rec)) == 36
+    assert repair1.group_decoder.cache_info().misses == 120
+
+
 def test_verify_theta_lists_every_singular_matrix():
     report = verify_theta_all(mid_code(), Field(19))
     assert report.checked == 462 and report.omega_deficient == ()
@@ -397,18 +453,24 @@ def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
 
 
 def test_group_decoder_inverts_and_annihilates_theta(ex3_code, ex3_cfg):
-    code, cfg = ex3_code, ex3_cfg
-    for d in code.d_set:
-        z_d = code.beta_of(d)
-        for group in combinations(range(1, code.n + 1), d - code.b):
-            t, null = decoder_rows(repair1.group_decoder(
-                repair1._theta_cols, (code, cfg.field, d), group, code.b))
-            rows, m = t + null, len(group) * z_d
-            assert len(t) == code.alpha
+    """E = [T; N] of every group, eliminated or scaled from its translation
+    class's representative: scheme 1 at ex3 and mid, and reconstruction's
+    _node_block at mid."""
+    mid, f23 = mid_code(), Field(23)
+    cases = [(repair1._theta_cols, (code, fld, d), d - code.b)
+             for code, fld in ((ex3_code, ex3_cfg.field), (mid, f23)) for d in code.d_set]
+    cases.append((reconstruct._node_block, (mid, f23), mid.k - mid.b))
+    for block, key, size in cases:
+        code, fld = key[:2]
+        for group in combinations(range(1, code.n + 1), size):
+            t, null = decoder_rows(repair1.group_decoder(block, key, group, code.b))
+            theta_t = [col for h in group for col in block(*key, h)]   # Theta_G^T
+            rows, m, u = t + null, len(theta_t), len(theta_t[0])
+            assert len(t) == u == (code.alpha if block is repair1._theta_cols else code.f_mbr // code.z)
             assert len(rows) == m and all(len(r) == m for r in rows)
-            assert all(0 <= v < cfg.field.p for r in rows for v in r)
-            stacked = Mat(cfg.field, rows, cols=m) @ transpose(theta(group, d, cfg))
-            want = [[int(i == j) for j in range(code.alpha)] for i in range(m)]
+            assert all(0 <= v < fld.p for r in rows for v in r)
+            stacked = Mat(fld, rows, cols=m) @ Mat(fld, theta_t, cols=u)
+            want = [[int(i == j) for j in range(u)] for i in range(m)]
             assert stacked.tolist() == want       # T @ Theta_G^T = I, N @ Theta_G^T = 0
 
 

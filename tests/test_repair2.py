@@ -24,6 +24,7 @@ from baercode.repair2 import (
 )
 
 from reference_scan import (
+    count_calls,
     decoder_rows,
     first_consistent,
     reference_find_field_scheme2,
@@ -443,22 +444,13 @@ def test_find_field_scheme2_equals_the_per_system_search(name):
     assert (fld.p, rejected) == reference_find_field_scheme2(code)
 
 
-def count_rank_calls(monkeypatch, run):
-    calls = []
-    rank = Mat.rank
-    monkeypatch.setattr(Mat, "rank", lambda self: calls.append(1) or rank(self))
-    run()
-    monkeypatch.undo()
-    return len(calls)
-
-
 def test_certification_ranks_each_class_and_subset_once(monkeypatch):
     """Exact work counts: s2's 5124 systems at GF(19) fall into 462 (class,
     subset) pairs, and the search over GF(11), GF(13), GF(17) and GF(19)
     ranks 1232, against 14266 systems."""
     code = s2_code()
-    assert count_rank_calls(monkeypatch, lambda: verify_systems_all(code, Field(19))) == 462
-    assert count_rank_calls(monkeypatch, lambda: find_field_scheme2(code)) == 1232
+    assert count_calls(monkeypatch, "rank", lambda: verify_systems_all(code, Field(19))) == 462
+    assert count_calls(monkeypatch, "rank", lambda: find_field_scheme2(code)) == 1232
 
 
 # The d=8 round-3 system of s2 is a generalized Vandermonde in e_h^20 (its
