@@ -2,10 +2,11 @@
 
 Subcommands: bounds, find-field, encode, repair, reconstruct, simulate,
 selftest.  Exit codes: 0 ok, 2 validation error, 3 decode failure (no
-consistent test-group), 4 configuration uncertified.  `repair` runs the
-same driver as the simulator (repair.transmit, repair.decode) and alone
-writes the helpers' payloads out as wire records.  `main(argv)` may run many
-times in one process (the golden battery, bench cli-s1): it builds one parser.
+consistent test-group), 4 configuration uncertified.  The CLI knows no
+scheme: repair.search, sweep and refusal serve find-field, selftest and
+encode, and `repair` runs the simulator's driver, alone writing the helpers'
+payloads as wire records.  `main(argv)` may run many times in one process
+(the golden battery, bench cli-s1): it builds one parser.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import adversary as adv
-from . import concat, repair, repair1, repair2, simnet
+from . import repair, simnet
 from .encoder import (
     build_data_matrix,
     encode_all,
@@ -39,7 +40,6 @@ from .params import (
     err_resilient_bound,
     format_params_text,
     parse_params_text,
-    schedule_scheme2,
     validate,
 )
 from .reconstruct import testgroup_reconstruct
@@ -104,17 +104,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_find_field(args) -> int:
     code, _ = _load_params(args.params, need_p=False)
-    if args.scheme == "concat":
-        if code.b != 0:
-            print("concat scheme requires b = 0")
-            return EXIT_UNCERTIFIED
-        # only needs n distinct nonzero points: every prime >= n+1 serves
-        search = repair1.search_field(code, lambda fld: False, lambda p: None, "usable", args.start)
-        print(f"GF({search.field.p}): {code.n} distinct nonzero evaluation points available")
-    else:
-        find = repair1.find_field if args.scheme == "1" else repair2.find_field_scheme2
-        search = find(code, start=args.start)
-        print(search.report.summary())
+    search, line = repair.search(args.scheme, code, args.start)
+    print(line)
+    if search is None:
+        return EXIT_UNCERTIFIED
     if search.rejected:
         print("rejected primes:", ", ".join(str(p) for p in search.rejected))
     print(f"p={search.field.p}")
@@ -126,8 +119,7 @@ def cmd_find_field(args) -> int:
 
 def cmd_encode(args) -> int:
     code, fld = _load_params(args.params)
-    if args.scheme == "concat":
-        concat.require_b0(code)
+    repair.refusal(args.scheme, code, strict=True)
     message = parse_message_text(Path(args.message).read_text(), code.f_mbr, fld.p)
     shares = encode_all(build_data_matrix(message, code, fld), code, fld)
     out = Path(args.out)
@@ -145,17 +137,15 @@ def cmd_repair(args) -> int:
     if d not in code.d_set:
         raise BaerCodeError(f"--d {d} not in D={code.d_set}")
     shares = _read_shares(args.shares, code, fld)
-    if f in shares:
-        del shares[f]
+    shares.pop(f, None)
     if args.helpers:
         helpers = sorted(simnet.parse_int_list(args.helpers))
     else:
         helpers = sorted(shares)[:d]
     if len(helpers) != d or len(set(helpers)) != d or any(h not in shares for h in helpers):
         raise BaerCodeError(f"need share files for exactly d={d} helpers {helpers}")
-    policy = _policy(args)
     sent, moved = repair.transmit(args.scheme, {h: shares[h] for h in helpers}, f, d,
-                                  policy, code, fld)
+                                  _policy(args), code, fld)
     share = repair.decode(args.scheme, sent, f, d, code, fld)
     text = format_share(share, code, fld, args.scheme)
     if args.out:
@@ -216,39 +206,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_selftest(args) -> int:
     code, fld = _load_params(args.params)
-    ok = True
     if fld.p - 1 == code.n:
         print(
             f"note: p-1 == n boundary: GF({fld.p}) has exactly n={code.n} distinct "
             f"nonzero evaluation points; every nonzero element is in use"
         )
-    if args.scheme == "1":
-        report = repair1.verify_theta_all(code, fld)
-        print(report.summary())
-        ok = report.ok
-    elif args.scheme == "2":
-        try:
-            for d in code.d_set:
-                plan = schedule_scheme2(code, d)
-                iters = " ".join(
-                    f"(tau={it.tau},mu={it.mu},sigma={it.sigma},groups={it.n_groups})"
-                    for it in plan.iterations
-                )
-                print(f"d={d}: xi={plan.xi} zeta={plan.zeta} schedule {iters}")
-            print(f"GF({fld.p}): schedules valid for all d in D")
-        except BaerCodeError as exc:
-            print(f"schedule validation failed: {exc}")
-            ok = False
-        if ok:
-            report = repair2.verify_systems_all(code, fld)
-            print(report.summary())
-            ok = report.ok
-    else:
-        if code.b != 0:
-            print("concat scheme requires b = 0")
-            ok = False
-        else:
-            print(f"GF({fld.p}): concat certified (b=0, alpha divisible by every d)")
+    lines, ok = repair.sweep(args.scheme, code, fld)
+    print("\n".join(lines))
     print("certified" if ok else "NOT certified")
     return EXIT_OK if ok else EXIT_UNCERTIFIED
 

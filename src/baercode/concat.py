@@ -35,16 +35,9 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .encoder import coeff_vector
-from .errors import BaerCodeError
 from .galois import Field
 from .params import Derived
 from .repair1 import repair_scan
-
-
-def require_b0(code: Derived) -> None:
-    """Refuse parameters with b > 0, which concatenation cannot defend."""
-    if code.b != 0:
-        raise BaerCodeError("concat scheme requires b = 0 parameters")
 
 
 def served(n_components: int, helpers: Sequence[int], d_min: int, h: int) -> tuple[int, ...]:

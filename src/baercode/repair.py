@@ -1,18 +1,20 @@
 """One repair driver for every scheme, shared by the CLI and the simulator.
 
-_scheme() alone turns a name of SCHEMES into code, after the refusals each
-scheme owns: concat b > 0, scheme 1 an Omega truncation that loses rank,
-scheme 2 a d with no schedule, and any other name.  transmit() reads each
-helper's share as the adversary policy serves it, computes the flat vector
-the helper sends (nothing from a share that is not alpha symbols of
-range(p)), lets a `random` helper replace it, and counts the symbols moved.
-Each scheme has one column function cols (repair1._theta_cols,
-repair2._stream_cols, concat._cols): helper h sends x_h @ cols(h->f), one
-lane product by repair1.project, and by the product-matrix symmetry that is
-x_f @ cols(f->h).  So decode() runs one stacked test-group decoder,
-repair1.repair_scan, for all three schemes; it raises NoConsistentGroupError
-once the symbols have moved.  Wire records (format_records, parse_records)
-alone frame scheme 2's payload in rounds.
+Only this module turns a name of SCHEMES into code, looking each scheme's
+functions up on their modules at call time (bench/spans.py wraps them there):
+refusal() (concat at b > 0, any other name), search() (a prime search and its
+line), sweep() (a field's certification as lines and a verdict), _scheme()
+(send and rebuild at d, after refusal(), scheme 1's Omega truncation losing
+rank, scheme 2's d with no schedule).  transmit() reads each helper's share as
+the adversary policy serves it, computes the flat vector the helper sends
+(nothing from a share that is not alpha symbols of range(p)), lets a `random`
+helper replace it, and counts the symbols moved.  Each scheme has one column
+function cols (repair1._theta_cols, repair2._stream_cols, concat._cols): helper
+h sends x_h @ cols(h->f), one lane product by repair1.project, and by the
+product-matrix symmetry that is x_f @ cols(f->h).  So decode() runs one stacked
+test-group decoder, repair1.repair_scan, for all three schemes; it raises
+NoConsistentGroupError once the symbols have moved.  Wire records
+(format_records, parse_records) alone frame scheme 2's payload in rounds.
 """
 
 from __future__ import annotations
@@ -30,11 +32,54 @@ from .params import Derived, schedule_scheme2
 SCHEMES = ("1", "2", "concat")
 
 
+def refusal(scheme: str, code: Derived, strict: bool = False) -> str | None:
+    """Why the scheme never serves code (strict raises it), or None; unknown names raise."""
+    if scheme not in SCHEMES:
+        raise BaerCodeError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    text = "concat scheme requires b = 0" if scheme == "concat" and code.b else None
+    if text and strict:
+        raise BaerCodeError(f"{text} parameters")
+    return text
+
+
+def search(scheme: str, code: Derived, start: int | None = None):
+    """(repair1.FieldSearch or None, its report line): the smallest prime from start."""
+    if text := refusal(scheme, code):
+        return None, text
+    if scheme == "concat":
+        # only needs n distinct nonzero points: every prime >= n+1 serves
+        found = repair1.search_field(code, lambda fld: False, lambda p: None, "usable", start)
+        return found, f"GF({found.field.p}): {code.n} distinct nonzero evaluation points available"
+    found = (repair1.find_field if scheme == "1" else repair2.find_field_scheme2)(code, start)
+    return found, found.report.summary()
+
+
+def sweep(scheme: str, code: Derived, fld: Field) -> tuple[list[str], bool]:
+    """(report lines, verdict) of certifying the scheme over fld."""
+    if text := refusal(scheme, code):
+        return [text], False
+    if scheme == "concat":
+        return [f"GF({fld.p}): concat certified (b=0, alpha divisible by every d)"], True
+    lines = []
+    if scheme == "2":
+        try:
+            for d in code.d_set:
+                plan = schedule_scheme2(code, d)
+                lines.append(f"d={d}: xi={plan.xi} zeta={plan.zeta} schedule " + " ".join(
+                    f"(tau={it.tau},mu={it.mu},sigma={it.sigma},groups={it.n_groups})"
+                    for it in plan.iterations))
+        except BaerCodeError as exc:
+            return lines + [f"schedule validation failed: {exc}"], False
+        lines.append(f"GF({fld.p}): schedules valid for all d in D")
+    report = (repair1.verify_theta_all if scheme == "1" else repair2.verify_systems_all)(code, fld)
+    return lines + [report.summary()], report.ok
+
+
 def _scheme(scheme: str, code: Derived, fld: Field, d: int):
     """(send, rebuild) of the named scheme at d: send(share, f, helpers) is
     the payload a helper sends, rebuild(payloads, f) the repaired x_f."""
+    refusal(scheme, code, strict=True)
     if scheme == "concat":
-        concat.require_b0(code)
         return (lambda sh, f, helpers:
                     repair1.project(sh.x, concat._cols, code, fld, helpers, sh.index, f),
                 lambda sent, f: concat.testgroup_repair(sent, f, d, code, fld))
@@ -45,11 +90,9 @@ def _scheme(scheme: str, code: Derived, fld: Field, d: int):
                 f"Omega truncation rank-deficient over GF({fld.p}); pick a larger prime")
         return (lambda sh, f, helpers: repair1.helper_repair_symbols(sh, f, d, cfg),
                 lambda sent, f: repair1.testgroup_repair(sent, f, d, cfg))
-    if scheme == "2":
-        plan = schedule_scheme2(code, d)
-        return (lambda sh, f, helpers: repair2.helper_stream(sh, plan, f, fld),
-                lambda sent, f: repair2.testgroup_repair2(sent, f, plan, fld))
-    raise BaerCodeError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    plan = schedule_scheme2(code, d)
+    return (lambda sh, f, helpers: repair2.helper_stream(sh, plan, f, fld),
+            lambda sent, f: repair2.testgroup_repair2(sent, f, plan, fld))
 
 
 def check(scheme: str, code: Derived, fld: Field) -> None:

@@ -88,3 +88,31 @@ def test_only_the_dead_spans_stay_silent(tmp_path, ex3_code, a12_code, ex1_code)
         tracer.finish()
     calls = {name: c for name, (c, _ms, _self) in tracer._totals("setup").items()}
     assert {name for name, c in calls.items() if c == 0} == SILENT
+
+
+def test_cli_certification_reaches_the_traced_names(tmp_path, capsys):
+    """find-field and selftest resolve each scheme's search and sweep when
+    they run, so the spans bench/spans.py patches onto repair1 and repair2
+    see the CLI's calls; a resolver that kept the functions it found at
+    import would leave these spans, and cli-s1's certify metrics, at 0."""
+    spans = load_spans()
+    for m in spans.MODULES:
+        importlib.import_module(f"baercode.{m}")
+    tracer = spans.Tracer()
+    tracer.begin("setup")
+    tracer.install()
+    try:
+        for scheme, alpha, p in (("1", 6, 17), ("2", 12, 19)):
+            raw, certified = tmp_path / f"s{scheme}.raw", tmp_path / f"s{scheme}.params"
+            raw.write_text(f"n=6\nk=3\nb=1\nalpha={alpha}\nD=4,5\n")
+            assert cli.main(["find-field", "--params", str(raw), "--scheme", scheme,
+                             "--out", str(certified)]) == 0
+            assert f"p={p}\n" in certified.read_text()
+            assert cli.main(["selftest", "--params", str(certified), "--scheme", scheme]) == 0
+    finally:
+        tracer.uninstall()
+        tracer.finish()
+    capsys.readouterr()
+    calls = {name: c for name, (c, _ms, _self) in tracer._totals("setup").items()}
+    traced = ("repair1.certify", "repair2.certify", "repair1.verify", "repair2.verify")
+    assert [span for span in traced if calls[span] == 0] == []

@@ -215,6 +215,22 @@ def test_find_field_concat_refuses_b_above_zero(capsys, tmp_path):
     assert "concat scheme requires b = 0" in capsys.readouterr().out.splitlines()
 
 
+def test_scheme2_without_a_schedule_refuses_find_field_but_encodes(capsys, workspace):
+    """ex3 (alpha=6) has no scheme-2 schedule at d=5: the prime search
+    refuses it as a validation error, while encode, which needs no
+    schedule, writes the shares."""
+    tmp, params, msg = workspace
+    raw = tmp / "raw.params"
+    raw.write_text("n=6\nk=3\nb=1\nalpha=6\nD=4,5\n")
+    assert run("find-field", "--params", raw, "--scheme", "2") == 2
+    assert capsys.readouterr() == ("", "error: d=5: iteration 1 needs groups of 2 segments "
+                                       "but 3 segments are active (alpha=6)\n")
+    assert "p=17" in params.read_text()
+    assert run("encode", "--params", params, "--scheme", "2",
+               "--message", msg, "--out", tmp / "shares") == 0
+    assert len(list((tmp / "shares").iterdir())) == 6
+
+
 def test_concat_refuses_b_above_zero_before_writing(capsys, workspace):
     tmp, params, msg = workspace                       # ex3: b=1
     shares = tmp / "shares"

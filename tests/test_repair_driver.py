@@ -1,9 +1,11 @@
 """The CLI and the simulator repair through one driver and must agree."""
 
+import ast
 import random
 import re
 from itertools import combinations
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -137,7 +139,8 @@ def test_out_of_range_share_sends_nothing(request, scheme, code_name):
 
 
 
-@pytest.mark.parametrize("entry", ["check", "transmit", "decode", "init_cluster"])
+@pytest.mark.parametrize("entry", ["check", "transmit", "decode", "init_cluster",
+                                   "refusal", "search", "sweep"])
 def test_unknown_scheme_is_refused_alike_everywhere(entry, ex3_code, ex3_search):
     """Every entry to the driver, and the simulator above it, refuses a name
     outside repair.SCHEMES with the same error, before any symbol moves."""
@@ -152,8 +155,26 @@ def test_unknown_scheme_is_refused_alike_everywhere(entry, ex3_code, ex3_search)
                                             code, fld),
         "decode": lambda: repair.decode("bogus", sent, 6, 4, code, fld),
         "init_cluster": lambda: init_cluster(code, [0] * code.f_mbr, "bogus", fld),
+        "refusal": lambda: repair.refusal("bogus", code),
+        "search": lambda: repair.search("bogus", code),
+        "sweep": lambda: repair.sweep("bogus", code, fld),
     }[entry]
     message = re.escape(f"scheme must be one of {repair.SCHEMES}, got 'bogus'")
     with pytest.raises(BaerCodeError, match=f"^{message}$"):
         call()
     assert repair.SCHEMES == ("1", "2", "concat")
+
+
+def test_only_the_driver_compares_scheme_names():
+    """No module but repair.py compares anything with a name of
+    repair.SCHEMES: every scheme question is answered in the driver."""
+    names, found = set(repair.SCHEMES), []
+    for path in sorted(Path(repair.__file__).parent.glob("*.py")):
+        if path.name == "repair.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value in names
+                    for side in [node.left, *node.comparators]):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
