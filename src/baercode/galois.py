@@ -310,6 +310,31 @@ class Mat:
         return Mat(self.field, [_unpack(x, m, width, tc) for x in pivots + rest], cols=m)
 
 
+def extend_basis(basis: tuple, vectors: Iterable[Sequence[int]], p: int) -> tuple | None:
+    """basis extended by vectors over GF(p), or None if they depend on it or on each other.
+
+    basis, () to start, holds a (bit offset of its pivot lane, packed row)
+    pair per vector taken in, lanes as in Mat.rank.  Each row is 1 at its
+    pivot and 0 at every earlier row's, so a vector is reduced by one
+    multiply-add per row, in order.  A reduction adds less than p*p to an
+    entry, and a vector of length m meets at most m of them, so lanes hold
+    p*p*(m+1).  basis is left as it was: every extension of a prefix shares it.
+    """
+    out = list(basis)
+    for vec in vectors:
+        width, tc = _lane(p * p * (len(vec) + 1))
+        mask, x = (1 << width) - 1, _pack(vec, width, tc)
+        for shift, row in out:
+            x += -(x >> shift & mask) % p * row
+        vals = [v % p for v in _unpack(x, len(vec), width, tc)]
+        piv = next((i for i, v in enumerate(vals) if v), None)
+        if piv is None:
+            return None
+        inv = pow(vals[piv], -1, p)
+        out.append((width * piv, _pack([v * inv % p for v in vals], width, tc)))
+    return tuple(out)
+
+
 # -- packed rows ---------------------------------------------------------------
 #
 # The kernels above pack a row of entries into one integer, entry k in lane k

@@ -38,8 +38,9 @@ and E = [T; N] of H scales to diag(R_s^-1, I) @ E @ diag(C_s^-1, ...).  A
 translation class is decided by its representative, shifted to hold node 1.
 
 Theta_H is provably invertible only over impractically large alphabets, so a
-configuration is certified by rank alone, keeping no inverse, one helper set
-per translation class (at mid scale 210 ranks decide 462 Thetas);
+configuration is certified one helper set per translation class, keeping no
+inverse: a depth-first walk extends one echelon basis per helper prefix by the
+next helper's columns (at mid scale 330 extensions decide 462 Thetas, no rank);
 verify_theta_all lists every singular (d, H).  find_field runs search_field,
 every scheme's prime search, over p >= n+1: it refuses a prime whose Omega
 truncations lose rank (see omega_build) before any Theta, and otherwise
@@ -57,7 +58,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .encoder import NodeShare, coeff_vector
 from .errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
-from .galois import Field, Mat, lane_product, pack_columns, primes_from, scale_packed
+from .galois import Field, Mat, extend_basis, lane_product, pack_columns, primes_from, scale_packed
 from .params import P_LIMIT, Derived, check_field
 
 MAX_CANDIDATES = 2000    # primes search_field tries before it gives up
@@ -285,17 +286,31 @@ def _theta_count(code: Derived) -> int:
 def _singular_classes(code: Derived, cfg: OmegaConfig):
     """Yield each (d, H) whose Theta_H is singular, in sweep order, H running
     over the translation-class representatives, the helper sets holding node
-    1.  Only ranks are computed: no inverse, no test-group decoder."""
+    1, walked depth-first (_dependent) over each helper h's Theta_(h,)."""
     for d in code.d_set:
-        for rest in combinations(range(2, code.n + 1), d - 2 * code.b - 1):
-            if theta((1, *rest), d, cfg).rank() < code.alpha:
-                yield d, (1, *rest)
+        blocks = [()] + [tuple(zip(*theta((h,), d, cfg).data)) for h in range(1, code.n + 1)]
+        yield from ((d, sub) for sub in _dependent(blocks, (1,), (), d - 2 * code.b, cfg.field.p))
+
+
+def _dependent(blocks, prefix: tuple[int, ...], basis: tuple, size: int, p: int):
+    """The size-`size` helper sets that extend prefix by later nodes and whose
+    stacked blocks are dependent, in lexicographic order; basis spans the
+    blocks of prefix[:-1] (galois.extend_basis).  Theta_H holds the columns
+    of every prefix of H, so once a prefix's columns are dependent, every
+    completion of it is singular and is listed without a rank."""
+    basis = extend_basis(basis, blocks[prefix[-1]], p)
+    rest = range(prefix[-1] + 1, len(blocks))
+    if basis is None:
+        yield from (prefix + tail for tail in combinations(rest, size - len(prefix)))
+    elif len(prefix) < size:
+        for h in rest[:len(rest) - (size - len(prefix)) + 1]:
+            yield from _dependent(blocks, prefix + (h,), basis, size, p)
 
 
 def verify_theta_all(code: Derived, fld: Field) -> ThetaReport:
     """Check every Theta_H over all (d in D, H subset of nodes, |H| = d-2b).
 
-    Each translation class is ranked once, and every (d, H) of a singular
+    Each translation class is decided once, and every (d, H) of a singular
     class is listed in sweep order.  An empty report certifies the
     configuration for any helper choice; rank failures are data, not raised.
     """

@@ -12,10 +12,10 @@ inverses, shares its MALFORMED sentinel.
 
 repair2 certifies a field by ranking each (exponent class, helper subset)
 once; reference_singular_systems ranks every (d, subset, round, group)
-system on its own, as the sweep did before the classes.  repair1 ranks one
-helper set per translation class; reference_singular_thetas ranks every
-Theta_H and every Omega truncation on its own, and reference_find_field
-searches with it.
+system on its own, as the sweep did before the classes.  repair1 decides one
+helper set per translation class, walked over shared prefixes;
+reference_singular_thetas ranks every Theta_H and every Omega truncation on
+its own, and reference_find_field searches with the same ranks.
 
 concat.served hands out components by a closed-form rotation;
 least_loaded_assignment is the greedy it replaces, the oracle for it.
@@ -133,29 +133,38 @@ def reference_find_field_scheme2(code):
         rejected.append(p)
 
 
+def _omega_deficient(code, cfg):
+    """The d in D whose Omega truncation, ranked on its own, loses column rank."""
+    return tuple(d for d in code.d_set
+                 if Mat(cfg.field, [row[:code.beta_of(d)] for row in cfg.omega.data]).rank()
+                 < code.beta_of(d))
+
+
+def _theta_sets(code):
+    """Every (d, H) of the Theta sweep, in sweep order."""
+    return [(d, subset) for d in code.d_set
+            for subset in combinations(range(1, code.n + 1), d - 2 * code.b)]
+
+
 def reference_singular_thetas(code, fld):
     """(checked, omega_deficient, singular) of repair1.verify_theta_all, by
     one rank per Omega truncation and one per (d, H) Theta, in sweep order."""
     cfg = omega_build(code, fld)
-    omega = cfg.omega.data
-    deficient = tuple(d for d in code.d_set
-                      if Mat(fld, [row[:code.beta_of(d)] for row in omega]).rank() < code.beta_of(d))
-    checked, singular = 0, []
-    for d in code.d_set:
-        for subset in combinations(range(1, code.n + 1), d - 2 * code.b):
-            checked += 1
-            if theta(subset, d, cfg).rank() < code.alpha:
-                singular.append((d, subset))
-    return checked, deficient, tuple(singular)
+    sets = _theta_sets(code)
+    singular = tuple((d, subset) for d, subset in sets
+                     if theta(subset, d, cfg).rank() < code.alpha)
+    return len(sets), _omega_deficient(code, cfg), singular
 
 
 def reference_find_field(code):
-    """(p, rejected) of repair1.find_field: the first prime >= n+1 whose
-    reference sweep finds no rank-deficient Omega truncation or Theta."""
+    """(p, rejected) of repair1.find_field: the first prime >= n+1 with no
+    rank-deficient Omega truncation and no singular Theta, each ranked on its
+    own; a prime is refused at its first failure, in sweep order."""
     rejected = []
     for p in primes_from(code.n + 1):
-        _, deficient, singular = reference_singular_thetas(code, Field(p))
-        if not deficient and not singular:
+        cfg = omega_build(code, Field(p))
+        if not _omega_deficient(code, cfg) and all(theta(subset, d, cfg).rank() == code.alpha
+                                                   for d, subset in _theta_sets(code)):
             return p, tuple(rejected)
         rejected.append(p)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from baercode.errors import BaerCodeError, SingularMatrixError
-from baercode.galois import Field, Mat, _prime_factors, is_prime, lane_product, pack_columns
+from baercode.galois import (Field, Mat, _lane, _prime_factors, extend_basis, is_prime,
+                             lane_product, pack_columns)
 
 from reference_scan import identity, transpose
 
@@ -458,3 +459,58 @@ def test_lane_product_matches_the_plain_loop_at_lane_boundaries(data):
     vec = _run(data.draw, p, terms)
     want = [sum(map(mul, row, vec)) % p for row in rows]
     assert lane_product(vec, pack_columns(rows, p), p) == want
+
+
+# -- basis extension -------------------------------------------------------------
+#
+# extend_basis packs a vector of length m into lanes of p*p*(m+1).  For m up
+# to 12, GF(3) and GF(23) take 16-bit lanes, GF(257) 32-bit ones, GF(65537)
+# 64-bit ones, and GF(2^61-1) packs entry by entry.
+
+BASIS_PRIMES = (3, 23, 257, 65537, 2**61 - 1)
+
+
+def test_basis_lanes_are_reached():
+    widths = {_lane(p * p * (m + 1)) for p in BASIS_PRIMES for m in range(1, 13)}
+    assert {w if tc else None for w, tc in widths} == {16, 32, 64, None}
+
+
+@st.composite
+def vector_blocks(draw):
+    """(p, m, blocks, sibling): blocks of length-m vectors over GF(p), and one
+    more block, the sibling.  Every vector combines a drawn span of at most m
+    vectors, entries and coefficients biased to p-1, so dependence comes at
+    any block in every field, not only once the count passes m."""
+    p = draw(st.sampled_from(BASIS_PRIMES))
+    m = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    span = [[draw(entry) for _ in range(m)] for _ in range(draw(st.integers(0, m)))]
+
+    def block():
+        return [[sum(draw(entry) * v for v in col) % p for col in zip(*span)] if span else [0] * m
+                for _ in range(draw(st.integers(0, 4)))]
+
+    return p, m, [block() for _ in range(draw(st.integers(1, 5)))], block()
+
+
+def independent(fld, m, vectors):
+    return Mat(fld, vectors, cols=m).rank() == len(vectors)
+
+
+@given(vector_blocks())
+@settings(deadline=None, derandomize=True, max_examples=100)
+def test_extend_basis_fails_at_the_block_where_rank_falls_short(case):
+    """Block by block, extend_basis returns None exactly when Mat.rank of
+    the vectors stacked so far falls short of their count.  Each prefix's
+    basis is first extended by the sibling block, and must come out of that
+    unchanged for the next block."""
+    p, m, blocks, sibling = case
+    fld, basis, stacked = Field(p), (), []
+    for block in blocks:
+        aside = extend_basis(basis, sibling, p)
+        assert (aside is not None) == independent(fld, m, stacked + sibling)
+        stacked += block
+        basis = extend_basis(basis, block, p)
+        assert (basis is not None) == independent(fld, m, stacked)
+        if basis is None:
+            break

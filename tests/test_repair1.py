@@ -279,30 +279,70 @@ def test_find_field_pins_mid_search(monkeypatch):
     assert repair1.group_decoder.cache_info() == decoders   # nor builds a group decoder
 
 
-@pytest.mark.parametrize("where", ["ex3", "mid", "a12"])
-def test_class_sweep_equals_per_subset_sweep(where, ex3_code, a12_code):
-    """verify_theta_all ranks one helper set per translation class, and
-    find_field searches with those ranks; the per-subset reference sweep
-    ranks every Theta and every Omega truncation, at every prime below 60."""
-    code = {"ex3": ex3_code, "mid": mid_code(), "a12": a12_code}[where]
-    verdicts = set()
-    for p in takewhile(lambda p: p < 60, primes_from(code.n + 1)):
+def a60_code():
+    """n=10, k=4, D={7,8}, b=1, alpha=60: refuses every prime below 47."""
+    return validate(CodeParams(n=10, k=4, d_set=(7, 8), b=1, alpha=60))
+
+
+def b2_code():
+    """n=12, k=5, D={8,9,10}, b=2, alpha=60: the ladder's b=2 configuration."""
+    return validate(CodeParams(n=12, k=5, d_set=(8, 9, 10), b=2, alpha=60))
+
+
+BELOW_60 = None     # every prime from n+1 up to 60
+
+
+@pytest.mark.parametrize("where, primes, verdicts", [
+    ("ex3", BELOW_60, {True, False}),
+    ("mid", BELOW_60, {True, False}),
+    ("a12", BELOW_60, {True, False}),
+    ("a60", (19, 23, 47), {True, False}),           # 23 loses only d=7's Omega truncation
+    ("ex3", (65537, 2**61 - 1), {True}),            # 64-bit lanes, and lanes past 64 bits
+], ids=["ex3", "mid", "a12", "a60", "ex3-wide"])
+def test_class_sweep_equals_per_subset_sweep(where, primes, verdicts, ex3_code, a12_code):
+    """verify_theta_all walks one helper set per translation class, and
+    find_field searches with that walk; the per-subset reference sweep ranks
+    every Theta and every Omega truncation, at every prime below 60 or at
+    the primes given."""
+    code = {"ex3": ex3_code, "mid": mid_code(), "a12": a12_code, "a60": a60_code()}[where]
+    seen = set()
+    for p in primes or takewhile(lambda p: p < 60, primes_from(code.n + 1)):
         report = verify_theta_all(code, Field(p))
         got = report.checked, report.omega_deficient, report.singular
         assert got == reference_singular_thetas(code, Field(p)), p
-        verdicts.add(report.ok)
-    assert verdicts == {True, False}            # certified and rejected primes both compared
+        seen.add(report.ok)
+    assert seen == verdicts                 # certified and rejected primes both compared
     search = find_field(code)
     assert (search.field.p, search.rejected) == reference_find_field(code)
 
 
-def test_certification_ranks_each_translation_class_once(monkeypatch):
-    """Exact work counts at mid: 210 ranks, one per translation class, decide
-    the 462 Thetas over GF(23), and the search over GF(11) to GF(23) ranks
-    300 (one rank per helper set took 462 and 678)."""
+def certification_work(monkeypatch, run):
+    """(Mat.rank calls, galois.extend_basis calls) that run() makes."""
+    extensions = []
+    extend = repair1.extend_basis
+    monkeypatch.setattr(repair1, "extend_basis", lambda *a: extensions.append(1) or extend(*a))
+    ranks = count_calls(monkeypatch, "rank", run)       # undoes both patches
+    return ranks, len(extensions)
+
+
+def test_certification_extends_one_basis_per_helper_prefix(monkeypatch):
+    """Exact work counts at mid: certification ranks no Theta.  The GF(23)
+    sweep extends 330 prefix bases to decide the 462 Thetas, and the search
+    over GF(11) to GF(23) extends 460."""
     code = mid_code()
-    assert count_calls(monkeypatch, "rank", lambda: verify_theta_all(code, Field(23))) == 210
-    assert count_calls(monkeypatch, "rank", lambda: find_field(code)) == 300
+    assert certification_work(monkeypatch, lambda: verify_theta_all(code, Field(23))) == (0, 330)
+    assert certification_work(monkeypatch, lambda: find_field(code)) == (0, 460)
+
+
+def test_find_field_pins_the_b2_search(monkeypatch):
+    """The b=2 configuration: p=197 after 39 refused primes, decided by 5,414
+    basis extensions and no rank."""
+    found = []
+    work = certification_work(monkeypatch, lambda: found.append(find_field(b2_code())))
+    search, = found
+    assert (search.field.p, len(search.rejected), search.rejected[:3]) == (197, 39, (13, 17, 19))
+    assert search.report.ok and search.report.checked == 2211
+    assert work == (0, 5414)
 
 
 def test_group_decoders_eliminate_each_translation_class_once(monkeypatch):
