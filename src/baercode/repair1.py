@@ -39,12 +39,13 @@ translation class is decided by its representative, shifted to hold node 1.
 
 Theta_H is provably invertible only over impractically large alphabets, so a
 configuration is certified one helper set per translation class, keeping no
-inverse: a depth-first walk extends one echelon basis per helper prefix by the
-next helper's columns (at mid scale 330 extensions decide 462 Thetas, no rank);
-verify_theta_all lists every singular (d, H).  find_field runs search_field,
-every scheme's prime search, over p >= n+1: it refuses a prime whose Omega
-truncations lose rank (see omega_build) before any Theta, and otherwise
-stops at the first singular class.  Omega's exponents are fixed, i_j =
+inverse: dependent_sets, the walk that certifies scheme 2 too, extends one
+echelon basis per helper prefix by the next helper's columns (at mid scale 330
+extensions decide 462 Thetas, no rank); verify_theta_all lists every singular
+(d, H).  find_field runs search_field, every scheme's prime search, over
+p >= n+1: it refuses a prime whose Omega truncations lose rank (see
+omega_build) before any Theta, and otherwise stops at the first singular
+class, walking the largest d first.  Omega's exponents are fixed, i_j =
 alpha*n*(j-1) + 1, so every party derives Omega from (params, field) alone.
 """
 
@@ -163,7 +164,7 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[in
     law, s = getattr(block, "law", None), min(group) - 1
     if law is None:
         return _eliminate(block, key, group, b)
-    decoder = _class_decoder(block, key, tuple(h - s for h in group), b)
+    decoder = _class_decoder(block, key, representative(group), b)
     if decoder is None or s == 0:
         return decoder
     (r_inv, c_inv), (u, packed) = law(*key, -s), decoder
@@ -284,27 +285,33 @@ def _theta_count(code: Derived) -> int:
 
 
 def _singular_classes(code: Derived, cfg: OmegaConfig):
-    """Yield each (d, H) whose Theta_H is singular, in sweep order, H running
-    over the translation-class representatives, the helper sets holding node
-    1, walked depth-first (_dependent) over each helper h's Theta_(h,)."""
-    for d in code.d_set:
+    """Yield each (d, H) whose Theta_H is singular, H running over the
+    translation-class representatives, largest d first, each walked by
+    dependent_sets over every helper h's Theta_(h,)."""
+    for d in reversed(code.d_set):
         blocks = [()] + [tuple(zip(*theta((h,), d, cfg).data)) for h in range(1, code.n + 1)]
-        yield from ((d, sub) for sub in _dependent(blocks, (1,), (), d - 2 * code.b, cfg.field.p))
+        yield from ((d, sub) for sub in dependent_sets(blocks, d - 2 * code.b, cfg.field.p))
 
 
-def _dependent(blocks, prefix: tuple[int, ...], basis: tuple, size: int, p: int):
+def representative(sub: Sequence[int]) -> tuple[int, ...]:
+    """The translate of the sorted helper set sub that holds node 1."""
+    return tuple(h + 1 - sub[0] for h in sub)
+
+
+def dependent_sets(blocks, size: int, p: int, prefix: tuple[int, ...] = (1,), basis: tuple = ()):
     """The size-`size` helper sets that extend prefix by later nodes and whose
-    stacked blocks are dependent, in lexicographic order; basis spans the
-    blocks of prefix[:-1] (galois.extend_basis).  Theta_H holds the columns
-    of every prefix of H, so once a prefix's columns are dependent, every
-    completion of it is singular and is listed without a rank."""
+    stacked blocks are dependent, in lexicographic order: the certification
+    walk of both repair schemes.  blocks[h] is node h's sequence of vectors
+    over GF(p); basis spans the blocks of prefix[:-1] (galois.extend_basis).
+    A helper set holds the vectors of each of its prefixes, so once a prefix's
+    are dependent, every completion of it is listed without more work."""
     basis = extend_basis(basis, blocks[prefix[-1]], p)
     rest = range(prefix[-1] + 1, len(blocks))
     if basis is None:
         yield from (prefix + tail for tail in combinations(rest, size - len(prefix)))
     elif len(prefix) < size:
         for h in rest[:len(rest) - (size - len(prefix)) + 1]:
-            yield from _dependent(blocks, prefix + (h,), basis, size, p)
+            yield from dependent_sets(blocks, size, p, prefix + (h,), basis)
 
 
 def verify_theta_all(code: Derived, fld: Field) -> ThetaReport:
@@ -318,7 +325,7 @@ def verify_theta_all(code: Derived, fld: Field) -> ThetaReport:
     bad = set(_singular_classes(code, cfg))
     singular = tuple((d, sub) for d in code.d_set
                      for sub in combinations(range(1, code.n + 1), d - 2 * code.b)
-                     if (d, tuple(h + 1 - sub[0] for h in sub)) in bad)
+                     if (d, representative(sub)) in bad)
     return ThetaReport(p=fld.p, checked=_theta_count(code), omega_deficient=cfg.deficient,
                        singular=singular)
 

@@ -28,13 +28,16 @@ solving a (d-2b) x (d-2b) system per group (_group_matrix); the tests keep
 that round-by-round decoder and its per-subset scan as the reference, and
 testgroup_repair2 accepts the group and share that scan accepts.
 
-Certification checks every per-group system by rank, keeping no inverse.
-A system is a generalized Vandermonde e_h^(x_s) over its slot exponents
-x_s, and its rank is unchanged by shifting every exponent by a constant
-(a column scaling) or by reducing them mod p-1.  So each system reduces
-to an exponent class, the exponents less their minimum, mod p-1, sorted,
-and each (class, helper subset) is ranked once per prime, from the rows
-psi_h: at (10,4,{7,8},1,60) over GF(19), 462 ranks decide all 5124 systems.
+Certification walks each exponent class with scheme 1's walk
+(repair1.dependent_sets), and ranks and inverts nothing.  A system is
+A[s][h] = e_h^(x_s) over its slot exponents x_s, one column per helper h.
+Shifting every exponent by c scales column h by e_h^c, and reducing them
+mod p-1 changes no entry, so a system has the rank of its exponent class:
+the exponents less their minimum, mod p-1, sorted, duplicates kept.  As
+e_{h+t} = g^t * e_h, translating H by t scales row s by g^(t*x_s), so H+t
+has H's rank.  Each class is decided once per prime, on the helper sets
+holding node 1, each helper h's block one row (e_h^x for x in the class):
+at (10,4,{7,8},1,60) over GF(19), 462 basis extensions decide 5124 systems.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .encoder import NodeShare, coeff_vector
 from .errors import BaerCodeError, SingularMatrixError
 from .galois import Field, Mat
 from .params import ScheduleII, schedule_scheme2
-from .repair1 import FieldSearch, ThetaReport, project, repair_scan, search_field, testgroup_scan
+from .repair1 import (FieldSearch, ThetaReport, dependent_sets, project, repair_scan,
+                      representative, search_field, testgroup_scan)
 
 
 @lru_cache(maxsize=16384)
@@ -154,8 +158,8 @@ class SystemReport(ThetaReport):
     report certifies that every subset of every helper choice decodes for
     every d in D.  `checked` counts every (d, subset, round, group) system
     and `singular` lists each singular one as (d, subset, j, group), though
-    the sweep ranks each exponent class only once per subset (see
-    _singular_systems).
+    each exponent class is decided once, on the helper sets that hold node 1
+    (module docstring).
     """
 
     def summary(self) -> str:
@@ -171,40 +175,24 @@ def _system_count(code, plans: Sequence[ScheduleII]) -> int:
     )
 
 
-def _singular_systems(code, fld: Field, plans: Sequence[ScheduleII]):
-    """Yield each (d, subset, j, group) whose system is singular, in sweep order.
+@lru_cache(maxsize=256)
+def _systems(plan: ScheduleII, order: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(j, group, exponent class) of each per-group system of plan, classes
+    reduced mod order = p-1 (module docstring)."""
+    return tuple((j, gi, tuple(sorted((x - min(ex)) % order for x in ex)))
+                 for j, it in enumerate(plan.iterations, 1) for gi in range(it.n_groups)
+                 for ex in [_slot_exponents(plan, j, gi)])
 
-    A system A[s][h] = e_h^(x_s) keeps its rank when every exponent is
-    shifted by c (column h scales by e_h^c) or reduced mod p-1, so it is
-    ranked as its exponent class: the exponents less their minimum, mod p-1,
-    sorted.  Duplicates stay in the class, since two equal exponents make the
-    system singular.  Each (class, subset) is ranked once per sweep, from
-    each node's coefficient row psi_h up to the largest class exponent, and
-    no inverse is kept.
-    """
-    order = fld.p - 1
-    sweeps = []
-    for plan in plans:
-        systems = []
-        for j, it in enumerate(plan.iterations, 1):
-            for gi in range(it.n_groups):
-                ex = _slot_exponents(plan, j, gi)
-                lo = min(ex)
-                systems.append((j, gi, tuple(sorted((x - lo) % order for x in ex))))
-        sweeps.append((plan, systems))
-    top = max(x for _, systems in sweeps for *_, cls in systems for x in cls)
-    psi = {h: coeff_vector(fld, h, top + 1) for h in range(1, code.n + 1)}
-    singular = {}
-    for plan, systems in sweeps:
-        span = plan.d - 2 * code.b
-        for subset in combinations(range(1, code.n + 1), span):
-            for j, gi, cls in systems:
-                key = (cls, subset)
-                if key not in singular:
-                    rows = [[psi[h][x] for x in cls] for h in subset]
-                    singular[key] = Mat(fld, rows, cols=span).rank() < span
-                if singular[key]:
-                    yield plan.d, subset, j, gi
+
+def _singular_classes(code, fld: Field, plans: Sequence[ScheduleII]):
+    """Yield (class, helper set holding node 1) for each singular system of a
+    distinct exponent class, largest d first, each class walked once by
+    repair1.dependent_sets over the rows (e_h^x for x in class)."""
+    classes = (cls for plan in reversed(plans) for *_, cls in _systems(plan, fld.p - 1))
+    for cls in dict.fromkeys(classes):
+        blocks = [()] + [(tuple(pow(fld.point(h), x, fld.p) for x in cls),)
+                         for h in range(1, code.n + 1)]
+        yield from ((cls, sub) for sub in dependent_sets(blocks, len(cls), fld.p))
 
 
 def verify_systems_all(code, fld: Field) -> SystemReport:
@@ -213,13 +201,17 @@ def verify_systems_all(code, fld: Field) -> SystemReport:
     Raises DivisibilityViolationError if some d has no valid plan.
     """
     plans = [schedule_scheme2(code, d) for d in code.d_set]
-    return SystemReport(p=fld.p, checked=_system_count(code, plans),
-                        singular=tuple(_singular_systems(code, fld, plans)))
+    bad = set(_singular_classes(code, fld, plans))
+    singular = tuple((plan.d, sub, j, gi) for plan in plans
+                     for sub in combinations(range(1, code.n + 1), plan.d - 2 * code.b)
+                     for rep in [representative(sub)]
+                     for j, gi, cls in _systems(plan, fld.p - 1) if (cls, rep) in bad)
+    return SystemReport(p=fld.p, checked=_system_count(code, plans), singular=singular)
 
 
 def find_field_scheme2(code, start: int | None = None) -> FieldSearch:
     """First prime p >= n+1 whose per-group systems all solve (see SystemReport)."""
     plans = [schedule_scheme2(code, d) for d in code.d_set]
-    refuses = lambda fld: next(_singular_systems(code, fld, plans), None) is not None
+    refuses = lambda fld: next(_singular_classes(code, fld, plans), None) is not None
     return search_field(code, refuses, lambda p: SystemReport(p, _system_count(code, plans), ()),
                         "solvable", start)

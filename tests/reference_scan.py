@@ -10,12 +10,15 @@ reference_stream.RepairSession, the paper's round-by-round decoder, as the
 oracle for the stacked decoder; scheme 1's reference scan, over Theta
 inverses, shares its MALFORMED sentinel.
 
-repair2 certifies a field by ranking each (exponent class, helper subset)
-once; reference_singular_systems ranks every (d, subset, round, group)
-system on its own, as the sweep did before the classes.  repair1 decides one
-helper set per translation class, walked over shared prefixes;
-reference_singular_thetas ranks every Theta_H and every Omega truncation on
-its own, and reference_find_field searches with the same ranks.
+Both repair schemes certify a field by one walk, repair1.dependent_sets,
+which decides one helper set per translation class over shared prefixes:
+repair1 walks each d's Thetas, repair2 each distinct exponent class of its
+per-group systems.  reference_singular_systems ranks every (d, subset,
+round, group) system on its own, as the sweep did before the classes, and
+reference_find_field_scheme2 searches with it; reference_singular_thetas
+ranks every Theta_H and every Omega truncation on its own, and
+reference_find_field searches with the same ranks.  certification_work
+counts the ranks and basis extensions a certification makes.
 
 concat.served hands out components by a closed-form rotation;
 least_loaded_assignment is the greedy it replaces, the oracle for it.
@@ -33,6 +36,7 @@ tests that pin exact work counts.
 
 from itertools import combinations
 
+from baercode import repair1
 from baercode.encoder import build_data_matrix, encode_node
 from baercode.errors import NoConsistentGroupError, StructureViolationError
 from baercode.galois import Field, Mat, _unpack, primes_from
@@ -218,3 +222,13 @@ def count_calls(monkeypatch, name, run):
     run()
     monkeypatch.undo()
     return len(calls)
+
+
+def certification_work(monkeypatch, run):
+    """(Mat.rank calls, galois.extend_basis calls) that run() makes; both
+    schemes' certification walks extend their bases through repair1."""
+    extensions = []
+    extend = repair1.extend_basis
+    monkeypatch.setattr(repair1, "extend_basis", lambda *a: extensions.append(1) or extend(*a))
+    ranks = count_calls(monkeypatch, "rank", run)       # undoes both patches
+    return ranks, len(extensions)

@@ -26,6 +26,7 @@ from baercode.repair1 import (
 
 from reference_scan import (
     MALFORMED,
+    certification_work,
     count_calls,
     decoder_rows,
     reference_find_field,
@@ -316,33 +317,24 @@ def test_class_sweep_equals_per_subset_sweep(where, primes, verdicts, ex3_code, 
     assert (search.field.p, search.rejected) == reference_find_field(code)
 
 
-def certification_work(monkeypatch, run):
-    """(Mat.rank calls, galois.extend_basis calls) that run() makes."""
-    extensions = []
-    extend = repair1.extend_basis
-    monkeypatch.setattr(repair1, "extend_basis", lambda *a: extensions.append(1) or extend(*a))
-    ranks = count_calls(monkeypatch, "rank", run)       # undoes both patches
-    return ranks, len(extensions)
-
-
 def test_certification_extends_one_basis_per_helper_prefix(monkeypatch):
     """Exact work counts at mid: certification ranks no Theta.  The GF(23)
     sweep extends 330 prefix bases to decide the 462 Thetas, and the search
-    over GF(11) to GF(23) extends 460."""
+    over GF(11) to GF(23), walking the largest d first, extends 340."""
     code = mid_code()
     assert certification_work(monkeypatch, lambda: verify_theta_all(code, Field(23))) == (0, 330)
-    assert certification_work(monkeypatch, lambda: find_field(code)) == (0, 460)
+    assert certification_work(monkeypatch, lambda: find_field(code)) == (0, 340)
 
 
 def test_find_field_pins_the_b2_search(monkeypatch):
-    """The b=2 configuration: p=197 after 39 refused primes, decided by 5,414
-    basis extensions and no rank."""
+    """The b=2 configuration: p=197 after 39 refused primes, decided by 3,142
+    basis extensions, largest d first, and no rank."""
     found = []
     work = certification_work(monkeypatch, lambda: found.append(find_field(b2_code())))
     search, = found
     assert (search.field.p, len(search.rejected), search.rejected[:3]) == (197, 39, (13, 17, 19))
     assert search.report.ok and search.report.checked == 2211
-    assert work == (0, 5414)
+    assert work == (0, 3142)
 
 
 def test_group_decoders_eliminate_each_translation_class_once(monkeypatch):

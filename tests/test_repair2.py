@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import pytest
 
@@ -7,7 +7,7 @@ from baercode import adversary as adv
 from baercode import repair1
 from baercode.encoder import NodeShare, build_data_matrix, encode_all, encode_node
 from baercode.errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
-from baercode.galois import Field, Mat, is_prime
+from baercode.galois import Field, Mat, is_prime, primes_from
 from baercode.params import CodeParams, schedule_scheme2, validate
 from baercode.repair import format_records, parse_records
 from baercode.repair1 import FieldSearch, group_decoder
@@ -24,7 +24,7 @@ from baercode.repair2 import (
 )
 
 from reference_scan import (
-    count_calls,
+    certification_work,
     decoder_rows,
     first_consistent,
     reference_find_field_scheme2,
@@ -428,29 +428,33 @@ def test_group_matrix_follows_the_slot_layout(name):
 
 
 @pytest.mark.parametrize("name, p", [("a12", p) for p in (7, 11, 13, 17, 19, 23, 29, 31)]
-                         + [("s2", p) for p in (11, 13, 17, 19)])
+                         + [("s2", p) for p in (11, 13, 17, 19)]
+                         + [("a12", p) for p in (37, 41, 43, 47, 53, 59, 65537, 2**61 - 1)]
+                         + [("i3", p) for p in takewhile(lambda p: p < 60, primes_from(9))])
 def test_verify_systems_equals_the_per_system_sweep(name, p):
-    """Ranking each exponent class once reports what ranking every system
-    does: the same count and the same singular systems, in the same order."""
+    """Walking each exponent class once, on the helper sets that hold node 1,
+    reports what ranking every system does: the same count and the same
+    singular systems, in the same order."""
     code, fld = CODES[name](), Field(p)
     report = verify_systems_all(code, fld)
     assert (report.checked, report.singular) == reference_singular_systems(code, fld)
 
 
-@pytest.mark.parametrize("name", ["a12", "s2"])
+@pytest.mark.parametrize("name", ["a12", "s2", "i3"])
 def test_find_field_scheme2_equals_the_per_system_search(name):
     code = CODES[name]()
     fld, _, rejected = find_field_scheme2(code)
     assert (fld.p, rejected) == reference_find_field_scheme2(code)
 
 
-def test_certification_ranks_each_class_and_subset_once(monkeypatch):
-    """Exact work counts: s2's 5124 systems at GF(19) fall into 462 (class,
-    subset) pairs, and the search over GF(11), GF(13), GF(17) and GF(19)
-    ranks 1232, against 14266 systems."""
+def test_certification_walks_each_exponent_class_once(monkeypatch):
+    """Exact work counts: certification ranks no system.  s2's 5124 systems
+    at GF(19) are decided by 462 basis extensions over the helper sets that
+    hold node 1, and the search over GF(11), GF(13), GF(17) and GF(19),
+    walking the largest d first, extends 1237 bases, against 14266 systems."""
     code = s2_code()
-    assert count_calls(monkeypatch, "rank", lambda: verify_systems_all(code, Field(19))) == 462
-    assert count_calls(monkeypatch, "rank", lambda: find_field_scheme2(code)) == 1232
+    assert certification_work(monkeypatch, lambda: verify_systems_all(code, Field(19))) == (0, 462)
+    assert certification_work(monkeypatch, lambda: find_field_scheme2(code)) == (0, 1237)
 
 
 # The d=8 round-3 system of s2 is a generalized Vandermonde in e_h^20 (its
@@ -544,6 +548,7 @@ def test_four_iteration_with_unmerged_segments():
 CODES = {
     "a12": lambda: validate(CodeParams(n=6, k=3, d_set=(4, 5), b=1, alpha=12)),
     "s2": s2_code,
+    "i3": three_iteration_code,
 }
 
 
