@@ -9,9 +9,9 @@ A message of f_mbr field symbols is spread over n storage nodes so that
   * repair traffic meets the minimum possible total alpha*d/(d-2b).
 
 Two repair schemes are provided: a compressed-projection scheme whose field
-is certified per configuration (`repair1`), and an iterative merge-based
-scheme that works over any prime field with p >= n+1 (`repair2`), plus a
-plain concatenation scheme for b = 0 (`concat`).  `simnet` runs scripted
+is certified per configuration (`repair1`), and a merge-based scheme over
+small fields that needs p >= n+1 and certified per-group systems (`repair2`),
+plus plain concatenation for b = 0 (`concat`).  `simnet` runs scripted
 failure/repair/reconstruction scenarios against a simulated cluster.
 """
 

@@ -61,7 +61,7 @@ class AdversaryPolicy:
 
     def fake_shares(self, code: Derived, fld: Field) -> dict[int, NodeShare]:
         """The colluding nodes' alternative world: one fake message, encoded."""
-        key = (fld.p, code.params)
+        key = (fld.p, code)
         if key not in self._fake_shares:
             rng = random.Random(f"{self.seed}:fake-message")
             fake_msg = [rng.randrange(fld.p) for _ in range(code.f_mbr)]

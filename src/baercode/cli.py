@@ -4,9 +4,10 @@ Subcommands: bounds, find-field, encode, repair, reconstruct, simulate,
 selftest.  Exit codes: 0 ok, 2 validation error, 3 decode failure (no
 consistent test-group), 4 configuration uncertified.  The CLI knows no
 scheme: repair.search, sweep and refusal serve find-field, selftest and
-encode, and `repair` runs the simulator's driver, alone writing the helpers'
-payloads as wire records.  `main(argv)` may run many times in one process
-(the golden battery, bench cli-s1): it builds one parser.
+encode, and `repair` runs the simulator's driver, alone writing the wire
+records that repair.wire_records gives for the helpers' payloads.
+`main(argv)` may run many times in one process (the golden battery, bench
+cli-s1): it builds one parser.
 """
 
 from __future__ import annotations
@@ -90,14 +91,13 @@ def cmd_bounds(args) -> int:
         print(f"{d:>4} {code.beta_of(d):>8} {code.gamma_of(d):>13}")
     bound = capacity_upper_bound(code, gamma)
     print(f"adaptive capacity bound at gamma_mbr: {bound}")
-    d_min = code.d_min
     print(
-        f"classical bound (k={code.k}, d={d_min}, gamma={gamma[d_min]}): "
-        f"{classical_bound(code.k, d_min, code.alpha, gamma[d_min])}"
+        f"classical bound (k={code.k}, d={code.d_min}, gamma={gamma[code.d_min]}): "
+        f"{classical_bound(code.k, code.d_min, code.alpha, gamma[code.d_min])}"
     )
     print(
         f"error-resilient bound (b={code.b}): "
-        f"{err_resilient_bound(code.k, d_min, code.b, code.alpha, gamma[d_min])}"
+        f"{err_resilient_bound(code.k, code.d_min, code.b, code.alpha, gamma[code.d_min])}"
     )
     return EXIT_OK
 
@@ -112,7 +112,7 @@ def cmd_find_field(args) -> int:
         print("rejected primes:", ", ".join(str(p) for p in search.rejected))
     print(f"p={search.field.p}")
     if args.out:
-        Path(args.out).write_text(format_params_text(code.params, search.field.p))
+        Path(args.out).write_text(format_params_text(code, search.field.p))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -155,10 +155,8 @@ def cmd_repair(args) -> int:
     if args.records:
         rec_dir = Path(args.records)
         rec_dir.mkdir(parents=True, exist_ok=True)
-        if args.scheme in repair.RECORD_MAGIC:      # concat helpers send no wire records
-            for h, payload in sent.items():
-                (rec_dir / f"repair_h{h:02d}.rec").write_text(
-                    repair.format_records(args.scheme, h, f, d, payload, code))
+        for h, text in repair.wire_records(args.scheme, sent, f, d, code).items():
+            (rec_dir / f"repair_h{h:02d}.rec").write_text(text)
     print(
         f"bandwidth: d={d} per_helper={code.beta_of(d)} total={moved} "
         f"(gamma_mbr={code.gamma_of(d)})"

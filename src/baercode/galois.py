@@ -18,14 +18,14 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BaerCodeError, SingularMatrixError
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3e24.
+# Miller-Rabin witnesses, deterministic for every n < 3.3e24, and is_prime's trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0

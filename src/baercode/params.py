@@ -39,11 +39,10 @@ class CodeParams:
 
 
 @dataclass(frozen=True)
-class Derived:
+class Derived(CodeParams):
     """Validated parameters plus every derived quantity downstream code consumes;
     the per-d ones, beta_of and gamma_of, are computed where they are read."""
 
-    params: CodeParams
     lam: int                      # d_min - 2b: block size of one component code
     kappa: int                    # k - 2b: reconstruction degree of one component
     z: int                        # alpha / lam: number of component codes
@@ -51,24 +50,9 @@ class Derived:
     f_mbr: int                    # storage capacity in symbols
 
     @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def k(self) -> int:
-        return self.params.k
-
-    @property
-    def d_set(self) -> tuple[int, ...]:
-        return self.params.d_set
-
-    @property
-    def b(self) -> int:
-        return self.params.b
-
-    @property
-    def alpha(self) -> int:
-        return self.params.alpha
+    def params(self) -> CodeParams:
+        """The bare parameter tuple, comparing equal to the one validated."""
+        return CodeParams(self.n, self.k, self.d_set, self.b, self.alpha)
 
     def beta_of(self, d: int) -> int:
         """Per-helper repair symbols alpha/(d-2b) for d in D."""
@@ -97,8 +81,7 @@ def validate(params: CodeParams) -> Derived:
         raise BaerCodeError("D must be non-empty")
     for d in params.d_set:
         _check_int("d", d, 1)
-    d_min = params.d_set[0]
-    d_max = params.d_set[-1]
+    d_min, d_max = params.d_set[0], params.d_set[-1]
     if not (2 * b < k <= d_min):
         raise BaerCodeError(f"need 2b < k <= d_min, got b={b}, k={k}, d_min={d_min}")
     if d_max > n - 1:
@@ -114,7 +97,7 @@ def validate(params: CodeParams) -> Derived:
     f = z * (kappa * lam - kappa * (kappa - 1) // 2)
     product_form = Fraction(alpha, lam) * kappa * (Fraction(2 * d_min - 2 * b - k + 1, 2))
     assert Fraction(f) == product_form, "sum and product capacity forms disagree"
-    return Derived(params=params, lam=lam, kappa=kappa, z=z, d_min=d_min, f_mbr=f)
+    return Derived(n, k, params.d_set, b, alpha, lam=lam, kappa=kappa, z=z, d_min=d_min, f_mbr=f)
 
 
 def capacity_upper_bound(code: Derived, gamma: Mapping[int, int | Fraction]) -> Fraction:

@@ -94,17 +94,17 @@ def pm_reconstruct_component(
 
 
 @lru_cache(maxsize=4096)
-def _scales(field: Field, node: int, lam: int, length: int) -> tuple[int, ...]:
-    """Entry j is e^(-(j//lam)*lam), e = field.point(node): symbol j's stripping scale."""
-    step = pow(field.point(node), -lam, field.p)
-    return tuple(s for s in field.powers(step, -(-length // lam)) for _ in range(lam))[:length]
+def _scales(code: Derived, field: Field, node: int) -> tuple[int, ...]:
+    """Entry j < alpha is e^(-(j//lam)*lam), e = field.point(node): symbol j's stripping scale."""
+    step = pow(field.point(node), -code.lam, field.p)
+    return tuple(s for s in field.powers(step, code.z) for _ in range(code.lam))
 
 
-def _stripped(share: NodeShare, lam: int, field: Field) -> list[int]:
+def _stripped(share: NodeShare, code: Derived, field: Field) -> list[int]:
     """x(1) | ... | x(z) with each x(i) = e^((i-1)*lam) * [1,e,..,e^(lam-1)] @ M_i
-    stripped of its prefix power; a share of any length is stripped alike."""
+    stripped of its prefix power; callers pass shares of alpha symbols."""
     p = field.p
-    return [v * s % p for v, s in zip(share.x, _scales(field, share.index, lam, len(share.x)))]
+    return [v * s % p for v, s in zip(share.x, _scales(code, field, share.index))]
 
 
 def reconstruct_estimate(
@@ -122,7 +122,7 @@ def reconstruct_estimate(
                 f"node {sh.index} share has {len(sh.x)} symbols, expected alpha={code.alpha}"
             )
     lam = code.lam
-    segs = [(field.point(sh.index), _stripped(sh, lam, field)) for sh in shares]
+    segs = [(field.point(sh.index), _stripped(sh, code, field)) for sh in shares]
     full = pm_reconstruct_component(segs, field, lam, code.kappa).data
     return extract_message([Mat(field, [row[off : off + lam] for row in full], cols=lam)
                             for off in range(0, code.alpha, lam)], code)
@@ -164,8 +164,8 @@ def testgroup_reconstruct(
         raise StructureViolationError("access set has duplicate node indices")
     if not all(1 <= i <= code.n for i in by_index):
         raise StructureViolationError("access set references unknown nodes")
-    payloads = {i: _stripped(sh, code.lam, field) if field.holds(sh.x) else ()
-                for i, sh in by_index.items()}
+    payloads = {i: _stripped(sh, code, field) if len(sh.x) == code.alpha and field.holds(sh.x)
+                else () for i, sh in by_index.items()}
     found = testgroup_scan(payloads, code.z, code.b, _node_block, (code, field))
     if found is None:
         raise NoConsistentGroupError(

@@ -14,7 +14,7 @@ h sends x_h @ cols(h->f), one lane product by repair1.project, and by the
 product-matrix symmetry that is x_f @ cols(f->h).  So decode() runs one stacked
 test-group decoder, repair1.repair_scan, for all three schemes; it raises
 NoConsistentGroupError once the symbols have moved.  Wire records
-(format_records, parse_records) alone frame scheme 2's payload in rounds.
+(format_records, wire_records, parse_records) alone frame scheme 2's rounds.
 """
 
 from __future__ import annotations
@@ -145,6 +145,13 @@ def format_records(scheme: str, h: int, f: int, d: int, payload: tuple[int, ...]
         records = [(f"{head} j={j}", payload[a:b])
                    for j, a, b in zip(count(1), [0] + ends, ends[:-1] + [None])]
     return "".join(hd + "\n" + "\n".join(map(str, syms)) + "\n" for hd, syms in records)
+
+
+def wire_records(scheme: str, sent: Mapping[int, tuple[int, ...]], f: int, d: int,
+                 code: Derived) -> dict[int, str]:
+    """{helper: its wire records} for the payloads transmit() returned; none for concat."""
+    return {h: format_records(scheme, h, f, d, payload, code)
+            for h, payload in sent.items()} if scheme in RECORD_MAGIC else {}
 
 
 def parse_records(text: str, code: Derived) -> tuple[str, int, int, int, tuple[int, ...]]:

@@ -1,10 +1,10 @@
 """Adaptive repair scheme 2: merge-based rounds over small fields.
 
-Works over any prime field with p >= n+1.  The share of the failed node is
-split into zeta segments of length xi = floor((d-2b)/lam)*lam.  When
-xi == d-2b one round of plain per-segment projections suffices.  Otherwise
-helpers repeatedly merge the last two active segments of each group through
-the overlap-add operator
+Needs p >= n+1 and certified per-group systems (find-field --scheme 2, see
+below).  The failed node's share is split into zeta segments of length
+xi = floor((d-2b)/lam)*lam.  When xi == d-2b one round of plain per-segment
+projections suffices.  Otherwise helpers repeatedly merge the last two
+active segments of each group through the overlap-add operator
 
     merge(m, eps, e, v, u) = [v, 0..0] + e^(m - eps*xi) [0..0, u]
 

@@ -1,7 +1,9 @@
 import math
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
+from itertools import chain, combinations
 
 import pytest
 
@@ -9,6 +11,7 @@ from baercode.errors import BaerCodeError, DivisibilityViolationError
 from baercode.galois import Field, is_prime
 from baercode.params import (
     CodeParams,
+    Derived,
     capacity_upper_bound,
     check_field,
     classical_bound,
@@ -52,6 +55,24 @@ def test_validate_small_adaptive_cluster(ex3_code):
 def test_validate_adversary_free_cluster(ex1_code):
     assert (ex1_code.lam, ex1_code.kappa, ex1_code.z) == (3, 2, 4)
     assert ex1_code.f_mbr == 20
+
+
+def test_a_code_is_its_validated_params():
+    """A validated code carries the checked fields as its own, not in a
+    nested record: it reads as its input field by field, its params compare
+    equal to the input, and equal inputs give codes that compare and hash
+    alike, so one flat record keys every cache holding a code."""
+    assert issubclass(Derived, CodeParams)
+    rng = random.Random(32)
+    for _ in range(50):
+        p = random_valid_params(rng)
+        code = validate(p)
+        assert all(getattr(code, f.name) == getattr(p, f.name) for f in fields(CodeParams))
+        assert code.params == p and type(code.params) is CodeParams
+        twin = validate(CodeParams(n=p.n, k=p.k, d_set=p.d_set[::-1], b=p.b, alpha=p.alpha))
+        assert twin == code and hash(twin) == hash(code) and twin is not code
+        assert validate(code) == code
+    assert "params" not in {f.name for f in fields(Derived)}
 
 
 def test_validate_rejections():
@@ -168,6 +189,34 @@ def test_schedule_single_iteration(a12_code):
 def test_schedule_divisibility_violation(ex3_code):
     with pytest.raises(DivisibilityViolationError):
         schedule_scheme2(ex3_code, 5)    # zeta=3 cannot form groups of 2
+
+
+def test_schedule_scheme2_reach():
+    """Scheme 2 serves a configuration when every d in D has a plan.  Over
+    n 4..12, b 0..2, every valid k, |D| <= 3 and the smallest alpha,
+    lcm(d-2b), 1774 of 3576 configurations have one."""
+    configs = served = 0
+    for n in range(4, 13):
+        for b in range(3):
+            for k in range(2 * b + 1, n):
+                for d_set in chain.from_iterable(combinations(range(k, n), r) for r in (1, 2, 3)):
+                    alpha = math.lcm(*(d - 2 * b for d in d_set))
+                    code = validate(CodeParams(n=n, k=k, d_set=d_set, b=b, alpha=alpha))
+                    configs += 1
+                    try:
+                        for d in d_set:
+                            schedule_scheme2(code, d)
+                    except DivisibilityViolationError:
+                        continue
+                    served += 1
+    assert (configs, served) == (3576, 1774)
+    mid = CodeParams(n=10, k=4, d_set=(6, 7), b=1, alpha=20)
+    b2 = CodeParams(n=12, k=5, d_set=(8, 9, 10), b=2, alpha=60)
+    for params, d, active in ((mid, 7, 5), (b2, 9, 15), (b2, 10, 15)):
+        with pytest.raises(DivisibilityViolationError) as exc:
+            schedule_scheme2(validate(params), d)
+        assert str(exc.value) == (f"d={d}: iteration 1 needs groups of 2 segments "
+                                  f"but {active} segments are active (alpha={params.alpha})")
 
 
 def test_schedule_bandwidth_identities_randomized():

@@ -194,14 +194,32 @@ def chunk_by_chunk_stripped(share, lam, field):
     return out
 
 
-@pytest.mark.parametrize("length", [0, 1, 19, 20, 21, 40, 47])
+@pytest.mark.parametrize("length", [0, 1, 19, 20])
 def test_stripped_matches_chunk_by_chunk_scaling(length):
     for seed in range(3):
         _, access = mid_access(seed)
         for sh in access:
             share = NodeShare(index=sh.index, x=(sh.x * 3)[:length])
-            assert (reconstruct._stripped(share, MID.lam, F23)
+            assert (reconstruct._stripped(share, MID, F23)
                     == chunk_by_chunk_stripped(share, MID.lam, F23))
+
+
+def test_overlong_share_is_a_lie_and_caches_no_long_scales(monkeypatch):
+    """A liar's share of 100,020 symbols is not stripped: the message is
+    unchanged and no stripping scales longer than alpha are built."""
+    built, cached = [], reconstruct._scales
+
+    def scales(*args):
+        out = cached(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(reconstruct, "_scales", scales)
+    for seed in range(3):
+        msg, access = mid_access(seed)
+        access[0] = NodeShare(index=access[0].index, x=access[0].x * 5001)
+        assert tg_reconstruct(access, MID, F23) == msg
+    assert built and max(built) == MID.alpha
 
 
 def test_wrong_length_share_fails_its_estimates():

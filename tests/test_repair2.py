@@ -3,8 +3,9 @@ from itertools import combinations, takewhile
 
 import pytest
 
+import baercode
 from baercode import adversary as adv
-from baercode import repair1
+from baercode import repair1, repair2
 from baercode.encoder import NodeShare, build_data_matrix, encode_all, encode_node
 from baercode.errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
 from baercode.galois import Field, Mat, is_prime, primes_from
@@ -377,6 +378,15 @@ def test_find_field_pins_s2_search():
     assert fld.p == 19 and rejected == (11, 13, 17)
     assert report.ok and report.checked == 5124
     assert _group_matrix_inv.cache_info() == cached     # certification keeps no inverse
+
+
+def test_docs_claim_no_field_that_certification_refuses():
+    """GF(11), GF(13) and GF(17) have p >= n+1 and s2 refuses them all, so
+    the package and module docs ask for certified systems besides p >= n+1."""
+    for doc in (baercode.__doc__, repair2.__doc__):
+        text = " ".join(doc.split())
+        assert "any prime field" not in text
+        assert "p >= n+1 and certified per-group systems" in text
 
 
 def test_verify_systems_lists_every_singular_system():

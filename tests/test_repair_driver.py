@@ -167,14 +167,18 @@ def test_unknown_scheme_is_refused_alike_everywhere(entry, ex3_code, ex3_search)
 
 def test_only_the_driver_compares_scheme_names():
     """No module but repair.py compares anything with a name of
-    repair.SCHEMES: every scheme question is answered in the driver."""
-    names, found = set(repair.SCHEMES), []
+    repair.SCHEMES, or tests membership (`in`, `not in`) in repair.SCHEMES
+    or repair.RECORD_MAGIC: every scheme question is answered in the driver."""
+    names, tables, found = set(repair.SCHEMES), {"SCHEMES", "RECORD_MAGIC"}, []
     for path in sorted(Path(repair.__file__).parent.glob("*.py")):
         if path.name == "repair.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Compare) and any(
+            if isinstance(node, ast.Compare) and (any(
                     isinstance(side, ast.Constant) and side.value in names
-                    for side in [node.left, *node.comparators]):
+                    for side in [node.left, *node.comparators]) or any(
+                    isinstance(op, (ast.In, ast.NotIn))
+                    and getattr(side, "attr", getattr(side, "id", None)) in tables
+                    for op, side in zip(node.ops, node.comparators))):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
