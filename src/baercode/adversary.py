@@ -60,14 +60,15 @@ class AdversaryPolicy:
         return random.Random(f"{self.seed}:{node}:{salt}")
 
     def fake_shares(self, code: Derived, fld: Field) -> dict[int, NodeShare]:
-        """The colluding nodes' alternative world: one fake message, encoded."""
+        """The colluding nodes' one fake message, encoded at each controlled node in 1..n."""
         key = (fld.p, code)
         if key not in self._fake_shares:
             rng = random.Random(f"{self.seed}:fake-message")
             fake_msg = [rng.randrange(fld.p) for _ in range(code.f_mbr)]
             blocks = build_data_matrix(fake_msg, code, fld)
             self._fake_shares[key] = {
-                node: encode_node(blocks, node, code, fld) for node in sorted(self.controlled)
+                node: encode_node(blocks, node, code, fld)
+                for node in sorted(self.controlled) if 1 <= node <= code.n
             }
         return self._fake_shares[key]
 

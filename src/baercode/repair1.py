@@ -35,7 +35,8 @@ R_s = diag(g^(s*m)), C_s = I here, and R_s = diag(g^(s*(a+c))),
 C_s = diag(g^(-s*t)) there: each column function's `law`.  So
 Theta_{H+s} = R_s @ Theta_H @ diag(C_s, ...) has H's rank and usability,
 and E = [T; N] of H scales to diag(R_s^-1, I) @ E @ diag(C_s^-1, ...).  A
-translation class is decided by its representative, shifted to hold node 1.
+translation class is decided by its representative, shifted to hold node 1,
+which group_decoder caches as a group even when only a translate asks for it.
 
 Theta_H is provably invertible only over impractically large alphabets, so a
 configuration is certified one helper set per translation class, keeping no
@@ -158,21 +159,16 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[in
     independent, so G is usable when Theta_G has rank u and every such minor
     of N has full rank.  So E @ rho is one lane product: lanes below u
     hold T @ rho, the rest the syndrome N @ rho.  A block with a translation
-    `law` (module docstring) eliminates only G's representative G - s, once
-    (_class_decoder), and scales its E into G's.
+    `law` (module docstring) eliminates only G's representative G - s, cached
+    here as a group in its own right, and scales its E into G's.
     """
-    law, s = getattr(block, "law", None), min(group) - 1
-    if law is None:
-        return _eliminate(block, key, group, b)
-    decoder = _class_decoder(block, key, representative(group), b)
-    if decoder is None or s == 0:
-        return decoder
-    (r_inv, c_inv), (u, packed) = law(*key, -s), decoder
-    return u, scale_packed(packed, r_inv, c_inv * len(group), key[1].p)
-
-
-def _eliminate(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[int, tuple] | None:
-    """group_decoder by one elimination of G's stacked blocks and the b-minor ranks of N."""
+    law, s = getattr(block, "law", None), group[0] - 1
+    if law is not None and s > 0:
+        decoder = group_decoder(block, key, representative(group), b)
+        if decoder is None:
+            return None
+        (r_inv, c_inv), (u, packed) = law(*key, -s), decoder
+        return u, scale_packed(packed, r_inv, c_inv * len(group), key[1].p)
     fld, cols = key[1], [col for h in group for col in block(*key, h)]
     u, w = len(cols[0]), len(cols) // len(group)
     try:
@@ -185,11 +181,6 @@ def _eliminate(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[int, 
         if Mat(fld, minor, cols=bw).rank() < bw:
             return None
     return u, pack_columns(rows, fld.p)
-
-
-_class_decoder = lru_cache(maxsize=16384)(_eliminate)
-_clear_groups = group_decoder.cache_clear   # clearing group_decoder clears both caches
-group_decoder.cache_clear = lambda: _class_decoder.cache_clear() or _clear_groups()
 
 
 def testgroup_scan(payloads: Mapping[int, Sequence[int]], chunks: int, b: int,

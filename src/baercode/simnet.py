@@ -233,10 +233,12 @@ def parse_scenario(text: str) -> list[Event]:
         toks = line.split()
         kind = toks[0].lower()
         try:
+            if kind in ("fail", "reconstruct") and len(toks) > 2:
+                raise BaerCodeError(f"unexpected {toks[2]!r}")
             if kind == "fail":
                 events.append(Event(kind="fail", node=int(toks[1])))
             elif kind == "repair":
-                opts = _opts(toks[2:])
+                opts = _opts(toks[2:], ("d", "helpers"))
                 policy = opts.get("helpers", "lowest")
                 _banned(policy)             # an unknown policy or bad list fails here
                 events.append(Event(
@@ -245,7 +247,7 @@ def parse_scenario(text: str) -> list[Event]:
             elif kind == "reconstruct":
                 events.append(Event(kind="reconstruct", nodes=parse_int_list(toks[1])))
             elif kind == "corrupt":
-                opts = _opts(toks[2:])
+                opts = _opts(toks[2:], ("nodes", "seed"))
                 events.append(Event(
                     kind="corrupt", strategy=adv.NAMES[toks[1]],
                     nodes=parse_int_list(opts.get("nodes", "")),
@@ -274,9 +276,13 @@ def _banned(policy: str) -> set[int]:
     return set(parse_int_list(rest))
 
 
-def _opts(tokens: Sequence[str]) -> dict[str, str]:
+def _opts(tokens: Sequence[str], keys: Sequence[str]) -> dict[str, str]:
+    """The key=value options of an event, each key one of keys and given once."""
     out = {}
     for tok in tokens:
-        key, _, val = tok.partition("=")
-        out[key.lower()] = val
+        key, eq, val = tok.partition("=")
+        key = key.lower()
+        if not eq or key not in keys or key in out:
+            raise BaerCodeError(f"unexpected option {tok!r}")
+        out[key] = val
     return out

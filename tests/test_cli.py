@@ -276,7 +276,10 @@ def test_repeated_repairs_build_each_group_decoder_once(workspace):
     first = repair1.group_decoder.cache_info()
     assert run(*argv) == 0
     second = repair1.group_decoder.cache_info()
-    assert first.misses == second.misses == 4         # groups 134, 135, 145 hold the liar
+    # Groups 134, 135 and 145 hold the liar; the accepted 345 is a translate of
+    # 123, which it builds as a group too.  The second run finds all four groups
+    # it asks for (134, 135, 145, 345) in the cache and builds nothing.
+    assert first.misses == second.misses == 5
     assert second.hits == first.hits + 4
 
 
@@ -450,6 +453,26 @@ def test_bad_scenario_list_exits_2(capsys, workspace):
     scen.write_text("fail 1\nrepair 1 d=4 helpers=exclude:a\n")
     assert run("simulate", "--params", params, "--scenario", scen) == 2
     assert capsys.readouterr().err.startswith("error: scenario line 2: cannot parse ")
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("repair", ("--failed", 2, "--d", 4)),
+    ("reconstruct", ("--nodes", "1,3,4")),
+])
+def test_liar_ignores_controlled_nodes_outside_the_cluster(capsys, workspace, cmd, extra):
+    """A consistent liar encodes its fake share only for the controlled nodes
+    that exist; the real ones lie exactly as without the phantom node."""
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    files = [f for f in sorted(shares.iterdir()) if f.name != "node02.share"]
+    outputs = []
+    for controlled in ("1", "1,99", "1,0"):
+        capsys.readouterr()
+        assert run(cmd, "--params", params, *extra, "--adversary", "liar",
+                   "--controlled", controlled, "--seed", 4, *files) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1:] == outputs[:1] * 2 and outputs[0].err == ""
 
 
 @pytest.mark.parametrize("failed", [99, 0, -1])

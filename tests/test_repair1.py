@@ -360,6 +360,24 @@ def test_group_decoders_eliminate_each_translation_class_once(monkeypatch):
     assert repair1.group_decoder.cache_info().misses == 120
 
 
+def test_translated_group_decodes_through_its_representatives_cache_entry(monkeypatch):
+    """A translate builds its representative as a group of the one cache, so
+    asking for the representative afterwards is a hit, not a second build."""
+    code, fld = mid_code(), Field(23)
+    d = code.d_set[0]
+    key, translate = (code, fld, d), tuple(range(2, d - code.b + 2))
+
+    def request_both():
+        repair1.group_decoder.cache_clear()
+        repair1.group_decoder(repair1._theta_cols, key, translate, code.b)
+        repair1.group_decoder(repair1._theta_cols, key, repair1.representative(translate),
+                              code.b)
+
+    assert count_calls(monkeypatch, "echelon_transform", request_both) == 1
+    info = repair1.group_decoder.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
 def test_verify_theta_lists_every_singular_matrix():
     report = verify_theta_all(mid_code(), Field(19))
     assert report.checked == 462 and report.omega_deficient == ()

@@ -151,10 +151,26 @@ def test_scenario_parse_rejects_garbage():
     "repair 1 d=4 helpers=Random",
     "reconstruct 1,x,3",
     "corrupt random nodes=1,a",
+    "corrupt random nodes=2 sed=42",
+    "repair 3 d=4 helper=random",
+    "fail 3 4",
+    "reconstruct 1,2,3 4,5",
+    "repair 3 d=4 d=5",
 ])
 def test_scenario_parse_rejects_bad_lists_and_policies(line):
     with pytest.raises(BaerCodeError, match=r"^scenario line 2: cannot parse "):
         parse_scenario(f"fail 1\n{line}\n")
+
+
+def test_liar_with_a_controlled_node_outside_the_cluster_runs(ex3_code, ex3_search):
+    # Node 99 does not exist: the liar lies at node 1 only, within the model.
+    script = parse_scenario("corrupt liar nodes=1,99 seed=3\nfail 2\nrepair 2 d=4\n"
+                            "reconstruct 1,3,4\n")
+    cluster = make_cluster(ex3_code, ex3_search.field, "1")
+    truth = cluster.shares[2]
+    report = run_scenario(cluster, script)
+    assert report.all_ok and cluster.shares[2] == truth
+    assert report.rows[0].detail == "consistent_liar nodes=1,99 seed=3"
 
 
 def test_unknown_helper_policy_is_refused_at_run_time(ex3_code, ex3_search):
