@@ -11,7 +11,6 @@ from fractions import Fraction
 from baercode.params import (
     CodeParams,
     capacity_upper_bound,
-    classical_bound,
     err_resilient_bound,
     validate,
 )
@@ -43,7 +42,7 @@ def main():
     k, d, alpha = 3, 4, 6
     gamma = 12
     print(f"   k={k} d={d} alpha={alpha} gamma={gamma}")
-    print(f"   no adversary : capacity <= {classical_bound(k, d, alpha, gamma)}")
+    print(f"   no adversary : capacity <= {err_resilient_bound(k, d, 0, alpha, gamma)}")
     for b in (1,):
         print(f"   b={b} adversary: capacity <= {err_resilient_bound(k, d, b, alpha, gamma)}")
     print()

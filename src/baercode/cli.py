@@ -37,7 +37,6 @@ from .galois import Field
 from .params import (
     capacity_upper_bound,
     check_field,
-    classical_bound,
     err_resilient_bound,
     format_params_text,
     parse_params_text,
@@ -93,7 +92,7 @@ def cmd_bounds(args) -> int:
     print(f"adaptive capacity bound at gamma_mbr: {bound}")
     print(
         f"classical bound (k={code.k}, d={code.d_min}, gamma={gamma[code.d_min]}): "
-        f"{classical_bound(code.k, code.d_min, code.alpha, gamma[code.d_min])}"
+        f"{err_resilient_bound(code.k, code.d_min, 0, code.alpha, gamma[code.d_min])}"
     )
     print(
         f"error-resilient bound (b={code.b}): "

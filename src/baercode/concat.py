@@ -22,22 +22,21 @@ scalar
 
     x_h(i) . psi_f(i)  ( = psi_h(i) M_i psi_f(i)^T = x_f(i) . psi_h(i) )
 
-So h's payload is x_h @ _cols(h, f) = x_f @ _cols(h), and testgroup_repair
-runs repair1.repair_scan at b = 0, the d helpers forming the only
-test-group; _cols and that decoder are keyed on the helper set, since the
-assignment depends on it.
+So h's payload is x_h @ _cols(h, f) = x_f @ _cols(h), and the repair
+driver (repair._scheme) runs repair1.repair_scan at b = 0, the d helpers
+forming the only test-group; _cols and that decoder are keyed on the
+helper set, since the assignment depends on it.
 This scheme is not error resilient; use scheme 1 or 2 when b > 0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .encoder import coeff_vector
 from .galois import Field
 from .params import Derived
-from .repair1 import repair_scan
 
 
 def served(n_components: int, helpers: Sequence[int], d_min: int, h: int) -> tuple[int, ...]:
@@ -57,9 +56,3 @@ def _cols(code: Derived, fld: Field, helpers: tuple[int, ...], h: int,
     lam, psi = code.lam, coeff_vector(fld, node or h, code.alpha)
     return tuple(tuple(v if pos // lam == i - 1 else 0 for pos, v in enumerate(psi))
                  for i in served(code.z, helpers, lam, h))
-
-
-def testgroup_repair(payloads: Mapping[int, Sequence[int]], f: int, d: int,
-                     code: Derived, fld: Field) -> tuple[int, ...]:
-    """Recover x_f from d helpers' component scalars by repair1.repair_scan."""
-    return repair_scan(payloads, f, d, code, _cols, (code, fld, tuple(sorted(payloads))))

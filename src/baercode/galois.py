@@ -240,41 +240,14 @@ class Mat:
         return self.echelon_transform()
 
     def rank(self) -> int:
-        """Rank by forward elimination.
-
-        Rows are never scaled and nothing above a pivot is eliminated.  Each
-        row is packed into one integer, one lane per entry with the current
-        column in the lowest lane (see _lane), so a row update is one
-        big-integer multiply-add over the columns right of the pivot.  Only
-        the pivot row is reduced mod p: every update adds less than p*p to an
-        entry and an entry is updated at most `rows` times, so no entry
-        outgrows its lane.  A small problem skips even that: with unreduced
-        pivot rows an update at most multiplies the largest entry by p, so
-        after at most min(rows, cols) updates every entry is below
-        p**(min(rows, cols) + 1), and while that fits a 64-bit lane the pivot
-        row is used as it stands.
-        """
-        p = self.field.p
-        grown = p ** (min(self.rows, self.cols) + 1)
-        lazy = grown.bit_length() <= _LANES[-1][0]
-        width, tc = _lane(grown if lazy else p * p * (self.rows + 1))
-        mask = (1 << width) - 1
-        rows = [_pack(row, width, tc) for row in self.data]
-        rank = 0
-        for col in range(self.cols):
-            piv = next((i for i, x in enumerate(rows) if (x & mask) % p), None)
-            if piv is None:
-                rows = [x >> width for x in rows]
-                continue
-            prow = rows.pop(piv)
-            rank += 1
-            if not rows:
+        """Rank: how many rows extend_basis takes in when each is offered in
+        order, a row that depends on those taken before being skipped."""
+        p, basis = self.field.p, ()
+        for row in self.data:
+            if len(basis) == self.cols:
                 break
-            neg_inv = p - pow(prow & mask, -1, p)
-            tail = prow >> width if lazy else _pack(
-                [v % p for v in _unpack(prow >> width, self.cols - col - 1, width, tc)], width, tc)
-            rows = [(x >> width) + (x & mask) * neg_inv % p * tail for x in rows]
-        return rank
+            basis = extend_basis(basis, (row,), p) or basis
+        return len(basis)
 
     def echelon_transform(self) -> "Mat":
         """Invertible E with E @ self == [I; 0], for a matrix of full column rank.
@@ -283,11 +256,11 @@ class Mat:
         `cols` rows of E (in pivot order) are a left inverse of self, the
         remaining rows (in their original order) a basis of its left null
         space.  Raises SingularMatrixError when the rank is below `cols`.
-        Rows are packed into integers as in rank(); every row, pivot rows
-        included, gets at most `cols` updates of less than p*p per entry,
-        and each processed column is shifted out, so after the last column
-        only the E part is left.  Its entries are below p + cols*p*p, and the
-        Mat constructor reduces them mod p.
+        Rows are packed into integers, the current column in the lowest lane;
+        every row, pivot rows included, gets at most `cols` updates of less
+        than p*p per entry, and each processed column is shifted out, so after
+        the last column only the E part is left.  Its entries are below
+        p + cols*p*p, and the Mat constructor reduces them mod p.
         """
         p = self.field.p
         n, m = self.cols, self.rows
@@ -314,11 +287,12 @@ def extend_basis(basis: tuple, vectors: Iterable[Sequence[int]], p: int) -> tupl
     """basis extended by vectors over GF(p), or None if they depend on it or on each other.
 
     basis, () to start, holds a (bit offset of its pivot lane, packed row)
-    pair per vector taken in, lanes as in Mat.rank.  Each row is 1 at its
-    pivot and 0 at every earlier row's, so a vector is reduced by one
-    multiply-add per row, in order.  A reduction adds less than p*p to an
-    entry, and a vector of length m meets at most m of them, so lanes hold
-    p*p*(m+1).  basis is left as it was: every extension of a prefix shares it.
+    pair per vector taken in, entry k of a row in lane k.  Each row is 1 at
+    its pivot and 0 at every earlier row's, so a vector is reduced by one
+    multiply-add per row, in order, with only the result reduced mod p.  A
+    reduction adds less than p*p to an entry, and a vector of length m meets
+    at most m of them, so lanes (_lane) hold p*p*(m+1).  basis is left as it
+    was: every extension of a prefix shares it.
     """
     out = list(basis)
     for vec in vectors:

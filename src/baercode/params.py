@@ -114,13 +114,9 @@ def capacity_upper_bound(code: Derived, gamma: Mapping[int, int | Fraction]) -> 
     return total
 
 
-def classical_bound(k: int, d: int, alpha: int, gamma: int | Fraction) -> Fraction:
-    """Capacity bound for a conventional regenerating code (no adversaries)."""
-    return err_resilient_bound(k, d, 0, alpha, gamma)
-
-
 def err_resilient_bound(k: int, d: int, b: int, alpha: int, gamma: int | Fraction) -> Fraction:
-    """Capacity bound with up to b adversarial nodes: the sum runs i = 2b .. min(k, d)-1."""
+    """Capacity bound with up to b adversarial nodes: the sum runs i = 2b .. min(k, d)-1.
+    At b = 0 it is the classical bound of a regenerating code without adversaries."""
     _check_int("k", k, 1)
     _check_int("d", d, 1)
     _check_int("b", b, 0)
@@ -225,11 +221,13 @@ def check_field(code: Derived, field: Field) -> None:
 # Every p, read or searched, is below this: there is_prime is a proof and
 # Field(p) builds fast.
 P_LIMIT = 2**64
+_KEYS = ("n", "k", "b", "alpha", "d", "p")
 
 
 def parse_params_text(text: str) -> tuple[CodeParams, int | None]:
     """Parse `key=value` lines with keys n,k,b,alpha,D (comma separated) and
-    optionally p, below P_LIMIT.  Blank lines and #-comments are ignored."""
+    optionally p, below P_LIMIT, each at most once and in any case.  Blank
+    lines and #-comments are ignored."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -237,8 +235,12 @@ def parse_params_text(text: str) -> tuple[CodeParams, int | None]:
             continue
         if "=" not in line:
             raise BaerCodeError(f"params line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().lower()] = val.strip()
+        name, _, val = line.partition("=")
+        key = name.strip().lower()
+        if key not in _KEYS or key in values:
+            what = "repeated" if key in values else "unknown"
+            raise BaerCodeError(f"params line {lineno}: {what} key {name.strip()!r}")
+        values[key] = val.strip()
     missing = {"n", "k", "b", "alpha", "d"} - set(values)
     if missing:
         raise BaerCodeError(f"params file missing keys: {', '.join(sorted(missing))}")

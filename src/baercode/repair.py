@@ -82,7 +82,8 @@ def _scheme(scheme: str, code: Derived, fld: Field, d: int):
     if scheme == "concat":
         return (lambda sh, f, helpers:
                     repair1.project(sh.x, concat._cols, code, fld, helpers, sh.index, f),
-                lambda sent, f: concat.testgroup_repair(sent, f, d, code, fld))
+                lambda sent, f: repair1.repair_scan(sent, f, d, code, concat._cols,
+                                                    (code, fld, tuple(sorted(sent)))))
     if scheme == "1":
         cfg = repair1.omega_build(code, fld)
         if cfg.deficient:

@@ -227,7 +227,8 @@ def full_column_rank(draw, fld, rows, r):
 
 
 def reference_rank(a):
-    """Textbook elimination on lists of residues, the oracle for Mat.rank."""
+    """Textbook elimination on lists of residues, the oracle for Mat.rank and
+    extend_basis."""
     p = a.field.p
     m = a.tolist()
     rank = 0
@@ -244,6 +245,41 @@ def reference_rank(a):
     return rank
 
 
+# The shapes the test-group decoders rank: N-minors over GF(23) for scheme 1
+# and reconstruction on the n=10 cluster, over GF(19) for scheme 2 at
+# alpha=60, and 20 x 20 over GF(197), the b=2 configuration's field.
+DECODER_SHAPES = ((23, 4, 4), (23, 5, 4), (23, 5, 5), (19, 6, 5), (19, 10, 10), (19, 12, 12),
+                  (197, 20, 20))
+
+
+def decoder_shaped():
+    """Per shape: a random matrix, the same with its last row replaced by the
+    sum of its first two (rank-deficient when square), and rank-deficient
+    products L @ R of inner dimension one below full and half of full."""
+    rng = random.Random("decoder shapes")
+    for p, rows, cols in DECODER_SHAPES:
+        fld = Field(p)
+
+        def draw(r, c):
+            return Mat(fld, [[rng.randrange(p) for _ in range(c)] for _ in range(r)], cols=c)
+
+        full = draw(rows, cols)
+        yield full
+        yield Mat(fld, full.data[:-1] + [[a + b for a, b in zip(*full.data[:2])]], cols=cols)
+        for r in (min(rows, cols) - 1, min(rows, cols) // 2):
+            yield draw(rows, r) @ draw(r, cols)
+
+
+def with_examples(inputs):
+    """Hypothesis's @example once per input, so every one of them runs first."""
+    def apply(test):
+        for a in inputs:
+            test = example(a)(test)
+        return test
+    return apply
+
+
+@with_examples(decoder_shaped())
 @given(rect_matrices())
 @settings(deadline=None)
 def test_rank_matches_list_elimination(a):
@@ -332,11 +368,11 @@ def test_echelon_transform_of_a_tall_matrix_feeds_rank(p):
 
 # -- packed-row lanes ------------------------------------------------------------
 #
-# rank and echelon_transform pack a row into 16-, 32- or 64-bit array lanes,
-# the narrowest that holds every intermediate entry, or entry by entry past
-# 64 bits.  These primes sit on both sides of 2^8, 2^16, 2^32 and 2^64 for p
-# (p^2 bounds an entry update), so across shapes up to 12 x 12 every lane
-# width and both packings are reached.
+# rank (through extend_basis) and echelon_transform pack a row into 16-, 32-
+# or 64-bit array lanes, the narrowest that holds every intermediate entry,
+# or entry by entry past 64 bits.  These primes sit on both sides of 2^8,
+# 2^16, 2^32 and 2^64 for p (p^2 bounds an entry update), so across shapes
+# up to 12 x 12 every lane width and both packings are reached.
 
 LANE_PRIMES = (3, 251, 257, 65521, 65537, 2**31 - 1, 2**61 - 1)
 
@@ -494,13 +530,13 @@ def vector_blocks(draw):
 
 
 def independent(fld, m, vectors):
-    return Mat(fld, vectors, cols=m).rank() == len(vectors)
+    return reference_rank(Mat(fld, vectors, cols=m)) == len(vectors)
 
 
 @given(vector_blocks())
 @settings(deadline=None, derandomize=True, max_examples=100)
 def test_extend_basis_fails_at_the_block_where_rank_falls_short(case):
-    """Block by block, extend_basis returns None exactly when Mat.rank of
+    """Block by block, extend_basis returns None exactly when the rank of
     the vectors stacked so far falls short of their count.  Each prefix's
     basis is first extended by the sibling block, and must come out of that
     unchanged for the next block."""

@@ -14,7 +14,6 @@ from baercode.params import (
     Derived,
     capacity_upper_bound,
     check_field,
-    classical_bound,
     err_resilient_bound,
     format_params_text,
     parse_params_text,
@@ -141,11 +140,11 @@ def test_per_helper_bandwidth_is_exact_division():
 
 
 def test_classical_and_err_resilient_bounds():
-    assert classical_bound(2, 3, 3, 3) == 5              # min(3,3) + min(3,2)
+    assert err_resilient_bound(2, 3, 0, 3, 3) == 5       # min(3,3) + min(3,2)
     assert err_resilient_bound(3, 4, 1, 6, 12) == 6      # single i=2 term
     # k > d: nodes i >= d bring nothing, so no term is negative
-    assert err_resilient_bound(5, 3, 0, 6, 6) == classical_bound(5, 3, 6, 6) == 12   # 6 + 4 + 2
-    assert err_resilient_bound(5, 3, 1, 6, 6) == 2                                   # single i=2 term
+    assert err_resilient_bound(5, 3, 0, 6, 6) == 12      # 6 + 4 + 2
+    assert err_resilient_bound(5, 3, 1, 6, 6) == 2       # single i=2 term
     # with b = 0 the resilient sum is the classical one, for any k and d
     rng = random.Random(3)
     for _ in range(30):
@@ -154,9 +153,9 @@ def test_classical_and_err_resilient_bounds():
         alpha = rng.randrange(1, 10)
         gamma = rng.randrange(0, 30)
         direct = sum(min(Fraction(alpha), Fraction((d - i) * gamma, d)) for i in range(min(k, d)))
-        assert err_resilient_bound(k, d, 0, alpha, gamma) == classical_bound(k, d, alpha, gamma) == direct
+        assert err_resilient_bound(k, d, 0, alpha, gamma) == direct
     with pytest.raises(BaerCodeError, match="^k must be an integer >= 1, got 0$"):
-        classical_bound(0, 3, 3, 3)
+        err_resilient_bound(0, 3, 0, 3, 3)
     with pytest.raises(BaerCodeError, match="^b must be an integer >= 0, got -1$"):
         err_resilient_bound(2, 3, -1, 3, 3)
 
@@ -165,7 +164,7 @@ def test_negative_gamma_is_refused():
     with pytest.raises(BaerCodeError, match="^gamma must be non-negative$"):
         err_resilient_bound(3, 4, 1, 6, -1)
     with pytest.raises(BaerCodeError, match="^gamma must be non-negative$"):
-        classical_bound(2, 3, 3, Fraction(-1, 2))
+        err_resilient_bound(2, 3, 0, 3, Fraction(-1, 2))
 
 
 def test_schedule_two_iterations(a12_code):
@@ -250,6 +249,24 @@ def test_params_file_round_trip(ex3_code):
     assert params == ex3_code.params and p == 17
     params2, p2 = parse_params_text("n=6\nk=3\nb=1\nalpha=6\nD=4,5\n# comment\n")
     assert params2 == ex3_code.params and p2 is None
+
+
+def test_params_file_refuses_a_repeated_key(ex3_code):
+    text = format_params_text(ex3_code.params)
+    with pytest.raises(BaerCodeError, match="^params line 6: repeated key 'alpha'$"):
+        parse_params_text(text + "alpha=12\n")
+    with pytest.raises(BaerCodeError, match="^params line 6: repeated key 'd'$"):
+        parse_params_text(text + "d=4\n")               # keys are case-insensitive
+
+
+def test_params_file_refuses_an_unknown_key(ex3_code):
+    text = format_params_text(ex3_code.params)
+    with pytest.raises(BaerCodeError, match="^params line 2: unknown key 'aplha'$"):
+        parse_params_text("# ex3\naplha=12\n" + text)
+    with pytest.raises(BaerCodeError, match="^params line 6: unknown key 'prime'$"):
+        parse_params_text(text + "prime=17\n")
+    upper = parse_params_text("N=6\nK=3\nB=1\nALPHA=6\nd=4,5\nP=17\n")
+    assert upper == (ex3_code.params, 17)
 
 
 def test_params_file_p_is_below_2_64(ex3_code):
