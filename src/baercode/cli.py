@@ -50,8 +50,15 @@ EXIT_DECODE = 3
 EXIT_UNCERTIFIED = 4
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise BaerCodeError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+
+
 def _load_params(path: str, need_p: bool = True):
-    params, p = parse_params_text(Path(path).read_text())
+    params, p = parse_params_text(_read_text(path))
     code = validate(params)
     fld = None
     if p is not None:
@@ -71,7 +78,7 @@ def _policy(args) -> adv.AdversaryPolicy:
 def _read_shares(paths, code, fld):
     shares = {}
     for path in paths:
-        share = parse_share(Path(path).read_text(), code, fld)
+        share = parse_share(Path(path).read_text(errors="replace"), code, fld)  # bad bytes: a lie
         if share is None:
             raise BaerCodeError(f"{path}: share parameters disagree with --params")
         shares[share.index] = share
@@ -119,7 +126,7 @@ def cmd_find_field(args) -> int:
 def cmd_encode(args) -> int:
     code, fld = _load_params(args.params)
     repair.refusal(args.scheme, code, strict=True)
-    message = parse_message_text(Path(args.message).read_text(), code.f_mbr, fld.p)
+    message = parse_message_text(_read_text(args.message), code.f_mbr, fld.p)
     shares = encode_all(build_data_matrix(message, code, fld), code, fld)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,9 +193,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_simulate(args) -> int:
     code, fld = _load_params(args.params)
-    script = simnet.parse_scenario(Path(args.scenario).read_text())
+    script = simnet.parse_scenario(_read_text(args.scenario))
     if args.message:
-        message = parse_message_text(Path(args.message).read_text(), code.f_mbr, fld.p)
+        message = parse_message_text(_read_text(args.message), code.f_mbr, fld.p)
     else:
         rng = random.Random(f"simulate-message:{args.seed}")
         message = [rng.randrange(fld.p) for _ in range(code.f_mbr)]

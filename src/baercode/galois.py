@@ -1,10 +1,13 @@
 """Exact arithmetic over prime fields GF(p) plus the dense-matrix kit.
 
 Field elements are plain Python ints in [0, p); matrices are small row-major
-grids bound to a Field.  Python integers never overflow, so 64-bit residues
-multiply exactly (effectively 128-bit products) before reduction.  Field and
-Mat are immutable after construction and safe to share; all operations are
-pure functions of their inputs.
+grids bound to a Field, or tuples of rows.  Python integers never overflow, so
+64-bit residues multiply exactly (effectively 128-bit products) before
+reduction.  Two kernels eliminate on rows packed into lanes: echelon
+(Gauss-Jordan) gives the left inverse and left null space that the decoders
+and Mat.inv read, and extend_basis serves certification and Mat.rank.  Field
+and Mat are immutable after construction and safe to share; all operations
+are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -152,16 +155,11 @@ class Mat:
     def __init__(self, field: Field, rows: Iterable[Iterable[int]], *, cols: int | None = None):
         p = field.p
         data = [[v % p for v in row] for row in rows]
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise BaerCodeError("ragged rows")
-        else:
-            width = 0
-        if cols is not None:
-            if data and width != cols:
-                raise BaerCodeError(f"expected {cols} columns, got {width}")
-            width = cols
+        width = len(data[0]) if data else cols or 0
+        if any(len(r) != width for r in data):
+            raise BaerCodeError("ragged rows")
+        if cols is not None and width != cols:
+            raise BaerCodeError(f"expected {cols} columns, got {width}")
         self.field = field
         self.rows = len(data)
         self.cols = width
@@ -185,10 +183,6 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        r, c = rc
-        return self.data[r][c]
-
     def tolist(self) -> list[list[int]]:
         return [list(r) for r in self.data]
 
@@ -198,9 +192,6 @@ class Mat:
             and other.field == self.field
             and other.data == self.data
         )
-
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols} over GF({self.field.p}))"
@@ -217,10 +208,7 @@ class Mat:
         p = self.field.p
         # Columns of other; zip yields none when other has no rows.
         bt = list(zip(*other.data)) or [()] * other.cols
-        out = [
-            [sum(a * b for a, b in zip(arow, bcol)) % p for bcol in bt]
-            for arow in self.data
-        ]
+        out = [[sum(a * b for a, b in zip(arow, bcol)) % p for bcol in bt] for arow in self.data]
         return Mat(self.field, out, cols=other.cols)
 
     def left_mul(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -234,10 +222,10 @@ class Mat:
         )
 
     def inv(self) -> "Mat":
-        """Inverse of a square matrix: its echelon transform, as E @ self == I."""
+        """Inverse of a square matrix: its echelon E, as E @ self == I."""
         if self.rows != self.cols:
             raise BaerCodeError("inverse of a non-square matrix")
-        return self.echelon_transform()
+        return Mat(self.field, echelon(self.data, self.field.p), cols=self.rows)
 
     def rank(self) -> int:
         """Rank: how many rows extend_basis takes in when each is offered in
@@ -249,38 +237,36 @@ class Mat:
             basis = extend_basis(basis, (row,), p) or basis
         return len(basis)
 
-    def echelon_transform(self) -> "Mat":
-        """Invertible E with E @ self == [I; 0], for a matrix of full column rank.
 
-        Gauss-Jordan on [self | I] with first-nonzero pivoting: the first
-        `cols` rows of E (in pivot order) are a left inverse of self, the
-        remaining rows (in their original order) a basis of its left null
-        space.  Raises SingularMatrixError when the rank is below `cols`.
-        Rows are packed into integers, the current column in the lowest lane;
-        every row, pivot rows included, gets at most `cols` updates of less
-        than p*p per entry, and each processed column is shifted out, so after
-        the last column only the E part is left.  Its entries are below
-        p + cols*p*p, and the Mat constructor reduces them mod p.
-        """
-        p = self.field.p
-        n, m = self.cols, self.rows
-        width, tc = _lane(p * p * (n + 1))
-        mask = (1 << width) - 1
-        rest = [_pack(row, width, tc) | 1 << (width * (n + i)) for i, row in enumerate(self.data)]
-        pivots: list[int] = []
-        for col in range(n):
-            piv = next((i for i, x in enumerate(rest) if (x & mask) % p), None)
-            if piv is None:
-                raise SingularMatrixError(f"rank below {n} for a {m}x{n} matrix over GF({p})")
-            prow = rest.pop(piv)
-            inv = pow(prow & mask, -1, p)
-            # The scaled pivot row without its leading 1; entries reduced mod p.
-            tail = _pack([v * inv % p for v in _unpack(prow >> width, n - col - 1 + m, width, tc)],
-                         width, tc)
-            rest = [(x >> width) + -(x & mask) % p * tail for x in rest]
-            pivots = [(x >> width) + -(x & mask) % p * tail for x in pivots]
-            pivots.append(tail)
-        return Mat(self.field, [_unpack(x, m, width, tc) for x in pivots + rest], cols=m)
+def echelon(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """Rows of an invertible E with E @ A == [I; 0] over GF(p), for the matrix
+    A of these rows, every entry in range(p), of full column rank n.
+
+    Gauss-Jordan on [A | I] with first-nonzero pivoting: E's first n rows (in
+    pivot order) are a left inverse of A, the rest (in their original order)
+    a basis of its left null space.  Raises SingularMatrixError when the rank
+    is below n.  Rows are packed into integers, the current column in the
+    lowest lane; every row, pivot rows included, gets at most n updates of
+    less than p*p per entry, and each processed column is shifted out, so
+    only E is left, its entries below p + n*p*p; they are returned mod p.
+    """
+    n, m = len(rows[0]) if rows else 0, len(rows)
+    width, tc = _lane(p * p * (n + 1))
+    mask = (1 << width) - 1
+    rest = [_pack(row, width, tc) | 1 << (width * (n + i)) for i, row in enumerate(rows)]
+    pivots: list[int] = []
+    for col in range(n):
+        piv = next((i for i, x in enumerate(rest) if (x & mask) % p), None)
+        if piv is None:
+            raise SingularMatrixError(f"rank below {n} for a {m}x{n} matrix over GF({p})")
+        prow = rest.pop(piv)
+        inv = pow(prow & mask, -1, p)
+        # The scaled pivot row without its leading 1; entries reduced mod p.
+        tail = _pack([v * inv % p for v in _unpack(prow >> width, n - col - 1 + m, width, tc)], width, tc)
+        rest = [(x >> width) + -(x & mask) % p * tail for x in rest]
+        pivots = [(x >> width) + -(x & mask) % p * tail for x in pivots]
+        pivots.append(tail)
+    return [[v % p for v in _unpack(x, m, width, tc)] for x in pivots + rest]
 
 
 def extend_basis(basis: tuple, vectors: Iterable[Sequence[int]], p: int) -> tuple | None:

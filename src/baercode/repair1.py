@@ -60,7 +60,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .encoder import NodeShare, coeff_vector
 from .errors import BaerCodeError, NoConsistentGroupError, SingularMatrixError
-from .galois import Field, Mat, extend_basis, lane_product, pack_columns, primes_from, scale_packed
+from .galois import Field, Mat, echelon, extend_basis, lane_product, pack_columns, primes_from, scale_packed
 from .params import P_LIMIT, Derived, check_field
 
 MAX_CANDIDATES = 2000    # primes search_field tries before it gives up
@@ -72,7 +72,7 @@ class OmegaConfig:
 
     code: Derived
     field: Field
-    omega: Mat                         # z x z
+    omega: tuple[tuple[int, ...], ...]  # Omega's z rows of z entries
     deficient: tuple[int, ...]         # d in D whose Omega_{z_d} loses column rank
 
     def theta_inv(self, helpers: tuple[int, ...], d: int) -> Mat | None:
@@ -91,7 +91,7 @@ def _theta_cols(code: Derived, fld: Field, d: int, h: int) -> tuple[tuple[int, .
     x_f @ _theta_cols(h); every Theta_H with h in H holds h's block, so it is
     built once per (params, field, d, h) and shared by all of them.
     """
-    omega, p, lam = omega_build(code, fld).omega.data, fld.p, code.lam
+    omega, p, lam = omega_build(code, fld).omega, fld.p, code.lam
     psi = coeff_vector(fld, h, code.alpha)
     return tuple(tuple(v * omega[pos // lam][j] % p for pos, v in enumerate(psi))
                  for j in range(code.beta_of(d)))
@@ -115,7 +115,7 @@ def omega_build(code: Derived, fld: Field) -> OmegaConfig:
     """
     check_field(code, fld)
     exponents = [code.alpha * code.n * j + 1 for j in range(code.z)]
-    omega = Mat(fld, [coeff_vector(fld, i, code.z) for i in exponents], cols=code.z)
+    omega = tuple(coeff_vector(fld, i, code.z) for i in exponents)
     distinct = len({i % (fld.p - 1) for i in exponents})
     deficient = tuple(d for d in code.d_set if distinct < code.beta_of(d))
     return OmegaConfig(code=code, field=fld, omega=omega, deficient=deficient)
@@ -172,7 +172,7 @@ def group_decoder(block, key: tuple, group: tuple[int, ...], b: int) -> tuple[in
     fld, cols = key[1], [col for h in group for col in block(*key, h)]
     u, w = len(cols[0]), len(cols) // len(group)
     try:
-        rows = Mat(fld, cols).echelon_transform().data
+        rows = echelon(cols, fld.p)
     except SingularMatrixError:
         return None
     null, bw = rows[u:], b * w

@@ -17,8 +17,11 @@ per-group systems.  reference_singular_systems ranks every (d, subset,
 round, group) system on its own, as the sweep did before the classes, and
 reference_find_field_scheme2 searches with it; reference_singular_thetas
 ranks every Theta_H and every Omega truncation on its own, and
-reference_find_field searches with the same ranks.  certification_work
-counts the ranks and basis extensions a certification makes.
+reference_find_field searches with the same ranks.  Those ranks are decided
+by full_rank, Gauss-Jordan (galois.echelon), not by galois.extend_basis, the
+kernel that certification, Mat.rank and the decoders' N-minor check share.
+certification_work counts the ranks and basis extensions a certification
+makes, elimination_count the eliminations a run makes.
 
 concat.served hands out components by a closed-form rotation;
 least_loaded_assignment is the greedy it replaces, the oracle for it.
@@ -36,10 +39,10 @@ tests that pin exact work counts.
 
 from itertools import combinations
 
-from baercode import repair1
+from baercode import galois, repair1
 from baercode.encoder import build_data_matrix, encode_node
-from baercode.errors import NoConsistentGroupError, StructureViolationError
-from baercode.galois import Field, Mat, _unpack, primes_from
+from baercode.errors import NoConsistentGroupError, SingularMatrixError, StructureViolationError
+from baercode.galois import Field, Mat, _unpack, echelon, primes_from
 from baercode.params import schedule_scheme2
 from baercode.reconstruct import reconstruct_estimate
 from baercode.repair1 import omega_build, theta
@@ -111,8 +114,19 @@ def reference_reconstruct(access, code, field):
     return found
 
 
+def full_rank(m):
+    """m has full column rank: galois.echelon eliminates it without raising."""
+    if not m.rows:
+        return not m.cols
+    try:
+        echelon(m.data, m.field.p)
+    except SingularMatrixError:
+        return False
+    return True
+
+
 def reference_singular_systems(code, fld):
-    """(checked, singular) of repair2.verify_systems_all, by one rank per
+    """(checked, singular) of repair2.verify_systems_all, by one full_rank per
     (d, subset, j, group) system, in the same sweep order."""
     checked, singular = 0, []
     for d in code.d_set:
@@ -122,7 +136,7 @@ def reference_singular_systems(code, fld):
             for j, it in enumerate(plan.iterations, 1):
                 for gi in range(it.n_groups):
                     checked += 1
-                    if _group_matrix(plan, fld, j, gi, subset).rank() < span:
+                    if not full_rank(_group_matrix(plan, fld, j, gi, subset)):
                         singular.append((d, subset, j, gi))
     return checked, tuple(singular)
 
@@ -139,9 +153,8 @@ def reference_find_field_scheme2(code):
 
 def _omega_deficient(code, cfg):
     """The d in D whose Omega truncation, ranked on its own, loses column rank."""
-    return tuple(d for d in code.d_set
-                 if Mat(cfg.field, [row[:code.beta_of(d)] for row in cfg.omega.data]).rank()
-                 < code.beta_of(d))
+    return tuple(d for d in code.d_set if not full_rank(
+        Mat(cfg.field, [row[:code.beta_of(d)] for row in cfg.omega], cols=code.beta_of(d))))
 
 
 def _theta_sets(code):
@@ -152,11 +165,10 @@ def _theta_sets(code):
 
 def reference_singular_thetas(code, fld):
     """(checked, omega_deficient, singular) of repair1.verify_theta_all, by
-    one rank per Omega truncation and one per (d, H) Theta, in sweep order."""
+    one full_rank per Omega truncation and one per (d, H) Theta, in sweep order."""
     cfg = omega_build(code, fld)
     sets = _theta_sets(code)
-    singular = tuple((d, subset) for d, subset in sets
-                     if theta(subset, d, cfg).rank() < code.alpha)
+    singular = tuple((d, subset) for d, subset in sets if not full_rank(theta(subset, d, cfg)))
     return len(sets), _omega_deficient(code, cfg), singular
 
 
@@ -167,7 +179,7 @@ def reference_find_field(code):
     rejected = []
     for p in primes_from(code.n + 1):
         cfg = omega_build(code, Field(p))
-        if not _omega_deficient(code, cfg) and all(theta(subset, d, cfg).rank() == code.alpha
+        if not _omega_deficient(code, cfg) and all(full_rank(theta(subset, d, cfg))
                                                    for d, subset in _theta_sets(code)):
             return p, tuple(rejected)
         rejected.append(p)
@@ -232,3 +244,14 @@ def certification_work(monkeypatch, run):
     monkeypatch.setattr(repair1, "extend_basis", lambda *a: extensions.append(1) or extend(*a))
     ranks = count_calls(monkeypatch, "rank", run)       # undoes both patches
     return ranks, len(extensions)
+
+
+def elimination_count(monkeypatch, run):
+    """galois.echelon calls that run() makes: repair1.group_decoder's and Mat.inv's."""
+    calls = []
+    kernel = galois.echelon
+    for module in (galois, repair1):
+        monkeypatch.setattr(module, "echelon", lambda *a: calls.append(1) or kernel(*a))
+    run()
+    monkeypatch.undo()
+    return len(calls)

@@ -429,6 +429,71 @@ def test_an_out_of_range_share_file_is_a_lie(capsys, tmp_path, a12_code, a12_fie
     assert run("reconstruct", "--params", params, *files[:3]) == 3
 
 
+# -- bytes that are not UTF-8 ---------------------------------------------------
+
+def spoil(path, line):
+    """Replace line `line` of a file (0 is a share file's header) with the byte 0xff."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = b"\xff"
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_reconstruct_absorbs_a_share_body_that_is_not_utf8(capsys, workspace):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    files = sorted(shares.iterdir())[:3]
+    spoil(files[1], 2)                                  # node02's second symbol
+    capsys.readouterr()
+    assert run("reconstruct", "--params", params, *files) == 0
+    assert capsys.readouterr().out == msg.read_text()
+
+
+def test_repair_absorbs_a_share_body_that_is_not_utf8(workspace):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    helpers = [shares / f"node{i:02d}.share" for i in (1, 2, 3, 4)]
+    spoil(helpers[2], 1)                                # node03's first symbol
+    repaired = tmp / "node6.rebuilt"
+    assert run("repair", "--params", params, "--failed", 6, "--d", 4,
+               "--out", repaired, *helpers) == 0
+    assert repaired.read_bytes() == (shares / "node06.share").read_bytes()
+
+
+def test_a_share_header_that_is_not_utf8_exits_2(capsys, workspace):
+    tmp, params, msg = workspace
+    shares = tmp / "shares"
+    assert run("encode", "--params", params, "--message", msg, "--out", shares) == 0
+    files = sorted(shares.iterdir())[:3]
+    spoil(files[0], 0)
+    capsys.readouterr()
+    assert run("reconstruct", "--params", params, *files) == 2
+    assert capsys.readouterr().err == "error: not a share file (bad magic)\n"
+
+
+@pytest.mark.parametrize("cmd, role", [
+    ("bounds", "--params"), ("encode", "--message"),
+    ("simulate", "--scenario"), ("simulate", "--message"),
+])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, workspace, cmd, role):
+    tmp, params, msg = workspace
+    bad = tmp / "bad.bin"
+    bad.write_bytes(b"\xff")
+    scen = tmp / "scen.txt"
+    scen.write_text("fail 1\nrepair 1 d=4\n")
+    argv = {"--params": ["--params", bad], "--message": ["--params", params, "--message", bad],
+            "--scenario": ["--params", params, "--scenario", bad]}[role]
+    if cmd == "encode":
+        argv += ["--out", tmp / "shares"]
+    elif cmd == "simulate" and role == "--message":
+        argv += ["--scenario", scen]
+    assert run(cmd, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not ") and err.count("\n") == 1
+    assert not (tmp / "shares").exists()
+
+
 # -- caller errors exit 2 ------------------------------------------------------
 
 @pytest.mark.parametrize("cmd, flag, value", [

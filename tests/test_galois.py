@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from baercode.errors import BaerCodeError, SingularMatrixError
-from baercode.galois import (Field, Mat, _lane, _prime_factors, extend_basis, is_prime,
+from baercode.galois import (Field, Mat, _lane, _prime_factors, echelon, extend_basis, is_prime,
                              lane_product, pack_columns)
 
 from reference_scan import identity, transpose
@@ -123,9 +123,10 @@ def test_vandermonde_full_column_rank_randomized():
 def test_rank_of_wide_vandermonde_matches_minor_oracle():
     f7 = Field(7)
     m = Mat.vandermonde(f7, [3, 2], 3)
+    r0, r1 = m.data
     # oracle: largest nonsingular square submatrix via explicit 2x2 minors
     minors = [
-        (m[0, i] * m[1, j] - m[0, j] * m[1, i]) % 7
+        (r0[i] * r1[j] - r0[j] * r1[i]) % 7
         for i in range(3)
         for j in range(i + 1, 3)
     ]
@@ -316,11 +317,16 @@ def test_rank_of_product_is_inner_dimension(data):
     assert (left @ right).rank() == r
 
 
+def echelon_mat(a):
+    """galois.echelon of a's rows, as the Mat E with E @ a == [I; 0]."""
+    return Mat(a.field, echelon(a.data, a.field.p), cols=a.rows)
+
+
 @given(rect_matrices())
 @settings(deadline=None)
-def test_echelon_transform_exists_iff_full_column_rank(a):
+def test_echelon_exists_iff_full_column_rank(a):
     try:
-        e = a.echelon_transform()
+        e = echelon_mat(a)
     except SingularMatrixError:
         assert a.rank() < a.cols
     else:
@@ -332,19 +338,19 @@ def test_echelon_transform_exists_iff_full_column_rank(a):
 
 @given(st.data())
 @settings(deadline=None)
-def test_echelon_transform_is_left_inverse_plus_null_space(data):
+def test_echelon_is_left_inverse_plus_null_space(data):
     fld = Field(data.draw(st.sampled_from(RANK_PRIMES)))
     cols = data.draw(st.integers(1, 8))
     rows = data.draw(st.integers(cols, 12))
     a = full_column_rank(data.draw, fld, rows, cols)
-    e = a.echelon_transform()
+    e = echelon_mat(a)
     assert all(0 <= v < fld.p for row in e.data for v in row)
     assert (e @ a).tolist() == [[1 if i == j else 0 for j in range(cols)] for i in range(rows)]
     assert e.rank() == rows         # E is invertible, so its last rows span the null space
 
 
 @pytest.mark.parametrize("p", [23, 101])
-def test_echelon_transform_of_a_tall_matrix_feeds_rank(p):
+def test_echelon_of_a_tall_matrix_feeds_rank(p):
     """20 columns over 24 rows: each E row takes up to 20 packed updates.
 
     The 4 null-space rows are read as 4x4 minors, as the repair group
@@ -357,7 +363,7 @@ def test_echelon_transform_of_a_tall_matrix_feeds_rank(p):
             a = Mat(fld, [[rng.randrange(p) for _ in range(20)] for _ in range(24)], cols=20)
             if a.rank() == 20:
                 break
-        e = a.echelon_transform()
+        e = echelon_mat(a)
         assert all(0 <= v < p for row in e.data for v in row)
         assert (e @ a).tolist() == [[int(i == j) for j in range(20)] for i in range(24)]
         null = e.data[20:]
@@ -368,7 +374,7 @@ def test_echelon_transform_of_a_tall_matrix_feeds_rank(p):
 
 # -- packed-row lanes ------------------------------------------------------------
 #
-# rank (through extend_basis) and echelon_transform pack a row into 16-, 32-
+# rank (through extend_basis) and echelon pack a row into 16-, 32-
 # or 64-bit array lanes, the narrowest that holds every intermediate entry,
 # or entry by entry past 64 bits.  These primes sit on both sides of 2^8,
 # 2^16, 2^32 and 2^64 for p (p^2 bounds an entry update), so across shapes
@@ -379,7 +385,7 @@ LANE_PRIMES = (3, 251, 257, 65521, 65537, 2**31 - 1, 2**61 - 1)
 
 def reference_echelon(a):
     """Gauss-Jordan on [A | I] over lists, pivoting on the first nonzero
-    entry: E, as Mat.echelon_transform returns it, or None below full
+    entry: the rows of E, as galois.echelon returns them, or None below full
     column rank."""
     p, n, m = a.field.p, a.cols, a.rows
     rest = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a.tolist())]
@@ -417,9 +423,9 @@ def assert_kernels_match_lists(a):
     want = reference_echelon(a)
     if want is None:
         with pytest.raises(SingularMatrixError):
-            a.echelon_transform()
+            echelon(a.data, a.field.p)
     else:
-        assert a.echelon_transform().tolist() == want
+        assert echelon(a.data, a.field.p) == want
 
 
 @given(lane_matrices())

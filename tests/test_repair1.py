@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, takewhile
+from math import lcm
 
 import pytest
 
@@ -27,8 +28,9 @@ from baercode.repair1 import (
 from reference_scan import (
     MALFORMED,
     certification_work,
-    count_calls,
     decoder_rows,
+    elimination_count,
+    full_rank,
     reference_find_field,
     reference_singular_thetas,
     transpose,
@@ -44,15 +46,15 @@ def encoded_cluster(code, fld, seed):
 
 def test_default_exponents_and_truncation(ex3_code, ex3_cfg):
     cfg, p = ex3_cfg, ex3_cfg.field.p
-    assert cfg.omega.shape == (3, 3)
-    for row, e in zip(cfg.omega.tolist(), (1, 37, 73)):     # alpha*n*(j-1) + 1
+    assert len(cfg.omega) == 3
+    for row, e in zip(cfg.omega, (1, 37, 73)):              # alpha*n*(j-1) + 1
         x = pow(cfg.field.g, e % (p - 1), p)
-        assert row == [pow(x, i, p) for i in range(3)]
+        assert row == tuple(pow(x, i, p) for i in range(3))
 
 
-def omega_truncation_rank(cfg, d):
+def omega_truncation_full(cfg, d):
     z_d = cfg.code.beta_of(d)
-    return Mat(cfg.field, [row[:z_d] for row in cfg.omega.tolist()], cols=z_d).rank()
+    return full_rank(Mat(cfg.field, [row[:z_d] for row in cfg.omega], cols=z_d))
 
 
 @pytest.mark.parametrize("where, p, deficient", [("ex3", 7, (4, 5)), ("mid", 19, ())])
@@ -60,8 +62,7 @@ def test_omega_verdict_lists_every_rank_deficient_truncation(where, p, deficient
     code = ex3_code if where == "ex3" else mid_code()
     cfg = omega_build(code, Field(p))
     assert cfg.deficient == deficient
-    assert cfg.deficient == tuple(d for d in code.d_set
-                                  if omega_truncation_rank(cfg, d) < code.beta_of(d))
+    assert cfg.deficient == tuple(d for d in code.d_set if not omega_truncation_full(cfg, d))
 
 
 @pytest.mark.parametrize("params", [
@@ -78,7 +79,7 @@ def test_closed_form_deficiency_matches_truncation_ranks(params):
     for p in takewhile(lambda p: p <= 400, primes_from(n + 1)):
         cfg = omega_build(code, Field(p))
         assert cfg.deficient == tuple(d for d in code.d_set
-                                      if omega_truncation_rank(cfg, d) < code.beta_of(d)), p
+                                      if not omega_truncation_full(cfg, d)), p
         verdicts.update(d in cfg.deficient for d in code.d_set)
     assert verdicts == {False, True}
 
@@ -86,7 +87,7 @@ def test_closed_form_deficiency_matches_truncation_ranks(params):
 def test_single_component_omega_is_trivial():
     code = validate(CodeParams(n=3, k=1, d_set=(2,), b=0, alpha=2))
     cfg = omega_build(code, Field(5))
-    assert cfg.omega.tolist() == [[1]]
+    assert cfg.omega == ((1,),)
 
 
 def test_small_field_rank_deficiency(ex3_code):
@@ -139,7 +140,7 @@ def test_theta_shape_and_column_structure(ex3_code, ex3_cfg):
             col = []
             for i in range(1, 4):
                 seg = [pow(fld.point(h), 2 * (i - 1) + t, fld.p) for t in range(2)]
-                col.extend(v * cfg.omega.data[i - 1][j] % fld.p for v in seg)
+                col.extend(v * cfg.omega[i - 1][j] % fld.p for v in seg)
             assert columns[t * 2 + j] == col
 
 
@@ -155,7 +156,7 @@ def test_theta_columns_permute_block_kruskal_form(ex3_code, ex3_cfg):
             col = []
             for i in range(1, 4):
                 seg = [pow(fld.point(h), 2 * (i - 1) + t, fld.p) for t in range(2)]
-                col.extend(v * cfg.omega.data[i - 1][j] % fld.p for v in seg)
+                col.extend(v * cfg.omega[i - 1][j] % fld.p for v in seg)
             xi_cols.append(tuple(col))
     theta_cols = [tuple(c) for c in transpose(th).tolist()]
     assert sorted(theta_cols) == sorted(xi_cols)
@@ -268,15 +269,13 @@ def mid_code():
 
 def test_find_field_pins_mid_search(monkeypatch):
     decoders = repair1.group_decoder.cache_info()
-    eliminations = []
-    echelon = Mat.echelon_transform
-    monkeypatch.setattr(Mat, "echelon_transform",
-                        lambda self: eliminations.append(self.shape) or echelon(self))
-    search = find_field(mid_code())
+    found = []
+    eliminations = elimination_count(monkeypatch, lambda: found.append(find_field(mid_code())))
+    search, = found
     assert search.field.p == 23
     assert search.rejected == (11, 13, 17, 19)
     assert search.report.ok and search.report.checked == 462
-    assert eliminations == []               # certification inverts no Theta
+    assert eliminations == 0                # certification inverts no Theta
     assert repair1.group_decoder.cache_info() == decoders   # nor builds a group decoder
 
 
@@ -351,12 +350,10 @@ def test_group_decoders_eliminate_each_translation_class_once(monkeypatch):
                 repair1.group_decoder(block, key, group, code.b)
 
     s1 = [((code, fld, d), d - code.b) for d in code.d_set]
-    assert count_calls(monkeypatch, "echelon_transform",
-                       lambda: build_all(repair1._theta_cols, s1)) == 252
+    assert elimination_count(monkeypatch, lambda: build_all(repair1._theta_cols, s1)) == 252
     assert repair1.group_decoder.cache_info().misses == 462
     rec = [((code, fld), code.k - code.b)]
-    assert count_calls(monkeypatch, "echelon_transform",
-                       lambda: build_all(reconstruct._node_block, rec)) == 36
+    assert elimination_count(monkeypatch, lambda: build_all(reconstruct._node_block, rec)) == 36
     assert repair1.group_decoder.cache_info().misses == 120
 
 
@@ -373,9 +370,37 @@ def test_translated_group_decodes_through_its_representatives_cache_entry(monkey
         repair1.group_decoder(repair1._theta_cols, key, repair1.representative(translate),
                               code.b)
 
-    assert count_calls(monkeypatch, "echelon_transform", request_both) == 1
+    assert elimination_count(monkeypatch, request_both) == 1
     info = repair1.group_decoder.cache_info()
     assert (info.misses, info.hits) == (2, 1)
+
+
+def test_no_theta_at_d_min_is_singular_once_omega_has_full_rank():
+    """At d = d_min, z_d = z, so Theta_H is Omega's invertible blocks times
+    Vandermondes on distinct points: no d_min class is singular once Omega
+    has full rank, and each one with a deficient Omega has a singular class,
+    so the hypothesis matters.  Over n 4..8, b 0..2, k 2b+1..n-1, d_min
+    k..n-1, D = {d_min} or {d_min, d2}, alpha = lcm(d-2b) and every prime
+    n+1 <= p < 40, each d_min walked by dependent_sets."""
+    configs, verdicts = 0, {True: [], False: []}        # Omega full rank: singular d_min?
+    for n in range(4, 9):
+        for b in range(3):
+            for k in range(2 * b + 1, n):
+                for d_min in range(k, n):
+                    for d_set in [(d_min,)] + [(d_min, d2) for d2 in range(d_min + 1, n)]:
+                        alpha = lcm(*(d - 2 * b for d in d_set))
+                        code = validate(CodeParams(n=n, k=k, d_set=d_set, b=b, alpha=alpha))
+                        configs += 1
+                        for p in takewhile(lambda p: p < 40, primes_from(n + 1)):
+                            fld = Field(p)
+                            blocks = [()] + [repair1._theta_cols(code, fld, d_min, h)
+                                             for h in range(1, n + 1)]
+                            walk = repair1.dependent_sets(blocks, d_min - 2 * b, p)
+                            verdicts[not omega_build(code, fld).deficient].append(
+                                next(walk, None) is not None)
+    assert configs == 290
+    assert (len(verdicts[True]), any(verdicts[True])) == (1809, False)
+    assert (len(verdicts[False]), all(verdicts[False])) == (603, True)
 
 
 def test_verify_theta_lists_every_singular_matrix():
@@ -493,7 +518,7 @@ def test_group_usable_iff_every_subset_theta_invertible(p, unusable, mid_cfgs):
             want = True
             for sub in combinations(group, d - 2 * code.b):
                 if (d, sub) not in full:
-                    full[d, sub] = theta(sub, d, cfg).rank() == code.alpha
+                    full[d, sub] = full_rank(theta(sub, d, cfg))
                 want = want and full[d, sub]
             rows = repair1.group_decoder(repair1._theta_cols, (code, cfg.field, d), group,
                                          code.b)
